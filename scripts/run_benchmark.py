@@ -10,7 +10,14 @@ per-seed plus median mAP along with the expected orderings:
     python3 scripts/run_benchmark.py --epochs 20 --warmup-epochs 6 --decay-epoch 14
 
 With --out, the table, a JSON summary, and every per-run training log
-are written under the given directory.
+are written under the given directory.  With --compare, each run's
+training log is checked byte for byte against the one an earlier --out
+run wrote under the given directory, and the largest |delta mAP| per
+setting is printed; the exit status is 1 when any log differs or is
+missing:
+
+    python3 scripts/run_benchmark.py --out before/
+    python3 scripts/run_benchmark.py --compare before/
 """
 
 import argparse
@@ -46,6 +53,7 @@ def parse_args(argv=None):
     parser.add_argument("--warmup-epochs", type=int, default=None)
     parser.add_argument("--decay-epoch", type=int, default=None)
     parser.add_argument("--out", help="directory for table, summary JSON, and logs")
+    parser.add_argument("--compare", help="--out directory of an earlier run to compare against")
     return parser.parse_args(argv)
 
 
@@ -90,6 +98,36 @@ def trend_lines(outcome, labels):
             f"{first:.4f} -> {tail:.4f} (tail median)"
         )
     return lines
+
+
+def log_path(out_dir, label, seed):
+    return os.path.join(out_dir, "logs", label, f"seed_{seed}", "train_log.csv")
+
+
+def compare_lines(outcome, ref_dir):
+    """(lines, ok): runs whose train_log.csv differs in any byte from the one
+    under ref_dir, and the largest |delta mAP| per setting."""
+    with open(os.path.join(ref_dir, "summary.json")) as fh:
+        ref = json.load(fh)["settings"]
+    lines, ok, worst = [], True, {}
+    for run in outcome.runs:
+        path = log_path(ref_dir, run.label, run.seed)
+        if not os.path.exists(path):
+            lines.append(f"  [MISSING] {run.label} seed {run.seed}: no {path}")
+            ok = False
+            continue
+        with open(path) as fh:
+            if fh.read() != run.log.to_csv():
+                lines.append(f"  [DIFF] {run.label} seed {run.seed}: train_log.csv differs")
+                ok = False
+        ref_map = {r["seed"]: r["map"] for r in ref.get(run.label, {}).get("runs", [])}
+        if run.seed in ref_map:
+            delta = abs(run.map - ref_map[run.seed])
+            worst[run.label] = max(worst.get(run.label, 0.0), delta)
+    lines.append(f"  {len(outcome.runs)} runs compared; logs "
+                 f"{'all byte-identical' if ok else 'NOT identical'}")
+    lines += [f"  {label}: max |delta mAP| {d!r}" for label, d in worst.items()]
+    return lines, ok
 
 
 def main(argv=None):
@@ -138,10 +176,15 @@ def main(argv=None):
             json.dumps(outcome.to_jsonable(), indent=2, sort_keys=True) + "\n",
         )
         for run in outcome.runs:
-            run_dir = os.path.join(args.out, "logs", run.label, f"seed_{run.seed}")
-            os.makedirs(run_dir, exist_ok=True)
-            write_text_atomic(os.path.join(run_dir, "train_log.csv"), run.log.to_csv())
+            path = log_path(args.out, run.label, run.seed)
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_text_atomic(path, run.log.to_csv())
         print(f"wrote {args.out}/table.txt, summary.json, and per-run logs")
+    if args.compare:
+        lines, ok = compare_lines(outcome, args.compare)
+        print(f"comparison with {args.compare}:")
+        print("\n".join(lines))
+        return 0 if ok else 1
     return 0
 
 

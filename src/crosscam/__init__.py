@@ -8,7 +8,8 @@ weighted triplet objectives on top of the within-camera triplet loss.
 
 __version__ = "0.1.0"
 
-from .affinity import AffinityMatrix, SoftLabelRow, affinity_quality_map, build_affinity, soft_label_rows
+from .affinity import (AffinityMatrix, SoftLabelRow, SoftLabelTable, affinity_quality_map,
+                       build_affinity, soft_label_rows, soft_label_table)
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import (
     Dataset,
@@ -27,6 +28,7 @@ from .errors import (
     CrosscamError,
     EvaluationError,
     FormatError,
+    NonFiniteFeatureError,
     SelectionError,
     TrainingError,
     VersionError,

@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .buffer import PersonBuffer
 from .data import PersonIndex
 from .errors import AffinityError, ContractError
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances in expanded form, clipped at 0."""
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 @dataclass
@@ -31,6 +38,13 @@ class AffinityMatrix:
     @property
     def n_classes(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def candidates(self) -> SoftLabelTable:
+        """Each row's positive entries with their raw affinities."""
+        cols = [np.flatnonzero(row > 0.0) for row in self.A]
+        return _sparse_table(range(self.n_classes), [(c, row[c]) for row, c in zip(self.A, cols)],
+                             self.n_classes)
 
 
 @dataclass
@@ -48,6 +62,40 @@ class SoftLabelRow:
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         idx = np.flatnonzero(self.weights)
         return idx, self.weights[idx]
+
+
+@dataclass
+class SoftLabelTable:
+    """Rows of length n_classes in k-sparse form, row r for class class_index[r].
+
+    Row r's nonzero values sit at columns index[r, :count[r]] in increasing
+    order, then zero padding; a degenerate row has count 0.
+    """
+
+    class_index: np.ndarray  # (R,)
+    index: np.ndarray  # (R, m)
+    weights: np.ndarray  # (R, m)
+    count: np.ndarray  # (R,)
+    n_classes: int
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.count == 0
+
+    def take(self, rows: np.ndarray) -> SoftLabelTable:
+        return SoftLabelTable(self.class_index[rows], self.index[rows], self.weights[rows],
+                              self.count[rows], self.n_classes)
+
+
+def _sparse_table(class_index, entries: list[tuple[np.ndarray, np.ndarray]],
+                  n_classes: int) -> SoftLabelTable:
+    """Pack (columns, values) per row into a zero-padded SoftLabelTable."""
+    count = np.array([cols.size for cols, _ in entries], dtype=np.int64)
+    index = np.zeros((count.size, int(count.max(initial=1))), dtype=np.int64)
+    weights = np.zeros(index.shape)
+    for r, (cols, vals) in enumerate(entries):
+        index[r, :cols.size], weights[r, :cols.size] = cols, vals
+    return SoftLabelTable(np.array(class_index, dtype=np.int64), index, weights, count, n_classes)
 
 
 def build_affinity(
@@ -83,11 +131,8 @@ def build_affinity(
             "cross-camera affinity undefined: all persons belong to a single camera"
         )
 
-    # Squared Euclidean distances between buffer columns.
     feats = buf.P.T  # (C, d)
-    sq = np.sum(feats * feats, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (feats @ feats.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = squared_distances(feats, feats)
 
     if mask_same_camera:
         candidate = cameras[:, None] != cameras[None, :]
@@ -131,6 +176,12 @@ def soft_label_rows(aff: AffinityMatrix) -> list[SoftLabelRow]:
         else:
             rows.append(SoftLabelRow(i, row / total, degenerate=False))
     return rows
+
+
+def soft_label_table(rows: list[SoftLabelRow]) -> SoftLabelTable:
+    """The nonzero weights of soft-label rows as one table, row r for rows[r]."""
+    n_classes = rows[0].weights.size if rows else 0
+    return _sparse_table([r.class_index for r in rows], [r.nonzero() for r in rows], n_classes)
 
 
 def affinity_quality_map(aff: AffinityMatrix, truth_of_class: np.ndarray) -> float:

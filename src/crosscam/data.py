@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractError, FormatError, VersionError
+from .errors import ContractError, FormatError, NonFiniteFeatureError, VersionError
 
 DATASET_FORMAT = "crosscam-dataset"
 DATASET_VERSION = "v1"
@@ -51,6 +51,12 @@ class Sample:
             and self.raw_feature.shape == other.raw_feature.shape
             and bool(np.all(self.raw_feature == other.raw_feature))
         )
+
+
+def first_non_finite(features: np.ndarray) -> int | None:
+    """Index of the first row holding NaN or infinity, or None."""
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 class PersonIndex:
@@ -133,6 +139,9 @@ class Dataset:
             raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
         if n > 0 and (camera_ids.min() < 0 or camera_ids.max() >= n_cameras):
             raise ContractError("camera_id out of range")
+        bad = first_non_finite(features)
+        if bad is not None:
+            raise NonFiniteFeatureError(f"sample {bad}: non-finite feature value", sample=bad)
 
         self.features = features
         self.camera_ids = camera_ids
@@ -144,7 +153,7 @@ class Dataset:
         self.index = self._build_index()
         self._check_truth_purity()
         self.class_ids = self._resolve_classes()
-        self._by_class: list[np.ndarray] | None = None
+        self._by_class: tuple[np.ndarray, np.ndarray] | None = None
         self.features.setflags(write=False)
         self.camera_ids.setflags(write=False)
         self.local_ids.setflags(write=False)
@@ -203,14 +212,20 @@ class Dataset:
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
+    def class_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sample indices grouped by class, in file order within a class,
+        and the (C + 1,) offsets of each class's group."""
+        if self._by_class is None:
+            order = np.argsort(self.class_ids, kind="stable")
+            starts = np.searchsorted(self.class_ids[order], np.arange(self.index.total + 1))
+            order.setflags(write=False)
+            self._by_class = (order, starts)
+        return self._by_class
+
     def indices_of_class(self, class_index: int) -> np.ndarray:
         """Sample indices of one person, in file order."""
-        if self._by_class is None:
-            by: list[list[int]] = [[] for _ in range(self.index.total)]
-            for i, c in enumerate(self.class_ids):
-                by[int(c)].append(i)
-            self._by_class = [np.asarray(ix, dtype=np.int64) for ix in by]
-        return self._by_class[class_index]
+        order, starts = self.class_members()
+        return order[starts[class_index]:starts[class_index + 1]]
 
     def indices_of_camera(self, camera_id: int) -> np.ndarray:
         return np.flatnonzero(self.camera_ids == camera_id)
@@ -478,6 +493,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             features[r] = [float(v) for v in parts[3:]]
         except ValueError as e:
             raise FormatError(path, lineno + 1, f"record {r}: {e}") from e
+
+    bad = first_non_finite(features)
+    if bad is not None:
+        raise FormatError(path, first_record + bad + 1, f"record {bad}: non-finite feature value")
 
     endline = first_record + n_samples
     if endline >= len(lines) or lines[endline] != "end":

@@ -29,6 +29,14 @@ class FormatError(CrosscamError):
         super().__init__(f"{where}: {reason}")
 
 
+class NonFiniteFeatureError(ContractError):
+    """A feature vector holds NaN or infinity; sample is its row index."""
+
+    def __init__(self, message: str, sample: int):
+        self.sample = sample
+        super().__init__(message)
+
+
 class VersionError(FormatError):
     """A file declared a format version this code does not understand."""
 
@@ -44,8 +52,9 @@ class AffinityError(CrosscamError):
 class SelectionError(CrosscamError):
     """A per-anchor sample selection could not be satisfied.
 
-    Raised by positive/negative selection; the trainer catches this and
-    skips the anchor, it is never fatal during training.
+    Raised by negative selection when an anchor has no negative.  Positive
+    selection reports degenerate anchors in a mask instead, which the
+    trainer skips.
     """
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
+from .affinity import squared_distances
 from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
@@ -53,10 +54,7 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
 
     Vq = forward_batch(model, query.features)
     Vg = forward_batch(model, gallery.features)
-    sq_q = np.sum(Vq * Vq, axis=1)
-    sq_g = np.sum(Vg * Vg, axis=1)
-    d2 = sq_q[:, None] + sq_g[None, :] - 2.0 * (Vq @ Vg.T)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = squared_distances(Vq, Vg)
 
     aps = []
     cmc_hits = {k: 0 for k in CMC_KS}

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityMatrix, SoftLabelRow
+from .affinity import (
+    AffinityMatrix, SoftLabelRow, SoftLabelTable, soft_label_table, squared_distances,
+)
 from .data import Dataset
 from .errors import ContractError, SelectionError
 
@@ -58,20 +60,6 @@ class LossValue:
     loss: float
     grads: dict[str, np.ndarray]
     counters: dict[str, int] = field(default_factory=dict)
-
-
-def _pairwise_distances(E: np.ndarray) -> np.ndarray:
-    sq = np.sum(E * E, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (E @ E.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.sqrt(d2)
-
-
-def _unit_difference(a: np.ndarray, b: np.ndarray, dist: float) -> np.ndarray:
-    """d/da of ||a - b||; zero at coinciding points."""
-    if dist <= 0.0:
-        return np.zeros_like(a)
-    return (a - b) / dist
 
 
 def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
@@ -135,7 +123,7 @@ def intra_triplet_loss(batch: TripletBatch, margin: float) -> LossValue:
     first occurrence in batch order.
     """
     E, labels = _validate_triplet_batch(batch)
-    D = _pairwise_distances(E)
+    D = np.sqrt(squared_distances(E, E))
     same = labels[:, None] == labels[None, :]
     pos_d = np.where(same, D, -np.inf)
     neg_d = np.where(same, np.inf, D)
@@ -153,7 +141,7 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     hard-mined loss.
     """
     E, labels = _validate_triplet_batch(batch)
-    D = _pairwise_distances(E)
+    D = np.sqrt(squared_distances(E, E))
     n = E.shape[0]
     pos_pick = np.zeros(n, dtype=np.int64)
     neg_pick = np.zeros(n, dtype=np.int64)
@@ -176,55 +164,70 @@ def softmax_probs(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def weighted_cross_entropy(probs: np.ndarray, row: SoftLabelRow) -> LossValue:
-    """-sum_c w(c) log p(c), with the gradient taken with respect to scores.
+def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable | SoftLabelRow) -> LossValue:
+    """Sum over samples of -sum_c w(c) log p(c), with score gradients.
 
-    Because the weights sum to one, the score gradient is the usual
-    softmax identity probs - w.  Probabilities are clamped at LOG_FLOOR
-    inside the log only; each clamp is counted.  The masked affinity
-    gives the row's own class zero weight, so no mass ever lands on the
-    sample's true class; own_class_zero_weight surfaces how often that
-    happens.
+    probs is (B, C) with one table row per sample, or (C,) with one row
+    (a SoftLabelRow counts as a one-row table).  As weights sum to one,
+    the score gradient is the softmax identity probs - w.  Probabilities
+    are clamped at LOG_FLOOR inside the log only; each clamp is counted.
+    The masked affinity gives a row's own class zero weight, so no mass
+    ever lands on the sample's true class; own_class_zero_weight counts
+    how often.  Per-sample losses are summed in sample order.
     """
-    if row.degenerate:
+    if isinstance(labels, SoftLabelRow):
+        labels = soft_label_table([labels])
+    if labels.degenerate.any():
         raise ContractError("weighted cross-entropy is undefined for a degenerate row")
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != row.weights.shape:
-        raise ContractError(f"probs shape {probs.shape} != weights shape {row.weights.shape}")
-    idx, w = row.nonzero()
-    p = probs[idx]
-    clamped = int(np.count_nonzero(p < LOG_FLOOR))
-    loss = -float(np.sum(w * np.log(np.maximum(p, LOG_FLOOR))))
+    P = np.atleast_2d(probs)
+    if P.shape != (labels.count.size, labels.n_classes):
+        raise ContractError(f"probs shape {probs.shape} != {labels.count.size} rows of {labels.n_classes}")
+    real = np.arange(labels.index.shape[1]) < labels.count[:, None]
+    p = np.take_along_axis(P, labels.index, axis=1)
+    terms = labels.weights * np.log(np.maximum(p, LOG_FLOOR))
+    sums = np.zeros(P.shape[0])
+    for m in np.unique(labels.count):  # padding never enters a row's sum and its order
+        sums[labels.count == m] = terms[labels.count == m, :m].sum(axis=1)
+    loss = 0.0
+    for s in sums.tolist():
+        loss -= s
+    grad = P.copy()
+    r, c = np.nonzero(real)
+    grad[r, labels.index[r, c]] -= labels.weights[r, c]
+    own = ((labels.index == labels.class_index[:, None]) & real).any(axis=1)
     return LossValue(
         loss=loss,
-        grads={"scores": probs - row.weights},
+        grads={"scores": grad.reshape(probs.shape)},
         counters={
-            "clamped_logs": clamped,
-            "own_class_zero_weight": int(row.weights[row.class_index] == 0.0),
+            "clamped_logs": int(np.count_nonzero((p < LOG_FLOOR) & real)),
+            "own_class_zero_weight": int(np.count_nonzero(~own)),
         },
     )
 
 
 def select_positives(
-    anchor_class: int,
+    anchor_classes: np.ndarray,
     aff: AffinityMatrix,
     dataset: Dataset,
     n_k: int,
     rng: np.random.Generator,
     weighting_mode: str = "AW",
     positive_sampling: str = "random",
-) -> list[tuple[int, float]]:
-    """Choose n_k cross-camera positive samples and their weights for one anchor.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Choose n_k cross-camera positive samples and their weights per anchor.
 
-    Persons come from the nonzero entries of the anchor's affinity row:
+    Persons come from the nonzero entries of each anchor's affinity row:
     either a uniform draw without replacement ("random", falling back to
     replacement when fewer than n_k candidates exist) or the top
     affinities ("nearest", padded cyclically).  One uniformly random
     sample of each drawn person is used.  Weights are 1/n_k in mode
     "AW", or the drawn affinities renormalized to sum 1 in mode "W".
+    Anchors draw in order, persons first; only the draws run per anchor.
 
-    Returns (dataset sample index, weight) pairs; raises SelectionError
-    on a degenerate row so the caller can skip the anchor.
+    anchor_classes is (A,).  Returns (A, n_k) dataset sample indices,
+    (A, n_k) weights and an (A,) mask, False where the anchor's row is
+    degenerate: such an anchor draws nothing and gets zero picks.
     """
     if n_k < 1:
         raise ContractError("n_k must be >= 1")
@@ -232,56 +235,64 @@ def select_positives(
         raise ContractError(f"unknown weighting_mode {weighting_mode!r}")
     if positive_sampling not in ("random", "nearest"):
         raise ContractError(f"unknown positive_sampling {positive_sampling!r}")
-    row = aff.A[anchor_class]
-    nz = np.flatnonzero(row > 0.0)
-    if nz.size == 0:
-        raise SelectionError(f"soft-label row of class {anchor_class} is degenerate")
-
+    if aff.n_classes != dataset.index.total:
+        raise ContractError(f"affinity over {aff.n_classes} classes, dataset has {dataset.index.total}")
+    anchor_classes = np.asarray(anchor_classes, dtype=np.int64)
+    cand = aff.candidates.take(anchor_classes)
+    valid = cand.count > 0
+    drawn = np.zeros((anchor_classes.size, n_k), dtype=np.int64)
     if positive_sampling == "nearest":
-        order = nz[np.argsort(-row[nz], kind="stable")]
-        drawn = np.array([order[i % order.size] for i in range(n_k)], dtype=np.int64)
-    elif nz.size >= n_k:
-        drawn = rng.choice(nz, size=n_k, replace=False)
-    else:
-        drawn = rng.choice(nz, size=n_k, replace=True)
-
-    if weighting_mode == "AW":
-        weights = np.full(n_k, 1.0 / n_k)
-    else:
-        a_vals = row[drawn]
-        weights = a_vals / a_vals.sum()
-
-    out = []
-    for person, w in zip(drawn, weights):
-        candidates = dataset.indices_of_class(int(person))
-        if candidates.size == 0:
-            raise SelectionError(f"class {int(person)} has no samples in the dataset")
-        pick = int(candidates[rng.integers(candidates.size)])
-        out.append((pick, float(w)))
-    return out
+        real = np.arange(cand.index.shape[1]) < cand.count[:, None]
+        order = np.argsort(np.where(real, -cand.weights, np.inf), axis=1, kind="stable")
+        cyclic = np.take_along_axis(order, np.arange(n_k) % np.maximum(cand.count, 1)[:, None], 1)
+        drawn = np.take_along_axis(cand.index, cyclic, axis=1)
+    members, starts = dataset.class_members()
+    sizes = np.diff(starts)
+    slot = np.zeros_like(drawn)
+    for a in np.flatnonzero(valid).tolist():
+        if positive_sampling == "random":
+            m = int(cand.count[a])
+            drawn[a] = rng.choice(cand.index[a, :m], size=n_k, replace=m < n_k)
+        slot[a] = [rng.integers(size) for size in sizes[drawn[a]].tolist()]
+    weights = np.full(drawn.shape, 1.0 / n_k)
+    if weighting_mode == "W":
+        weights = aff.A[anchor_classes[:, None], drawn]
+        weights[valid] /= weights[valid].sum(axis=1, keepdims=True)
+    weights[~valid] = 0.0
+    return np.where(valid[:, None], members[starts[drawn] + slot], 0), weights, valid
 
 
 def select_hardest_negative(
     anchor_embedding: np.ndarray,
     batch_embeddings: np.ndarray,
     batch_classes: np.ndarray,
-    anchor_class: int,
-) -> int:
+    anchor_class: int | np.ndarray,
+) -> int | np.ndarray:
     """Index of the nearest embedding whose person differs from the anchor's.
 
-    The batch is expected to be single-camera, so the result is the
-    hardest same-camera negative.  Ties resolve to the lowest index.
+    anchor_embedding (A, d) with an (A,) anchor_class gives an (A,)
+    result; (d,) with a scalar class gives an int.  The batch is expected
+    to be single-camera, so this is the hardest same-camera negative.
+    Distances are sqrt(sum((E[j] - a)**2)) over the last axis, one anchor
+    person at a time; ties resolve to the lowest index.  Raises
+    SelectionError when an anchor has no negative.
     """
     batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
     batch_classes = np.asarray(batch_classes)
+    anchors, classes = np.atleast_2d(anchor_embedding), np.atleast_1d(anchor_class)
     if batch_embeddings.ndim != 2 or batch_classes.shape != (batch_embeddings.shape[0],):
         raise ContractError("batch embeddings and classes are inconsistent")
-    eligible = np.flatnonzero(batch_classes != anchor_class)
-    if eligible.size == 0:
-        raise SelectionError(f"no same-camera negative available for class {anchor_class}")
-    diffs = batch_embeddings[eligible] - anchor_embedding[None, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=1))
-    return int(eligible[np.argmin(dists)])
+    if classes.shape != anchors.shape[:1]:
+        raise ContractError("one anchor class per anchor embedding is required")
+    picks = np.zeros(classes.size, dtype=np.int64)
+    for c in np.unique(classes):
+        eligible = np.flatnonzero(batch_classes != c)
+        if eligible.size == 0:
+            raise SelectionError(f"no same-camera negative available for class {c}")
+        rows = np.flatnonzero(classes == c)
+        diffs = batch_embeddings[eligible][None, :, :] - anchors[rows][:, None, :]
+        picks[rows] = eligible[np.argmin(np.sqrt(np.sum(diffs * diffs, axis=2)), axis=1)]
+    return int(picks[0]) if np.ndim(anchor_embedding) == 1 else picks
 
 
 def weighted_triplet_loss(
@@ -291,43 +302,53 @@ def weighted_triplet_loss(
     negative: np.ndarray,
     margin: float,
 ) -> LossValue:
-    """[sum_i w_i ||a - p_i|| - ||a - n|| + margin]_+ with full gradients.
+    """Sum over anchors of [sum_i w_i ||a - p_i|| - ||a - n|| + margin]_+.
 
-    Weights must sum to 1 (tolerance 1e-9).  Gradients cover the anchor,
-    every positive (scaled by its weight), and the negative; all are zero
-    when the hinge is inactive.
+    anchor (A, d), positives (A, n_k, d), weights (A, n_k), negative
+    (A, d); without the leading axis, one anchor.  Each anchor's weights
+    must sum to 1 (tolerance 1e-9).  Gradients, in the input shapes,
+    cover the anchor, every positive (scaled by its weight) and the
+    negative; all are zero where the hinge is inactive.  Per-anchor
+    losses are summed in anchor order; counters["active"] counts hinges.
     """
-    anchor = np.asarray(anchor, dtype=np.float64)
-    positives = np.asarray(positives, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    negative = np.asarray(negative, dtype=np.float64)
-    if positives.ndim != 2 or positives.shape[1] != anchor.shape[0]:
+    single = np.ndim(anchor) == 1
+    anchor, positives, weights, negative = (
+        np.asarray(x, dtype=np.float64)[None] if single else np.asarray(x, dtype=np.float64)
+        for x in (anchor, positives, weights, negative)
+    )
+    if anchor.ndim != 2 or positives.ndim != 3 or positives.shape[::2] != anchor.shape:
         raise ContractError(f"positives shape {positives.shape} incompatible with anchor")
-    if weights.shape != (positives.shape[0],):
+    if weights.shape != positives.shape[:2]:
         raise ContractError("one weight per positive is required")
-    if abs(weights.sum() - 1.0) > 1e-9:
-        raise ContractError(f"positive weights must sum to 1, got {weights.sum()!r}")
+    if np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-9):
+        raise ContractError(f"positive weights must sum to 1, got {weights.sum(axis=1)!r}")
     if negative.shape != anchor.shape:
         raise ContractError("negative embedding has wrong shape")
 
-    diffs = positives - anchor[None, :]
-    pos_d = np.sqrt(np.sum(diffs * diffs, axis=1))
-    neg_d = float(np.linalg.norm(anchor - negative))
-    hinge = float(np.sum(weights * pos_d) - neg_d + margin)
-    g_anchor = np.zeros_like(anchor)
-    g_pos = np.zeros_like(positives)
-    g_neg = np.zeros_like(negative)
+    to_pos = anchor[:, None, :] - positives
+    pos_d = np.sqrt(np.sum(to_pos * to_pos, axis=2))
+    to_neg = anchor - negative
+    neg_d = np.sqrt([row.dot(row) for row in to_neg])  # a dot per row, as 1-d np.linalg.norm
+    hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
     active = hinge > 0.0
-    if active:
-        u_n = _unit_difference(anchor, negative, neg_d)
-        for i in range(positives.shape[0]):
-            u_p = _unit_difference(anchor, positives[i], float(pos_d[i]))
-            g_anchor += weights[i] * u_p
-            g_pos[i] = -weights[i] * u_p
-        g_anchor -= u_n
-        g_neg = u_n
+    grads = {name: np.zeros_like(x) for name, x in
+             (("anchor", anchor), ("positives", positives), ("negative", negative))}
+    if active.any():
+        w = weights[active]
+        u_n = _unit_rows(to_neg[active], neg_d[active])
+        u_p = _unit_rows(to_pos[active].reshape(-1, anchor.shape[1]), pos_d[active].ravel())
+        u_p = u_p.reshape(w.shape + (-1,))
+        g = np.zeros_like(u_n)
+        for i in range(w.shape[1]):
+            g += w[:, i, None] * u_p[:, i]
+        grads["anchor"][active] = g - u_n
+        grads["positives"][active] = -w[:, :, None] * u_p
+        grads["negative"][active] = u_n
+    loss = 0.0
+    for h in hinge.tolist():
+        loss += max(h, 0.0)
     return LossValue(
-        loss=max(hinge, 0.0),
-        grads={"anchor": g_anchor, "positives": g_pos, "negative": g_neg},
-        counters={"active": int(active)},
+        loss=loss,
+        grads={name: g[0] for name, g in grads.items()} if single else grads,
+        counters={"active": int(np.count_nonzero(active))},
     )

@@ -1,0 +1,154 @@
+"""Per-anchor and per-sample references for the batched soft-label losses.
+
+These are the loops the package ran before its D (weighted triplet) and
+C (soft cross-entropy) paths were batched: one call per anchor or per
+sample, in order.  tests/test_batched_equivalence.py checks that the
+batched code gives the same bits, generator state included.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from crosscam.errors import ContractError, SelectionError
+from crosscam.model import forward_batch
+
+LOG_FLOOR = 1e-12
+
+
+def _unit_difference(a, b, dist):
+    """d/da of ||a - b||; zero at coinciding points."""
+    if dist <= 0.0:
+        return np.zeros_like(a)
+    return (a - b) / dist
+
+
+def weighted_cross_entropy(probs, row):
+    """(loss, score gradient, clamped logs, own class has zero weight) of one sample."""
+    if row.degenerate:
+        raise ContractError("weighted cross-entropy is undefined for a degenerate row")
+    probs = np.asarray(probs, dtype=np.float64)
+    idx, w = row.nonzero()
+    p = probs[idx]
+    clamped = int(np.count_nonzero(p < LOG_FLOOR))
+    loss = -float(np.sum(w * np.log(np.maximum(p, LOG_FLOOR))))
+    return loss, probs - row.weights, clamped, int(row.weights[row.class_index] == 0.0)
+
+
+def soft_ce_loop(probs, rows, sample_classes):
+    """The per-sample C loop: (loss, dS, contributing, skipped, clamped, own_zero)."""
+    dS = np.zeros_like(probs)
+    loss = 0.0
+    contributing = skipped = clamped = own_zero = 0
+    for b, z in enumerate(sample_classes):
+        row = rows[int(z)]
+        if row.degenerate:
+            skipped += 1
+            continue
+        l_b, g_b, c_b, o_b = weighted_cross_entropy(probs[b], row)
+        loss += l_b
+        dS[b] = g_b
+        contributing += 1
+        clamped += c_b
+        own_zero += o_b
+    return loss, dS, contributing, skipped, clamped, own_zero
+
+
+def select_positives(anchor_class, aff, dataset, n_k, rng, weighting_mode="AW",
+                     positive_sampling="random"):
+    """(dataset sample index, weight) pairs for one anchor; SelectionError if degenerate."""
+    row = aff.A[anchor_class]
+    nz = np.flatnonzero(row > 0.0)
+    if nz.size == 0:
+        raise SelectionError(f"soft-label row of class {anchor_class} is degenerate")
+
+    if positive_sampling == "nearest":
+        order = nz[np.argsort(-row[nz], kind="stable")]
+        drawn = np.array([order[i % order.size] for i in range(n_k)], dtype=np.int64)
+    elif nz.size >= n_k:
+        drawn = rng.choice(nz, size=n_k, replace=False)
+    else:
+        drawn = rng.choice(nz, size=n_k, replace=True)
+
+    if weighting_mode == "AW":
+        weights = np.full(n_k, 1.0 / n_k)
+    else:
+        a_vals = row[drawn]
+        weights = a_vals / a_vals.sum()
+
+    out = []
+    for person, w in zip(drawn, weights):
+        candidates = dataset.indices_of_class(int(person))
+        pick = int(candidates[rng.integers(candidates.size)])
+        out.append((pick, float(w)))
+    return out
+
+
+def select_hardest_negative(anchor_embedding, batch_embeddings, batch_classes, anchor_class):
+    eligible = np.flatnonzero(np.asarray(batch_classes) != anchor_class)
+    if eligible.size == 0:
+        raise SelectionError(f"no same-camera negative available for class {anchor_class}")
+    diffs = np.asarray(batch_embeddings, dtype=np.float64)[eligible] - anchor_embedding[None, :]
+    dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+    return int(eligible[np.argmin(dists)])
+
+
+def weighted_triplet_loss(anchor, positives, weights, negative, margin):
+    """(loss, anchor gradient, positive gradients, negative gradient, active) of one anchor."""
+    diffs = positives - anchor[None, :]
+    pos_d = np.sqrt(np.sum(diffs * diffs, axis=1))
+    neg_d = float(np.linalg.norm(anchor - negative))
+    hinge = float(np.sum(weights * pos_d) - neg_d + margin)
+    g_anchor = np.zeros_like(anchor)
+    g_pos = np.zeros_like(positives)
+    g_neg = np.zeros_like(negative)
+    active = hinge > 0.0
+    if active:
+        u_n = _unit_difference(anchor, negative, neg_d)
+        for i in range(positives.shape[0]):
+            u_p = _unit_difference(anchor, positives[i], float(pos_d[i]))
+            g_anchor += weights[i] * u_p
+            g_pos[i] = -weights[i] * u_p
+        g_anchor -= u_n
+        g_neg = u_n
+    return max(hinge, 0.0), g_anchor, g_pos, g_neg, int(active)
+
+
+def soft_triplet_loop(model, dataset, aff, config, rng, E, labels):
+    """The per-anchor D loop, with the return layout of trainer._soft_triplet_step."""
+    entries = []
+    anchors = []  # (anchor row, entry base, negative row)
+    skipped = 0
+    for a in range(E.shape[0]):
+        z = int(labels[a])
+        try:
+            sel = select_positives(
+                z, aff, dataset, config.n_k, rng,
+                weighting_mode=config.weighting_mode,
+                positive_sampling=config.positive_sampling,
+            )
+            neg = select_hardest_negative(E[a], E, labels, z)
+        except SelectionError:
+            skipped += 1
+            continue
+        anchors.append((a, len(entries), neg))
+        entries.extend(sel)
+    if not anchors:
+        return 0.0, 0, skipped, None, None, None
+    pos_idx = np.array([e[0] for e in entries], dtype=np.int64)
+    pos_w = np.array([e[1] for e in entries])
+    Xp = dataset.features[pos_idx]
+    Vp = forward_batch(model, Xp)
+    dVp = np.zeros_like(Vp)
+    dE = np.zeros_like(E)
+    loss = 0.0
+    for a, base, neg in anchors:
+        l_a, g_a, g_p, g_n, _ = weighted_triplet_loss(
+            E[a], Vp[base:base + config.n_k], pos_w[base:base + config.n_k], E[neg],
+            config.margin,
+        )
+        loss += l_a
+        dE[a] += g_a
+        dVp[base:base + config.n_k] += g_p
+        dE[neg] += g_n
+    return loss, len(anchors), skipped, dE, Xp, dVp

@@ -6,6 +6,7 @@ from crosscam import (
     ContractError,
     Dataset,
     FormatError,
+    NonFiniteFeatureError,
     PersonIndex,
     Sample,
     SynthSpec,
@@ -137,6 +138,16 @@ class TestDatasetContainer:
         with pytest.raises(ContractError):
             dataset_from_samples([Sample(np.zeros(3), 0, 0)], 1, 2, "train")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_feature_naming_the_sample(self, bad):
+        features = np.zeros((4, 3))
+        features[2, 1] = bad
+        with pytest.raises(NonFiniteFeatureError) as err:
+            Dataset(features, np.zeros(4, dtype=int), np.array([0, 0, 1, 1]),
+                    np.full(4, -1), 1, "train")
+        assert err.value.sample == 2
+        assert "sample 2" in str(err.value)
+
     def test_sample_view(self, tiny_train):
         s = tiny_train.sample(0)
         assert isinstance(s, Sample)
@@ -187,6 +198,21 @@ class TestRoundTrip:
         with pytest.raises(FormatError) as err:
             load_dataset(p)
         assert err.value.line == 6
+
+    def test_nan_gallery_row_names_the_line(self, tiny_corpus, tmp_path):
+        # A NaN feature used to load silently and score as a plausible mAP.
+        p = tmp_path / "gallery.txt"
+        save_dataset(tiny_corpus["gallery"], p)
+        lines = p.read_text().splitlines()
+        record = 7
+        fields = lines[5 + record].split()
+        fields[4] = "nan"
+        lines[5 + record] = " ".join(fields)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            load_dataset(p)
+        assert err.value.line == 6 + record
+        assert f"record {record}" in str(err.value)
 
     def test_version_mismatch(self, tmp_path):
         p = tmp_path / "v.txt"

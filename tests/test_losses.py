@@ -231,26 +231,28 @@ def selection_fixture():
 
 
 class TestSelectPositives:
+    """select_positives on one anchor: the batch-of-one case."""
+
     def test_forced_selection_with_exactly_n_k_candidates(self, rng):
         ds, aff = selection_fixture()
-        chosen = select_positives(0, aff, ds, 2, rng)
-        persons = sorted(int(ds.class_ids[i]) for i, _ in chosen)
+        picks, _, _ = select_positives(np.array([0]), aff, ds, 2, rng)
+        persons = sorted(int(ds.class_ids[i]) for i in picks[0])
         assert persons == [2, 3]
 
     def test_average_weighting_is_uniform(self, rng):
         ds, aff = selection_fixture()
-        chosen = select_positives(0, aff, ds, 2, rng, weighting_mode="AW")
-        assert [w for _, w in chosen] == [0.5, 0.5]
+        _, weights, _ = select_positives(np.array([0]), aff, ds, 2, rng, weighting_mode="AW")
+        assert weights[0].tolist() == [0.5, 0.5]
 
     def test_average_weighting_quarter_for_four(self, rng):
         ds, aff = selection_fixture()
-        chosen = select_positives(0, aff, ds, 4, rng, weighting_mode="AW")
-        assert [w for _, w in chosen] == [0.25, 0.25, 0.25, 0.25]
+        _, weights, _ = select_positives(np.array([0]), aff, ds, 4, rng, weighting_mode="AW")
+        assert weights[0].tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_affinity_weighting_renormalizes(self, rng):
         ds, aff = selection_fixture()
-        chosen = select_positives(0, aff, ds, 2, rng, weighting_mode="W")
-        by_person = {int(ds.class_ids[i]): w for i, w in chosen}
+        picks, weights, _ = select_positives(np.array([0]), aff, ds, 2, rng, weighting_mode="W")
+        by_person = {int(ds.class_ids[i]): w for i, w in zip(picks[0], weights[0])}
         a, b = np.exp(-1.0 / 1.5), np.exp(-2.0 / 1.5)
         assert by_person[2] == pytest.approx(a / (a + b), abs=1e-12)
         assert by_person[3] == pytest.approx(b / (a + b), abs=1e-12)
@@ -259,28 +261,35 @@ class TestSelectPositives:
 
     def test_degenerate_row_refused(self, rng):
         ds, aff = selection_fixture()
-        with pytest.raises(SelectionError):
-            select_positives(1, aff, ds, 2, rng)
+        before = rng.bit_generator.state
+        picks, weights, valid = select_positives(np.array([1, 0]), aff, ds, 2, rng)
+        assert valid.tolist() == [False, True]
+        assert np.all(picks[0] == 0) and np.all(weights[0] == 0.0)
+        after_valid_anchor = rng.bit_generator.state
+        rng.bit_generator.state = before
+        select_positives(np.array([0]), aff, ds, 2, rng)
+        assert rng.bit_generator.state == after_valid_anchor  # the refused anchor drew nothing
 
     def test_replacement_when_fewer_candidates(self, rng):
         ds, aff = selection_fixture()
-        chosen = select_positives(0, aff, ds, 5, rng)
-        assert len(chosen) == 5
-        assert {int(ds.class_ids[i]) for i, _ in chosen} <= {2, 3}
+        picks, _, _ = select_positives(np.array([0]), aff, ds, 5, rng)
+        assert picks.shape == (1, 5)
+        assert {int(ds.class_ids[i]) for i in picks[0]} <= {2, 3}
 
     def test_nearest_mode_takes_top_affinities_deterministically(self, rng):
         ds, aff = selection_fixture()
         picks = [
-            select_positives(0, aff, ds, 2, rng, positive_sampling="nearest")
+            select_positives(np.array([0]), aff, ds, 2, rng, positive_sampling="nearest")[0]
             for _ in range(5)
         ]
         for chosen in picks:
-            persons = [int(ds.class_ids[i]) for i, _ in chosen]
+            persons = [int(ds.class_ids[i]) for i in chosen[0]]
             assert persons == [2, 3]  # descending affinity order
 
     def test_drawn_samples_belong_to_drawn_person(self, rng):
         ds, aff = selection_fixture()
-        for idx, _ in select_positives(0, aff, ds, 2, rng):
+        picks, _, _ = select_positives(np.array([0]), aff, ds, 2, rng)
+        for idx in picks[0]:
             assert int(ds.class_ids[idx]) in (2, 3)
 
 
