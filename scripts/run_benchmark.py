@@ -11,9 +11,10 @@ per-seed plus median mAP along with the expected orderings:
 
 With --out, the table, a JSON summary, and every per-run training log
 are written under the given directory.  With --compare, each run's
-training log is checked byte for byte against the one an earlier --out
-run wrote under the given directory, and the largest |delta mAP| per
-setting is printed; the exit status is 1 when any log differs or is
+training log is checked byte for byte, and its final mAP and Rank-1 bit
+for bit, against what an earlier --out run wrote under the given
+directory, and the largest |delta mAP| and |delta Rank-1| per setting are
+printed; the exit status is 1 when any log or score differs or is
 missing:
 
     python3 scripts/run_benchmark.py --out before/
@@ -106,28 +107,39 @@ def log_path(out_dir, label, seed):
 
 def compare_lines(outcome, ref_dir):
     """(lines, ok): runs whose train_log.csv differs in any byte from the one
-    under ref_dir, and the largest |delta mAP| per setting."""
+    under ref_dir or whose final mAP or Rank-1 differs in any bit from its
+    summary.json, and the largest |delta mAP| and |delta Rank-1| per setting."""
     with open(os.path.join(ref_dir, "summary.json")) as fh:
         ref = json.load(fh)["settings"]
-    lines, ok, worst = [], True, {}
+    lines, logs_ok, scores_ok, worst = [], True, True, {}
     for run in outcome.runs:
         path = log_path(ref_dir, run.label, run.seed)
         if not os.path.exists(path):
             lines.append(f"  [MISSING] {run.label} seed {run.seed}: no {path}")
-            ok = False
+            logs_ok = False
             continue
         with open(path) as fh:
             if fh.read() != run.log.to_csv():
                 lines.append(f"  [DIFF] {run.label} seed {run.seed}: train_log.csv differs")
-                ok = False
-        ref_map = {r["seed"]: r["map"] for r in ref.get(run.label, {}).get("runs", [])}
-        if run.seed in ref_map:
-            delta = abs(run.map - ref_map[run.seed])
-            worst[run.label] = max(worst.get(run.label, 0.0), delta)
+                logs_ok = False
+        ref_run = {r["seed"]: r for r in ref.get(run.label, {}).get("runs", [])}.get(run.seed)
+        if ref_run is None:
+            lines.append(f"  [MISSING] {run.label} seed {run.seed}: not in summary.json")
+            scores_ok = False
+            continue
+        # JSON floats round-trip exactly, so != catches a change in any bit.
+        if (run.map, run.rank1) != (ref_run["map"], ref_run["rank1"]):
+            lines.append(f"  [DIFF] {run.label} seed {run.seed}: final mAP or Rank-1 differs")
+            scores_ok = False
+        d_map, d_rank1 = worst.get(run.label, (0.0, 0.0))
+        worst[run.label] = (max(d_map, abs(run.map - ref_run["map"])),
+                            max(d_rank1, abs(run.rank1 - ref_run["rank1"])))
     lines.append(f"  {len(outcome.runs)} runs compared; logs "
-                 f"{'all byte-identical' if ok else 'NOT identical'}")
-    lines += [f"  {label}: max |delta mAP| {d!r}" for label, d in worst.items()]
-    return lines, ok
+                 f"{'all byte-identical' if logs_ok else 'NOT identical'}; final scores "
+                 f"{'all bit-identical' if scores_ok else 'NOT identical'}")
+    lines += [f"  {label}: max |delta mAP| {d_map!r}, max |delta Rank-1| {d_rank1!r}"
+              for label, (d_map, d_rank1) in worst.items()]
+    return lines, logs_ok and scores_ok
 
 
 def main(argv=None):

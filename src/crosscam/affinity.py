@@ -18,6 +18,7 @@ import numpy as np
 from .buffer import PersonBuffer
 from .data import PersonIndex
 from .errors import AffinityError, ContractError
+from .ranking import BLOCK_ELEMENTS, hit_aps
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,15 +151,24 @@ def build_affinity(
             RuntimeWarning,
             stacklevel=2,
         )
-    for i in range(C):
-        cand = np.flatnonzero(candidate[i])
-        if cand.size == 0:
-            continue  # row stays zero; soft_label_rows will mark it degenerate
-        keep = cand[np.argsort(d2[i, cand], kind="stable")[:k]]
-        if sigma_sq == 0.0:
-            A[i, keep] = 1.0
-        else:
-            A[i, keep] = np.exp(-d2[i, keep] / sigma_sq)
+    # Each row keeps what a stable argsort of its candidates would put
+    # first: every candidate nearer than the row's k-th smallest candidate
+    # distance t, then candidates at exactly t in class-index order.  A row
+    # with no candidate keeps nothing; soft_label_rows marks it degenerate.
+    kth = min(k, C) - 1
+    step = max(1, BLOCK_ELEMENTS // C)
+    for lo in range(0, C, step):
+        cand = candidate[lo:lo + step]
+        dist = np.where(cand, d2[lo:lo + step], np.inf)
+        t = np.partition(dist, kth, axis=1)[:, kth, None]
+        nearer = dist < t
+        tied = (dist == t) & cand
+        room = k - np.count_nonzero(nearer, axis=1)[:, None]
+        if (np.count_nonzero(tied, axis=1)[:, None] > room).any():
+            tied &= np.cumsum(tied, axis=1) <= room
+        r, c = np.divmod(np.flatnonzero(nearer | tied), C)
+        r += lo
+        A[r, c] = 1.0 if sigma_sq == 0.0 else np.exp(-d2[r, c] / sigma_sq)
     return AffinityMatrix(
         A=A, sigma_sq=sigma_sq, k=int(k), epoch_built=int(epoch),
         camera_of_class=cameras, masked=bool(mask_same_camera),
@@ -187,32 +197,43 @@ def soft_label_table(rows: list[SoftLabelRow]) -> SoftLabelTable:
 def affinity_quality_map(aff: AffinityMatrix, truth_of_class: np.ndarray) -> float:
     """How well affinity rows rank true cross-camera matches, as mean AP.
 
-    Each row ranks the persons of other cameras by descending affinity
-    (ties broken by class index); a candidate is relevant when it shares
-    the row person's hidden identity.  Rows without any cross-camera true
-    match are excluded from the mean.
+    Each row of the nonnegative affinity ranks the persons of other
+    cameras by descending affinity (ties broken by class index); a
+    candidate is relevant when it shares the row person's hidden
+    identity.  Rows with a negative truth or without any cross-camera
+    true match are excluded from the mean.  Ranks are counted, not
+    sorted: a relevant candidate's rank is the number of candidates that
+    a stable sort would put before it.
     """
     truth = np.asarray(truth_of_class, dtype=np.int64)
     if truth.shape != (aff.n_classes,):
         raise ContractError(
             f"truth mapping has shape {truth.shape}, expected ({aff.n_classes},)"
         )
-    cameras = aff.camera_of_class
-    aps = []
-    for i in range(aff.n_classes):
-        cand = np.flatnonzero(cameras != cameras[i])
-        if cand.size == 0:
-            continue
-        relevant = truth[cand] == truth[i]
-        if truth[i] < 0 or not relevant.any():
-            continue
-        # Descending affinity, ties toward lower class index: sort by
-        # (-a, class index) using a stable sort over the index-ordered list.
-        order = np.argsort(-aff.A[i, cand], kind="stable")
-        rel_sorted = relevant[order]
-        hits = np.flatnonzero(rel_sorted)
-        precisions = (np.arange(1, hits.size + 1)) / (hits + 1)
-        aps.append(precisions.mean())
-    if not aps:
+    cameras, C = aff.camera_of_class, aff.n_classes
+    persons: dict[int, list[int]] = {}
+    for c, t in enumerate(truth.tolist()):
+        if t >= 0:
+            persons.setdefault(t, []).append(c)
+    cams = cameras.tolist()
+    pairs = [(i, j) for same in persons.values() for i in same for j in same if cams[i] != cams[j]]
+    if not pairs:
         raise AffinityError("affinity quality undefined: no row has a cross-camera true match")
-    return float(np.mean(aps))
+    rows, cols = np.array(pairs, dtype=np.int64).T
+    # A row is zero outside its few positive entries (aff.candidates).  A
+    # relevant entry of value v is preceded by the positive cross-camera
+    # entries above v or equal to it at a lower index, and, when v is 0, by
+    # the zero candidates at a lower index: the candidates below col minus
+    # the positive cross-camera entries below col.
+    table = aff.candidates
+    idx, vals, v = table.index[rows], table.weights[rows], aff.A[rows, cols][:, None]
+    real = (np.arange(idx.shape[1]) < table.count[rows, None]) & (cameras[idx] != cameras[rows, None])
+    lower = real & (idx < cols[:, None])
+    pos = np.count_nonzero((real & (vals > v)) | ((vals == v) & lower), axis=1)
+    cam_ids, cam = np.unique(cameras, return_inverse=True)
+    below = np.zeros((cam_ids.size, C + 1), dtype=np.int64)  # [m, c]: classes of camera m below c
+    np.cumsum(cam[None, :] == np.arange(cam_ids.size)[:, None], axis=1, out=below[:, 1:])
+    zero_lower = cols - below[cam[rows], cols] - np.count_nonzero(lower, axis=1)
+    pos += np.where(v[:, 0] == 0.0, zero_lower, 0)
+    order = np.lexsort((pos, rows))
+    return float(np.mean(hit_aps(rows[order], pos[order])[1]))

@@ -19,6 +19,7 @@ from .affinity import squared_distances
 from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
+from .ranking import BLOCK_ELEMENTS, hit_aps
 from .trainer import TrainConfig, TrainLog
 
 CMC_KS = (1, 5, 10, 20)
@@ -37,12 +38,19 @@ def average_precision(relevant_in_rank_order: np.ndarray) -> float:
     hits = np.flatnonzero(relevant_in_rank_order)
     if hits.size == 0:
         raise ContractError("average precision undefined without a relevant item")
-    precisions = np.arange(1, hits.size + 1) / (hits + 1)
-    return float(precisions.mean())
+    return float(hit_aps(np.zeros_like(hits), hits)[1][0])
 
 
 def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> RetrievalResult:
-    """Score a model on a query/gallery pair; read-only on all inputs."""
+    """Score a model on a query/gallery pair; read-only on all inputs.
+
+    A relevant item's rank is its place in the stable ascending sort of
+    the query's non-junk gallery: the items nearer to the query, or as
+    near and earlier in gallery file order.  It is found by counting
+    those items, in blocks of pairs, instead of sorting each row; junk
+    items count as infinitely far, which matches the sort as long as the
+    embedding distances are finite.
+    """
     if query.d_in != gallery.d_in:
         raise ContractError(
             f"query d_in {query.d_in} != gallery d_in {gallery.d_in}"
@@ -56,32 +64,33 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
     Vg = forward_batch(model, gallery.features)
     d2 = squared_distances(Vq, Vg)
 
-    aps = []
-    cmc_hits = {k: 0 for k in CMC_KS}
-    skipped = 0
-    for qi in range(len(query)):
-        junk = (gallery.truth == query.truth[qi]) & (gallery.camera_ids == query.camera_ids[qi])
-        keep = np.flatnonzero(~junk)
-        relevant = gallery.truth[keep] == query.truth[qi]
-        if not relevant.any():
-            skipped += 1
-            continue
-        # Ascending distance; stable sort makes ties resolve to gallery file order.
-        order = np.argsort(d2[qi, keep], kind="stable")
-        rel_sorted = relevant[order]
-        aps.append(average_precision(rel_sorted))
-        first_hit = int(np.flatnonzero(rel_sorted)[0])
-        for k in CMC_KS:
-            if first_hit < k:
-                cmc_hits[k] += 1
-    if not aps:
+    same_person = query.truth[:, None] == gallery.truth
+    junk = same_person & (query.camera_ids[:, None] == gallery.camera_ids)
+    q, g = np.nonzero(same_person & ~junk)
+    d2[junk] = np.inf  # unranked: never before a relevant item at a finite distance
+    pos = np.empty(q.size, dtype=np.int64)
+    column = np.arange(len(gallery))
+    step = max(1, BLOCK_ELEMENTS // len(gallery))
+    for lo in range(0, q.size, step):
+        qb, gb = q[lo:lo + step], g[lo:lo + step]
+        row = d2[qb]
+        t = row[np.arange(qb.size), gb][:, None]
+        pos[lo:lo + step] = np.count_nonzero(row < t, axis=1)
+        tied = row == t
+        if np.count_nonzero(tied) > qb.size:  # beyond each item itself: count those earlier
+            pos[lo:lo + step] += np.count_nonzero(tied & (column < gb[:, None]), axis=1)
+    order = np.lexsort((pos, q))
+    q, pos = q[order], pos[order]
+    hit_rows, aps = hit_aps(q, pos)
+    if not hit_rows.size:
         raise EvaluationError("every query was skipped: no query has an eligible true match")
-    n = len(aps)
+    first_hit = pos[np.searchsorted(q, hit_rows)]
+    n = hit_rows.size
     return RetrievalResult(
         map=float(np.mean(aps)),
-        cmc={k: cmc_hits[k] / n for k in CMC_KS},
+        cmc={k: int(np.count_nonzero(first_hit < k)) / n for k in CMC_KS},
         n_evaluated=n,
-        n_skipped=skipped,
+        n_skipped=len(query) - n,
     )
 
 

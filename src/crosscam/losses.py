@@ -23,6 +23,9 @@ from .data import Dataset
 from .errors import ContractError, SelectionError
 
 LOG_FLOOR = 1e-12
+# Anchors per block of hardest-negative distances: (16, n, d) temporaries
+# beat both one anchor person at a time and one (A, n, d) tensor.
+NEGATIVE_BLOCK = 16
 
 
 @dataclass
@@ -273,8 +276,9 @@ def select_hardest_negative(
     anchor_embedding (A, d) with an (A,) anchor_class gives an (A,)
     result; (d,) with a scalar class gives an int.  The batch is expected
     to be single-camera, so this is the hardest same-camera negative.
-    Distances are sqrt(sum((E[j] - a)**2)) over the last axis, one anchor
-    person at a time; ties resolve to the lowest index.  Raises
+    Distances are sqrt(sum((E[j] - a)**2)) over the last axis, for
+    NEGATIVE_BLOCK anchors at a time; the anchor's own person is masked
+    with +inf and ties resolve to the lowest index.  Raises
     SelectionError when an anchor has no negative.
     """
     batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
@@ -284,14 +288,16 @@ def select_hardest_negative(
         raise ContractError("batch embeddings and classes are inconsistent")
     if classes.shape != anchors.shape[:1]:
         raise ContractError("one anchor class per anchor embedding is required")
+    same = classes[:, None] == batch_classes
+    lonely = same.all(axis=1)
+    if lonely.any():
+        raise SelectionError(f"no same-camera negative available for class {classes[lonely].min()}")
     picks = np.zeros(classes.size, dtype=np.int64)
-    for c in np.unique(classes):
-        eligible = np.flatnonzero(batch_classes != c)
-        if eligible.size == 0:
-            raise SelectionError(f"no same-camera negative available for class {c}")
-        rows = np.flatnonzero(classes == c)
-        diffs = batch_embeddings[eligible][None, :, :] - anchors[rows][:, None, :]
-        picks[rows] = eligible[np.argmin(np.sqrt(np.sum(diffs * diffs, axis=2)), axis=1)]
+    for lo in range(0, classes.size, NEGATIVE_BLOCK):
+        diffs = batch_embeddings[None, :, :] - anchors[lo:lo + NEGATIVE_BLOCK, None, :]
+        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
+        dist[same[lo:lo + NEGATIVE_BLOCK]] = np.inf
+        picks[lo:lo + NEGATIVE_BLOCK] = np.argmin(dist, axis=1)
     return int(picks[0]) if np.ndim(anchor_embedding) == 1 else picks
 
 

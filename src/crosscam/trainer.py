@@ -121,6 +121,12 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_epochs ({self.warmup_epochs}) must not exceed epochs ({self.epochs})"
             )
+        if self.warmup_epochs == 0 < self.epochs:
+            raise ConfigError(
+                "warmup_epochs must be >= 1 when epochs > 0: the first joint epoch builds the "
+                "affinity from the person buffer, which only warmup epochs fill; "
+                "set warmup_epochs to at least 1"
+            )
         if self.decay_epoch < 1:
             raise ConfigError("decay_epoch must be >= 1")
         if self.decay_factor <= 0:

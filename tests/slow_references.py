@@ -1,16 +1,19 @@
-"""Per-anchor and per-sample references for the batched soft-label losses.
+"""Per-row and per-anchor references for the package's batched paths.
 
 These are the loops the package ran before its D (weighted triplet) and
-C (soft cross-entropy) paths were batched: one call per anchor or per
-sample, in order.  tests/test_batched_equivalence.py checks that the
-batched code gives the same bits, generator state included.
+C (soft cross-entropy) paths were batched, one call per anchor or per
+sample, in order, and before affinity construction, retrieval scoring
+and affinity quality counted ranks instead of sorting each row.
+tests/test_batched_equivalence.py and tests/test_ranking_equivalence.py
+check that the package gives the same bits, generator state included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from crosscam.errors import ContractError, SelectionError
+from crosscam.affinity import squared_distances
+from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
 from crosscam.model import forward_batch
 
 LOG_FLOOR = 1e-12
@@ -152,3 +155,75 @@ def soft_triplet_loop(model, dataset, aff, config, rng, E, labels):
         dVp[base:base + config.n_k] += g_p
         dE[neg] += g_n
     return loss, len(anchors), skipped, dE, Xp, dVp
+
+
+def average_precision(relevant_in_rank_order):
+    hits = np.flatnonzero(relevant_in_rank_order)
+    precisions = np.arange(1, hits.size + 1) / (hits + 1)
+    return float(precisions.mean())
+
+
+def evaluate(model, query, gallery):
+    """(mAP, {k: rank-k accuracy}, evaluated, skipped): one stable argsort per query."""
+    d2 = squared_distances(forward_batch(model, query.features),
+                           forward_batch(model, gallery.features))
+    aps = []
+    cmc_hits = {k: 0 for k in (1, 5, 10, 20)}
+    skipped = 0
+    for qi in range(len(query)):
+        junk = (gallery.truth == query.truth[qi]) & (gallery.camera_ids == query.camera_ids[qi])
+        keep = np.flatnonzero(~junk)
+        relevant = gallery.truth[keep] == query.truth[qi]
+        if not relevant.any():
+            skipped += 1
+            continue
+        rel_sorted = relevant[np.argsort(d2[qi, keep], kind="stable")]
+        aps.append(average_precision(rel_sorted))
+        first_hit = int(np.flatnonzero(rel_sorted)[0])
+        for k in cmc_hits:
+            if first_hit < k:
+                cmc_hits[k] += 1
+    if not aps:
+        raise EvaluationError("every query was skipped: no query has an eligible true match")
+    n = len(aps)
+    return float(np.mean(aps)), {k: h / n for k, h in cmc_hits.items()}, n, skipped
+
+
+def build_affinity(feats, cameras, k, mask_same_camera=True):
+    """(A, sigma_sq) of the masked k-NN affinity over (C, d) person features, row by row."""
+    C = feats.shape[0]
+    d2 = squared_distances(feats, feats)
+    if mask_same_camera:
+        candidate = cameras[:, None] != cameras[None, :]
+    else:
+        candidate = ~np.eye(C, dtype=bool)
+    sigma_sq = float(d2[candidate].mean())
+    A = np.zeros((C, C))
+    for i in range(C):
+        cand = np.flatnonzero(candidate[i])
+        if cand.size == 0:
+            continue
+        keep = cand[np.argsort(d2[i, cand], kind="stable")[:k]]
+        if sigma_sq == 0.0:
+            A[i, keep] = 1.0
+        else:
+            A[i, keep] = np.exp(-d2[i, keep] / sigma_sq)
+    return A, sigma_sq
+
+
+def affinity_quality_map(A, cameras, truth):
+    """Mean AP of the affinity rows over true cross-camera matches, one sort per row."""
+    aps = []
+    for i in range(A.shape[0]):
+        cand = np.flatnonzero(cameras != cameras[i])
+        if cand.size == 0:
+            continue
+        relevant = truth[cand] == truth[i]
+        if truth[i] < 0 or not relevant.any():
+            continue
+        order = np.argsort(-A[i, cand], kind="stable")
+        hits = np.flatnonzero(relevant[order])
+        aps.append(((np.arange(1, hits.size + 1)) / (hits + 1)).mean())
+    if not aps:
+        raise AffinityError("affinity quality undefined: no row has a cross-camera true match")
+    return float(np.mean(aps))

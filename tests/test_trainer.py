@@ -156,6 +156,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             dataclasses.replace(TrainConfig(), **overrides).validate()
 
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_joint_epochs_without_warmup_refused_before_training(self, tiny_train, lam):
+        # Epoch 1 would be joint, and its affinity needs a buffer that only
+        # warmup fills; the error names the fix instead of an AffinityError.
+        cfg = dataclasses.replace(fast_config(), epochs=2, warmup_epochs=0, lam=lam)
+        with pytest.raises(ConfigError, match="warmup_epochs to at least 1"):
+            train(tiny_train, cfg)
+        dataclasses.replace(cfg, epochs=0).validate()
+
     def test_dict_round_trip(self):
         cfg = fast_config(lam=0.5, inter_mode="D")
         assert config_from_dict(config_to_dict(cfg)) == cfg
