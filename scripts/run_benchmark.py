@@ -9,13 +9,13 @@ per-seed plus median mAP along with the expected orderings:
     python3 scripts/run_benchmark.py --settings baseline_intra,soft_triplet --seeds 1,2
     python3 scripts/run_benchmark.py --epochs 20 --warmup-epochs 6 --decay-epoch 14
 
-With --out, the table, a JSON summary, and every per-run training log
-are written under the given directory.  With --compare, each run's
-training log is checked byte for byte, and its final mAP and Rank-1 bit
-for bit, against what an earlier --out run wrote under the given
-directory, and the largest |delta mAP| and |delta Rank-1| per setting are
-printed; the exit status is 1 when any log or score differs or is
-missing:
+With --out, the table, a JSON summary (the layout of the table.json of
+`crosscam ablate`), and every per-run training log are written under the
+given directory.  With --compare, each run's training log is checked
+byte for byte, and its final mAP and Rank-1 bit for bit, against what an
+earlier --out run wrote under the given directory, and the largest
+|delta mAP| and |delta Rank-1| per setting are printed; the exit status
+is 1 when any log or score differs or is missing:
 
     python3 scripts/run_benchmark.py --out before/
     python3 scripts/run_benchmark.py --compare before/
@@ -63,7 +63,7 @@ def direction_lines(outcome, labels):
     sides were actually run."""
 
     def med(label):
-        return outcome.median_map(label)
+        return outcome.row(label).median_map
 
     checks = [
         ("soft_ce beats baseline_intra", "soft_ce", "baseline_intra", True),
@@ -87,7 +87,7 @@ def trend_lines(outcome, labels):
     if "full" not in labels:
         return []
     lines = []
-    for run in outcome.of("full"):
+    for run in outcome.row("full").runs:
         quality = [r.affinity_map for r in run.log.records if r.affinity_map is not None]
         if len(quality) < 11:
             lines.append(f"  [n/a] seed {run.seed}: too few joint epochs for the trend check")
@@ -110,31 +110,36 @@ def compare_lines(outcome, ref_dir):
     under ref_dir or whose final mAP or Rank-1 differs in any bit from its
     summary.json, and the largest |delta mAP| and |delta Rank-1| per setting."""
     with open(os.path.join(ref_dir, "summary.json")) as fh:
-        ref = json.load(fh)["settings"]
+        summary = json.load(fh)
+    if "rows" not in summary:
+        sys.exit(f"{ref_dir}/summary.json has no 'rows': written before the ablate layout; "
+                 "see README.md, 'The committed benchmark'")
+    ref = {(row["label"], r["seed"]): r for row in summary["rows"] for r in row["runs"]}
     lines, logs_ok, scores_ok, worst = [], True, True, {}
-    for run in outcome.runs:
-        path = log_path(ref_dir, run.label, run.seed)
+    runs = list(outcome.runs())
+    for label, run in runs:
+        path = log_path(ref_dir, label, run.seed)
         if not os.path.exists(path):
-            lines.append(f"  [MISSING] {run.label} seed {run.seed}: no {path}")
+            lines.append(f"  [MISSING] {label} seed {run.seed}: no {path}")
             logs_ok = False
             continue
         with open(path) as fh:
             if fh.read() != run.log.to_csv():
-                lines.append(f"  [DIFF] {run.label} seed {run.seed}: train_log.csv differs")
+                lines.append(f"  [DIFF] {label} seed {run.seed}: train_log.csv differs")
                 logs_ok = False
-        ref_run = {r["seed"]: r for r in ref.get(run.label, {}).get("runs", [])}.get(run.seed)
+        ref_run = ref.get((label, run.seed))
         if ref_run is None:
-            lines.append(f"  [MISSING] {run.label} seed {run.seed}: not in summary.json")
+            lines.append(f"  [MISSING] {label} seed {run.seed}: not in summary.json")
             scores_ok = False
             continue
         # JSON floats round-trip exactly, so != catches a change in any bit.
         if (run.map, run.rank1) != (ref_run["map"], ref_run["rank1"]):
-            lines.append(f"  [DIFF] {run.label} seed {run.seed}: final mAP or Rank-1 differs")
+            lines.append(f"  [DIFF] {label} seed {run.seed}: final mAP or Rank-1 differs")
             scores_ok = False
-        d_map, d_rank1 = worst.get(run.label, (0.0, 0.0))
-        worst[run.label] = (max(d_map, abs(run.map - ref_run["map"])),
-                            max(d_rank1, abs(run.rank1 - ref_run["rank1"])))
-    lines.append(f"  {len(outcome.runs)} runs compared; logs "
+        d_map, d_rank1 = worst.get(label, (0.0, 0.0))
+        worst[label] = (max(d_map, abs(run.map - ref_run["map"])),
+                        max(d_rank1, abs(run.rank1 - ref_run["rank1"])))
+    lines.append(f"  {len(runs)} runs compared; logs "
                  f"{'all byte-identical' if logs_ok else 'NOT identical'}; final scores "
                  f"{'all bit-identical' if scores_ok else 'NOT identical'}")
     lines += [f"  {label}: max |delta mAP| {d_map!r}, max |delta Rank-1| {d_rank1!r}"
@@ -165,7 +170,7 @@ def main(argv=None):
     t0 = time.perf_counter()
     outcome = run_benchmark(
         corpus, settings=labels, seeds=seeds, config_overrides=overrides or None,
-        progress=lambda r: print(f"  {r.label} seed {r.seed}: mAP {r.map:.4f}", flush=True),
+        progress=lambda label, r: print(f"  {label} seed {r.seed}: mAP {r.map:.4f}", flush=True),
     )
     elapsed = time.perf_counter() - t0
 
@@ -187,8 +192,8 @@ def main(argv=None):
             os.path.join(args.out, "summary.json"),
             json.dumps(outcome.to_jsonable(), indent=2, sort_keys=True) + "\n",
         )
-        for run in outcome.runs:
-            path = log_path(args.out, run.label, run.seed)
+        for label, run in outcome.runs():
+            path = log_path(args.out, label, run.seed)
             os.makedirs(os.path.dirname(path), exist_ok=True)
             write_text_atomic(path, run.log.to_csv())
         print(f"wrote {args.out}/table.txt, summary.json, and per-run logs")

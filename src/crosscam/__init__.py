@@ -33,7 +33,7 @@ from .errors import (
     TrainingError,
     VersionError,
 )
-from .evaluation import RetrievalResult, evaluate, run_ablation
+from .evaluation import RetrievalResult, evaluate
 from .losses import (
     LossValue,
     TripletBatch,
@@ -59,6 +59,7 @@ from .model import (
     save_checkpoint,
     sgd_step,
 )
+from .benchmark import run_ablation
 from .trainer import (
     TrainConfig,
     TrainLog,

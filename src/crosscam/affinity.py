@@ -43,9 +43,14 @@ class AffinityMatrix:
     @cached_property
     def candidates(self) -> SoftLabelTable:
         """Each row's positive entries with their raw affinities."""
-        cols = [np.flatnonzero(row > 0.0) for row in self.A]
-        return _sparse_table(range(self.n_classes), [(c, row[c]) for row, c in zip(self.A, cols)],
-                             self.n_classes)
+        # Row-major, so each row's columns ascend; a 2-D np.nonzero is several times slower.
+        rows, cols = np.divmod(np.flatnonzero(self.A > 0.0), self.n_classes)
+        count = np.bincount(rows, minlength=self.n_classes)
+        slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+        index = np.zeros((self.n_classes, int(count.max(initial=1))), dtype=np.int64)
+        weights = np.zeros(index.shape)
+        index[rows, slot], weights[rows, slot] = cols, self.A[rows, cols]
+        return SoftLabelTable(np.arange(self.n_classes), index, weights, count, self.n_classes)
 
 
 @dataclass

@@ -1,14 +1,17 @@
-"""The committed synthetic benchmark: corpus, schedule, and named settings.
+"""Named settings trained on shared seeds: the committed benchmark and the ablation axes.
 
-One place defines the exact protocol used by the acceptance tests and by
-scripts/run_benchmark.py, so both always measure the same thing: a
-200-identity, 4-camera corpus with the generator defaults, trained on a
-compressed schedule that keeps the published phase proportions (warmup
-for the first third, learning-rate decay at two thirds) while fitting a
-desk-scale runtime budget.
+A setting is a label plus TrainConfig overrides.  One runner trains every
+setting of a table on the same seed list, scores each final model on a
+query/gallery split, and returns one result table (per-seed and median
+mAP and Rank-1, with each run's log); each seed gives a paired
+comparison.  Two tables of settings use it:
 
-Settings are chosen so every compared pair differs in exactly one knob
-and shares its seed list, giving paired comparisons:
+BENCHMARK_SETTINGS is the committed protocol of the acceptance tests and
+scripts/run_benchmark.py: a 200-identity, 4-camera corpus with the
+generator defaults, trained on a compressed schedule that keeps the
+published phase proportions (warmup for the first third, learning-rate
+decay at two thirds) while fitting a desk-scale runtime budget.  Every
+compared pair differs in exactly one knob:
 
 - baseline_intra      within-camera triplet only (lam = 0)
 - random_mining       baseline with random instead of hard mining
@@ -18,12 +21,17 @@ and shares its seed list, giving paired comparisons:
 - soft_triplet_w      "D" with affinity-proportional positive weights
 - soft_triplet_nearest    "D" drawing nearest instead of random positives
 - full                both soft-label losses ("C+D")
+
+ABLATION_SETTINGS holds one table per ablation axis of `crosscam
+ablate`, applied on top of a caller's base config.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import statistics
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .data import Dataset, SynthSpec, generate_synthetic
 from .errors import ContractError
@@ -49,6 +57,35 @@ BENCHMARK_SETTINGS: dict[str, dict] = {
     "full": {"inter_mode": "C+D"},
 }
 
+ABLATION_SETTINGS: dict[str, dict[str, dict]] = {
+    "inter_mode": {
+        "baseline_intra_only": {"lam": 0.0},
+        "C": {"inter_mode": "C"},
+        "D": {"inter_mode": "D"},
+    },
+    # Mining is an intra-loss property; compared with the cross-camera
+    # objective switched off so nothing masks the difference.
+    "mining_mode": {
+        "hard": {"mining_mode": "hard", "lam": 0.0},
+        "random": {"mining_mode": "random", "lam": 0.0},
+    },
+    "mask_same_camera": {
+        "masked": {"mask_same_camera": True},
+        "unmasked": {"mask_same_camera": False},
+    },
+    "positive_sampling": {
+        "random": {"positive_sampling": "random"},
+        "nearest": {"positive_sampling": "nearest"},
+    },
+    "weighting_mode": {
+        "AW": {"weighting_mode": "AW"},
+        "W": {"weighting_mode": "W"},
+    },
+    "lambda_sweep": {f"lambda={v:g}": {"lam": v} for v in (0.0, 0.5, 1.0, 2.0, 5.0)},
+    "k_sweep": {f"k={v}": {"k": v} for v in (2, 4, 6, 8, 10)},
+}
+ABLATION_AXES = tuple(ABLATION_SETTINGS)
+
 
 def benchmark_config(**overrides) -> TrainConfig:
     """The committed training configuration, with optional overrides."""
@@ -67,8 +104,9 @@ def benchmark_corpus() -> dict[str, Dataset]:
 
 
 @dataclass
-class BenchmarkRun:
-    label: str
+class Run:
+    """One setting trained on one seed: final retrieval scores and the per-epoch log."""
+
     seed: int
     map: float
     rank1: float
@@ -76,68 +114,93 @@ class BenchmarkRun:
 
 
 @dataclass
-class BenchmarkOutcome:
-    runs: list[BenchmarkRun]
+class Row:
+    label: str
+    overrides: dict
+    runs: list[Run]
 
-    def of(self, label: str) -> list[BenchmarkRun]:
-        found = [r for r in self.runs if r.label == label]
-        if not found:
-            raise ContractError(f"no benchmark runs for setting {label!r}")
-        return found
+    @property
+    def median_map(self) -> float:
+        return statistics.median(r.map for r in self.runs)
 
-    def maps(self, label: str) -> list[float]:
-        return [r.map for r in self.of(label)]
+    @property
+    def median_rank1(self) -> float:
+        return statistics.median(r.rank1 for r in self.runs)
 
-    def median_map(self, label: str) -> float:
-        import statistics
 
-        return statistics.median(self.maps(label))
+@dataclass
+class ResultTable:
+    """The rows of one table of settings, in the table's order."""
+
+    axis: str
+    rows: list[Row]
+
+    def row(self, label: str) -> Row:
+        for r in self.rows:
+            if r.label == label:
+                return r
+        raise ContractError(f"no runs for setting {label!r}")
+
+    def runs(self) -> Iterator[tuple[str, Run]]:
+        """(row label, run) of every run, row by row, seeds in order."""
+        return ((r.label, run) for r in self.rows for run in r.runs)
 
     def table_text(self) -> str:
-        labels = list(dict.fromkeys(r.label for r in self.runs))
-        width = max(len(label) for label in labels)
-        lines = [f"{'setting'.ljust(width)}  median_mAP  per-seed mAP"]
-        for label in labels:
-            rows = self.of(label)
-            per_seed = " ".join(f"{r.map:.4f}" for r in rows)
-            lines.append(f"{label.ljust(width)}  {self.median_map(label):10.4f}  {per_seed}")
+        width = max(len(r.label) for r in self.rows)
+        lines = [f"{'setting'.ljust(width)}  median_mAP  median_rank1  per-seed mAP"]
+        for r in self.rows:
+            per_seed = " ".join(f"{run.map:.4f}" for run in r.runs)
+            lines.append(
+                f"{r.label.ljust(width)}  {r.median_map:10.4f}  {r.median_rank1:12.4f}  {per_seed}"
+            )
         return "\n".join(lines) + "\n"
 
     def to_jsonable(self) -> dict:
-        labels = list(dict.fromkeys(r.label for r in self.runs))
         return {
-            "settings": {
-                label: {
-                    "median_map": self.median_map(label),
+            "axis": self.axis,
+            "rows": [
+                {
+                    "label": r.label,
+                    "overrides": r.overrides,
+                    "median_map": r.median_map,
+                    "median_rank1": r.median_rank1,
                     "runs": [
-                        {"seed": r.seed, "map": r.map, "rank1": r.rank1}
-                        for r in self.of(label)
+                        {"seed": run.seed, "map": run.map, "rank1": run.rank1} for run in r.runs
                     ],
                 }
-                for label in labels
-            }
+                for r in self.rows
+            ],
         }
 
 
-def run_benchmark_setting(
+def run_settings(
+    axis: str,
+    settings: dict[str, dict],
+    base: TrainConfig,
     corpus: dict[str, Dataset],
-    label: str,
-    seed: int,
-    config_overrides: dict | None = None,
-) -> BenchmarkRun:
-    """Train one committed setting on one seed and score the final model."""
-    if label not in BENCHMARK_SETTINGS:
-        raise ContractError(
-            f"unknown benchmark setting {label!r}; expected one of {sorted(BENCHMARK_SETTINGS)}"
-        )
-    overrides = dict(BENCHMARK_SETTINGS[label])
-    overrides.update(config_overrides or {})
-    cfg = benchmark_config(seed=seed, **overrides)
-    result = train(corpus["train"], cfg)
-    scored = evaluate(result.model, corpus["query"], corpus["gallery"])
-    return BenchmarkRun(
-        label=label, seed=seed, map=scored.map, rank1=scored.cmc[1], log=result.log
-    )
+    seeds: tuple[int, ...],
+    validate_each_epoch: bool,
+    progress: Callable[[str, Run], None] | None = None,
+) -> ResultTable:
+    """Train every setting on every seed and score each final model.
+
+    corpus holds the train, query and gallery splits.  With
+    validate_each_epoch, the query/gallery scores of every epoch go into
+    the log as well.
+    """
+    splits = (corpus["query"], corpus["gallery"])
+    rows = []
+    for label, overrides in settings.items():
+        runs = []
+        for seed in seeds:
+            cfg = dataclasses.replace(base, seed=seed, **overrides)
+            result = train(corpus["train"], cfg, *(splits if validate_each_epoch else ()))
+            scored = evaluate(result.model, *splits)
+            runs.append(Run(seed, scored.map, scored.cmc[1], result.log))
+            if progress is not None:
+                progress(label, runs[-1])
+        rows.append(Row(label, dict(overrides), runs))
+    return ResultTable(axis, rows)
 
 
 def run_benchmark(
@@ -145,19 +208,41 @@ def run_benchmark(
     settings: list[str] | None = None,
     seeds: tuple[int, ...] = BENCHMARK_SEEDS,
     config_overrides: dict | None = None,
-    progress=None,
-) -> BenchmarkOutcome:
-    """Run the named settings over shared seeds; the workhorse behind both
-    scripts/run_benchmark.py and the acceptance tests."""
-    if corpus is None:
-        corpus = benchmark_corpus()
+    progress: Callable[[str, Run], None] | None = None,
+) -> ResultTable:
+    """The named benchmark settings (all by default) over shared seeds; the
+    workhorse behind both scripts/run_benchmark.py and the acceptance tests.
+
+    config_overrides changes the base config (scripts/run_benchmark.py
+    passes the schedule); each setting's own overrides apply on top.
+    """
     if settings is None:
         settings = list(BENCHMARK_SETTINGS)
-    runs = []
-    for label in settings:
-        for seed in seeds:
-            run = run_benchmark_setting(corpus, label, seed, config_overrides)
-            runs.append(run)
-            if progress is not None:
-                progress(run)
-    return BenchmarkOutcome(runs)
+    unknown = [label for label in settings if label not in BENCHMARK_SETTINGS]
+    if unknown:
+        raise ContractError(
+            f"unknown benchmark setting {unknown[0]!r}; expected one of {sorted(BENCHMARK_SETTINGS)}"
+        )
+    if corpus is None:
+        corpus = benchmark_corpus()
+    return run_settings(
+        "benchmark", {label: BENCHMARK_SETTINGS[label] for label in settings},
+        benchmark_config(**(config_overrides or {})), corpus, seeds,
+        validate_each_epoch=False, progress=progress,
+    )
+
+
+def run_ablation(
+    dataset: Dataset,
+    base_config: TrainConfig,
+    axis: str,
+    query: Dataset,
+    gallery: Dataset,
+    seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
+) -> ResultTable:
+    """Every setting of one ablation axis on top of base_config, with per-epoch validation."""
+    if axis not in ABLATION_SETTINGS:
+        raise ContractError(f"unknown ablation axis {axis!r}; expected one of {ABLATION_AXES}")
+    corpus = {"train": dataset, "query": query, "gallery": gallery}
+    return run_settings(axis, ABLATION_SETTINGS[axis], base_config, corpus, seeds,
+                        validate_each_epoch=True)

@@ -20,17 +20,19 @@ import time
 import numpy as np
 
 from . import __version__
+from .benchmark import ABLATION_AXES, run_ablation
 from .data import (
     SynthSpec,
+    dataclass_from_dict,
     generate_synthetic,
     load_dataset,
     save_dataset,
     write_text_atomic,
 )
 from .errors import ConfigError, ContractError, CrosscamError
-from .evaluation import ABLATION_AXES, evaluate, run_ablation
+from .evaluation import evaluate
 from .model import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, TrainLog, config_from_dict, config_to_dict, train
+from .trainer import TrainConfig, TrainLog, config_to_dict, train
 
 
 def _bool_flag(value: str) -> bool:
@@ -81,18 +83,10 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
-def _dataclass_from_sources(cls, file_values: dict, flag_values: dict):
-    defaults = cls()
-    known = {f.name for f in dataclasses.fields(cls)}
-    for key in file_values:
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-    merged = {**file_values, **flag_values}
-    try:
-        obj = dataclasses.replace(defaults, **merged)
-    except TypeError as e:
-        raise ConfigError(f"bad config value: {e}") from e
-    return obj
+def _from_sources(cls, args: argparse.Namespace):
+    """cls from defaults < --config file < explicit flags, validated."""
+    file_values = _load_config_file(args.config) if args.config else {}
+    return dataclass_from_dict(cls, {**file_values, **_collect_overrides(args, cls)})
 
 
 def _write_json(path: str, payload) -> None:
@@ -114,9 +108,7 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    file_values = _load_config_file(args.config) if args.config else {}
-    spec: SynthSpec = _dataclass_from_sources(SynthSpec, file_values, _collect_overrides(args, SynthSpec))
-    spec.validate()
+    spec: SynthSpec = _from_sources(SynthSpec, args)
     datasets = generate_synthetic(spec)
     _ensure_out_dir(args.out)
     for split, ds in datasets.items():
@@ -128,15 +120,6 @@ def cmd_gen(args: argparse.Namespace) -> int:
         f"query.txt ({len(datasets['query'])}), gallery.txt ({len(datasets['gallery'])})"
     )
     return 0
-
-
-def _train_config_from_args(args: argparse.Namespace) -> TrainConfig:
-    file_values = _load_config_file(args.config) if args.config else {}
-    flag_values = _collect_overrides(args, TrainConfig)
-    base = config_from_dict(file_values)
-    if flag_values:
-        base = config_from_dict(flag_values, base=base)
-    return base
 
 
 def _save_full_checkpoint(path: str, result) -> None:
@@ -155,7 +138,7 @@ def _save_full_checkpoint(path: str, result) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _train_config_from_args(args)
+    config: TrainConfig = _from_sources(TrainConfig, args)
     dataset = load_dataset(args.data)
     query = load_dataset(args.query) if args.query else None
     gallery = load_dataset(args.gallery) if args.gallery else None
@@ -213,7 +196,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    config = _train_config_from_args(args)
+    config: TrainConfig = _from_sources(TrainConfig, args)
     dataset = load_dataset(args.data)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
@@ -230,11 +213,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     _write_json(os.path.join(args.out, "effective_config.json"), config_to_dict(config))
     write_text_atomic(os.path.join(args.out, "table.txt"), result.table_text())
     _write_json(os.path.join(args.out, "table.json"), result.to_jsonable())
-    for (label, seed), log in result.logs.items():
-        run_dir = os.path.join(args.out, "logs", label.replace("=", "_"), f"seed_{seed}")
+    for label, run in result.runs():
+        run_dir = os.path.join(args.out, "logs", label.replace("=", "_"), f"seed_{run.seed}")
         _ensure_out_dir(run_dir)
-        write_text_atomic(os.path.join(run_dir, "train_log.csv"), log.to_csv())
-        write_text_atomic(os.path.join(run_dir, "train_log.json"), log.to_json())
+        write_text_atomic(os.path.join(run_dir, "train_log.csv"), run.log.to_csv())
+        write_text_atomic(os.path.join(run_dir, "train_log.json"), run.log.to_json())
     _write_run_meta(args.out, "ablate", config.seed)
     print(result.table_text(), end="")
     return 0

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ContractError, FormatError, NonFiniteFeatureError, VersionError
+from .errors import ConfigError, ContractError, FormatError, NonFiniteFeatureError, VersionError
 
 DATASET_FORMAT = "crosscam-dataset"
 DATASET_VERSION = "v1"
@@ -311,6 +311,33 @@ class SynthSpec:
             raise ContractError("camera_appearance_prob must be in [0, 1]")
         if self.camera_transform_scale < 0 or self.noise_sigma < 0:
             raise ContractError("camera_transform_scale and noise_sigma must be >= 0")
+
+
+# The JSON values each annotated field type accepts.
+_FIELD_VALUES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def dataclass_from_dict(cls, values: dict, base=None):
+    """A validated settings object (TrainConfig, SynthSpec): base, by default
+    cls(), with the given fields replaced.
+
+    A key that is not a field, or a value whose type does not fit its
+    field, is refused with a ConfigError naming the key.  An int is
+    accepted for a float field and stored as a float; a bool is not an int.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    for key, value in values.items():
+        if key not in types:
+            raise ConfigError(f"unknown config key {key!r}")
+        want = types[key]
+        if isinstance(value, bool) != (want == "bool") or not isinstance(value, _FIELD_VALUES[want]):
+            raise ConfigError(
+                f"config key {key!r} must be a {want}, got {type(value).__name__} {value!r}"
+            )
+    obj = replace(base or cls(), **{k: float(v) if types[k] == "float" else v
+                                    for k, v in values.items()})
+    obj.validate()
+    return obj
 
 
 def _draw_cameras(rng: np.random.Generator, n_cameras: int, prob: float, minimum: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Single-query retrieval scoring and the ablation harness.
+"""Single-query retrieval scoring.
 
 Each query is embedded and ranked against the whole gallery by ascending
 Euclidean distance.  Gallery samples that share both the query's hidden
@@ -10,8 +10,7 @@ fraction of queries with a true match in the top k.
 
 from __future__ import annotations
 
-import statistics
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,6 @@ from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
 from .ranking import BLOCK_ELEMENTS, hit_aps
-from .trainer import TrainConfig, TrainLog
 
 CMC_KS = (1, 5, 10, 20)
 
@@ -93,138 +91,3 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
         n_skipped=len(query) - n,
     )
 
-
-ABLATION_AXES = (
-    "inter_mode",
-    "mining_mode",
-    "mask_same_camera",
-    "positive_sampling",
-    "weighting_mode",
-    "lambda_sweep",
-    "k_sweep",
-)
-
-LAMBDA_SWEEP_VALUES = (0.0, 0.5, 1.0, 2.0, 5.0)
-K_SWEEP_VALUES = (2, 4, 6, 8, 10)
-
-
-@dataclass
-class AblationRun:
-    seed: int
-    map: float
-    rank1: float
-
-
-@dataclass
-class AblationRow:
-    label: str
-    overrides: dict
-    runs: list[AblationRun]
-
-    @property
-    def median_map(self) -> float:
-        return statistics.median(r.map for r in self.runs)
-
-    @property
-    def median_rank1(self) -> float:
-        return statistics.median(r.rank1 for r in self.runs)
-
-
-@dataclass
-class AblationResult:
-    axis: str
-    rows: list[AblationRow]
-    logs: dict[tuple[str, int], TrainLog]  # (row label, seed) -> per-epoch log
-
-    def table_text(self) -> str:
-        width = max(len(r.label) for r in self.rows)
-        lines = [f"{'setting'.ljust(width)}  median_mAP  median_rank1  per-seed mAP"]
-        for r in self.rows:
-            per_seed = " ".join(f"{run.map:.4f}" for run in r.runs)
-            lines.append(
-                f"{r.label.ljust(width)}  {r.median_map:10.4f}  {r.median_rank1:12.4f}  {per_seed}"
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "axis": self.axis,
-            "rows": [
-                {
-                    "label": r.label,
-                    "overrides": r.overrides,
-                    "median_map": r.median_map,
-                    "median_rank1": r.median_rank1,
-                    "runs": [
-                        {"seed": run.seed, "map": run.map, "rank1": run.rank1} for run in r.runs
-                    ],
-                }
-                for r in self.rows
-            ],
-        }
-
-
-def _axis_settings(axis: str, base: TrainConfig) -> list[tuple[str, dict]]:
-    if axis == "inter_mode":
-        return [
-            ("baseline_intra_only", {"lam": 0.0}),
-            ("C", {"inter_mode": "C"}),
-            ("D", {"inter_mode": "D"}),
-        ]
-    if axis == "mining_mode":
-        # Mining is an intra-loss property; compared with the cross-camera
-        # objective switched off so nothing masks the difference.
-        return [
-            ("hard", {"mining_mode": "hard", "lam": 0.0}),
-            ("random", {"mining_mode": "random", "lam": 0.0}),
-        ]
-    if axis == "mask_same_camera":
-        return [
-            ("masked", {"mask_same_camera": True}),
-            ("unmasked", {"mask_same_camera": False}),
-        ]
-    if axis == "positive_sampling":
-        return [
-            ("random", {"positive_sampling": "random"}),
-            ("nearest", {"positive_sampling": "nearest"}),
-        ]
-    if axis == "weighting_mode":
-        return [
-            ("AW", {"weighting_mode": "AW"}),
-            ("W", {"weighting_mode": "W"}),
-        ]
-    if axis == "lambda_sweep":
-        return [(f"lambda={v:g}", {"lam": v}) for v in LAMBDA_SWEEP_VALUES]
-    if axis == "k_sweep":
-        return [(f"k={v}", {"k": v}) for v in K_SWEEP_VALUES]
-    raise ContractError(f"unknown ablation axis {axis!r}; expected one of {ABLATION_AXES}")
-
-
-def run_ablation(
-    dataset: Dataset,
-    base_config: TrainConfig,
-    axis: str,
-    query: Dataset,
-    gallery: Dataset,
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5),
-) -> AblationResult:
-    """Train every setting of one axis on shared seeds and score each run.
-
-    All settings share the same seed list, so each seed gives a paired
-    comparison; rows report per-seed and median retrieval quality.
-    """
-    from .trainer import train  # imported here to avoid a module cycle
-
-    settings = _axis_settings(axis, base_config)
-    rows = []
-    logs: dict[tuple[str, int], TrainLog] = {}
-    for label, overrides in settings:
-        runs = []
-        for seed in seeds:
-            cfg = dc_replace(base_config, seed=seed, **overrides)
-            result = train(dataset, cfg, query=query, gallery=gallery)
-            scored = evaluate(result.model, query, gallery)
-            runs.append(AblationRun(seed=seed, map=scored.map, rank1=scored.cmc[1]))
-            logs[(label, seed)] = result.log
-        rows.append(AblationRow(label=label, overrides=dict(overrides), runs=runs))
-    return AblationResult(axis=axis, rows=rows, logs=logs)

@@ -71,16 +71,6 @@ class Optimizer:
     decay_epoch: int = 200
     decay_factor: float = 0.1
 
-    def validate(self) -> None:
-        if self.learning_rate_pretrained <= 0 or self.learning_rate_new <= 0:
-            raise ContractError("learning rates must be strictly positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ContractError("momentum must be in [0, 1)")
-        if self.decay_epoch < 1:
-            raise ContractError("decay_epoch must be >= 1")
-        if self.decay_factor <= 0:
-            raise ContractError("decay_factor must be strictly positive")
-
     def effective_rates(self, epoch: int) -> tuple[float, float]:
         """(body lr, head lr) at a 1-based epoch; decayed once from decay_epoch on."""
         f = self.decay_factor if epoch >= self.decay_epoch else 1.0

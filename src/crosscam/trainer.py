@@ -17,16 +17,17 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from typing import Callable
 
 import numpy as np
 
+from . import evaluation
 from .affinity import (
     AffinityMatrix, affinity_quality_map, build_affinity, soft_label_rows, soft_label_table,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
-from .data import Dataset
+from .data import Dataset, dataclass_from_dict
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -265,13 +266,11 @@ def pk_sampler(
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64), camera_id=camera_id)
 
 
-def classification_sampler(
-    dataset: Dataset, rng: np.random.Generator, batch_total: int = 64
-) -> np.ndarray:
-    """Camera-balanced sample draw: floor(batch_total / n_cameras) per camera.
+def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, list[np.ndarray]]:
+    """Per-camera quota floor(batch_total / n_cameras) of a camera-balanced
+    batch, and each camera's sample indices.
 
-    Returns dataset sample indices in camera order.  Rejected outright
-    when the per-camera share floors to zero or a camera is empty.
+    Rejected when the quota floors to zero or a camera is empty.
     """
     quota = batch_total // dataset.n_cameras
     if quota < 1:
@@ -279,11 +278,23 @@ def classification_sampler(
             f"classification batch of {batch_total} across {dataset.n_cameras} cameras "
             "leaves zero samples per camera"
         )
-    parts = []
-    for cam in range(dataset.n_cameras):
-        idx = dataset.indices_of_camera(cam)
+    cameras = [dataset.indices_of_camera(cam) for cam in range(dataset.n_cameras)]
+    for cam, idx in enumerate(cameras):
         if idx.size == 0:
             raise ContractError(f"camera {cam} has no samples; camera-balanced batch impossible")
+    return quota, cameras
+
+
+def classification_sampler(
+    dataset: Dataset, rng: np.random.Generator, batch_total: int = 64
+) -> np.ndarray:
+    """Camera-balanced sample draw: camera_shares' quota from each camera.
+
+    Returns dataset sample indices in camera order.
+    """
+    quota, cameras = camera_shares(dataset, batch_total)
+    parts = []
+    for idx in cameras:
         if idx.size >= quota:
             parts.append(rng.choice(idx, size=quota, replace=False))
         else:
@@ -359,9 +370,6 @@ def train(
     after every epoch and logged.  epoch_callback, when given, observes
     the in-progress result after each epoch (used for checkpointing).
     """
-    # Imported here: the evaluation module's ablation harness imports train.
-    from .evaluation import evaluate
-
     config.validate()
     if dataset.split != "train":
         raise ContractError(f"training expects the train split, got {dataset.split!r}")
@@ -374,19 +382,20 @@ def train(
     use_c = inter_active and config.inter_mode in ("C", "C+D")
     use_d = inter_active and config.inter_mode in ("D", "C+D")
     if use_c:
-        if config.class_batch_total // dataset.n_cameras < 1:
-            raise ConfigError(
-                f"class_batch_total={config.class_batch_total} with "
-                f"{dataset.n_cameras} cameras floors to zero samples per camera"
-            )
-        for cam in range(dataset.n_cameras):
-            if dataset.indices_of_camera(cam).size == 0:
-                raise ContractError(f"camera {cam} is empty; classification sampling impossible")
+        camera_shares(dataset, config.class_batch_total)
 
-    eligible_cams = [c for c in range(dataset.n_cameras) if dataset.index.counts[c] >= 2]
+    counts = dataset.index.counts
+    eligible_cams = [c for c in range(dataset.n_cameras) if counts[c] >= 2]
     excluded_cams = tuple(c for c in range(dataset.n_cameras) if c not in eligible_cams)
     if not eligible_cams:
         raise ContractError("no camera has >= 2 persons; intra-camera triplets impossible")
+    lone = [c for c in excluded_cams if counts[c] == 1]
+    if joint_epochs and lone:
+        raise ConfigError(
+            f"camera {lone[0]} has a single person, whom intra-camera batches never draw, so the "
+            "first joint epoch would find its buffer column empty; give every camera at least "
+            "2 persons or drop that camera, or set epochs equal to warmup_epochs (warmup only)"
+        )
 
     ss = np.random.SeedSequence(config.seed)
     init_seed, train_seed = ss.spawn(2)
@@ -396,7 +405,6 @@ def train(
     model = init_model(dataset.d_in, config.hidden_dim, config.embed_dim, rng_init)
     head = init_head(config.embed_dim, C, rng_init)
     optimizer = config.optimizer()
-    optimizer.validate()
     state = OptimizerState()
     buf = new_buffer(config.embed_dim, C)
 
@@ -507,7 +515,7 @@ def train(
 
         val_map = val_rank1 = None
         if query is not None and gallery is not None:
-            res = evaluate(model, query, gallery)
+            res = evaluation.evaluate(model, query, gallery)
             val_map = res.map
             val_rank1 = res.cmc[1]
 
@@ -538,12 +546,5 @@ def config_to_dict(config: TrainConfig) -> dict:
 
 
 def config_from_dict(values: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a config from a plain dict, rejecting unknown keys."""
-    base = base or TrainConfig()
-    known = set(asdict(base))
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config key {sorted(unknown)[0]!r}")
-    cfg = replace(base, **values)
-    cfg.validate()
-    return cfg
+    """Build a validated config from a plain dict; see data.dataclass_from_dict."""
+    return dataclass_from_dict(TrainConfig, values, base)

@@ -2,8 +2,9 @@
 
 These are the loops the package ran before its D (weighted triplet) and
 C (soft cross-entropy) paths were batched, one call per anchor or per
-sample, in order, and before affinity construction, retrieval scoring
-and affinity quality counted ranks instead of sorting each row.
+sample, in order, before affinity construction, retrieval scoring
+and affinity quality counted ranks instead of sorting each row, and
+before an affinity's positive entries were packed in one pass.
 tests/test_batched_equivalence.py and tests/test_ranking_equivalence.py
 check that the package gives the same bits, generator state included.
 """
@@ -209,6 +210,18 @@ def build_affinity(feats, cameras, k, mask_same_camera=True):
         else:
             A[i, keep] = np.exp(-d2[i, keep] / sigma_sq)
     return A, sigma_sq
+
+
+def affinity_candidates(A):
+    """(index, weights, count): each affinity row's positive columns and values,
+    zero-padded to a common width, one row at a time."""
+    cols = [np.flatnonzero(row > 0.0) for row in A]
+    count = np.array([c.size for c in cols], dtype=np.int64)
+    index = np.zeros((count.size, int(count.max(initial=1))), dtype=np.int64)
+    weights = np.zeros(index.shape)
+    for r, (row, c) in enumerate(zip(A, cols)):
+        index[r, :c.size], weights[r, :c.size] = c, row[c]
+    return index, weights, count
 
 
 def affinity_quality_map(A, cameras, truth):

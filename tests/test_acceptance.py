@@ -331,7 +331,9 @@ def test_criterion_3_affinity_invariants():
 
 
 def test_criterion_4_ablation_directions(bench_outcome):
-    med = bench_outcome.median_map
+    def med(label):
+        return bench_outcome.row(label).median_map
+
     base = med("baseline_intra")
 
     assert med("soft_ce") > base, (
@@ -361,7 +363,7 @@ def test_criterion_4_ablation_directions(bench_outcome):
 
 
 def test_criterion_5_affinity_quality_trend(bench_outcome):
-    for run in bench_outcome.of("full"):
+    for run in bench_outcome.row("full").runs:
         quality = [r.affinity_map for r in run.log.records if r.affinity_map is not None]
         assert len(quality) >= 11, "need a first joint epoch plus a 10-epoch tail"
         first = quality[0]

@@ -195,6 +195,36 @@ class TestErrorReporting:
         assert err.startswith("error ConfigError:")
         assert "n_persons" in err
 
+    @pytest.mark.parametrize("values", [
+        {"epochs": 3.5}, {"n_p": "x"}, {"lam": None}, {"mask_same_camera": "false"},
+        {"seed": True},
+    ])
+    def test_train_config_value_of_wrong_type_fails_cleanly(self, pipeline, tmp_path, capsys,
+                                                            values):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(values))
+        code = main(
+            ["train", "--data", str(pipeline["data"] / "train.txt"),
+             "--out", str(tmp_path / "out"), "--config", str(bad)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error ConfigError:")
+        assert repr(next(iter(values))) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values", [
+        {"n_identities": 2.5}, {"noise_sigma": "0.1"}, {"seed": True}, {"d_in": None},
+    ])
+    def test_gen_config_value_of_wrong_type_fails_cleanly(self, tmp_path, capsys, values):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(values))
+        code = main(["gen", "--out", str(tmp_path / "g"), "--config", str(bad)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error ConfigError:")
+        assert repr(next(iter(values))) in err
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == 1

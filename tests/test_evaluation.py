@@ -15,12 +15,8 @@ from crosscam import (
     run_ablation,
     train,
 )
-from crosscam.evaluation import (
-    ABLATION_AXES,
-    CMC_KS,
-    average_precision,
-    _axis_settings,
-)
+from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS
+from crosscam.evaluation import CMC_KS, average_precision
 from crosscam.model import forward_batch
 from oracles import oracle_average_precision, oracle_retrieval
 
@@ -202,11 +198,11 @@ class TestAblationHarness:
             assert [run.seed for run in row.runs] == [1, 2]
 
     def test_logs_keyed_by_label_and_seed(self, inter_result):
-        assert set(inter_result.logs) == {
+        assert {(label, run.seed) for label, run in inter_result.runs()} == {
             (label, seed) for label in ("baseline_intra_only", "C", "D") for seed in (1, 2)
         }
-        for log in inter_result.logs.values():
-            assert len(log.records) == 2
+        for _, run in inter_result.runs():
+            assert len(run.log.records) == 2
 
     def test_medians_are_medians(self, inter_result):
         import statistics
@@ -241,12 +237,12 @@ class TestAblationHarness:
             assert len(row["runs"]) == 2
 
     def test_mining_axis_disables_cross_camera_objective(self, base_config):
-        settings = _axis_settings("mining_mode", base_config)
-        assert all(overrides.get("lam") == 0.0 for _, overrides in settings)
+        settings = ABLATION_SETTINGS["mining_mode"]
+        assert all(overrides.get("lam") == 0.0 for overrides in settings.values())
 
     def test_every_declared_axis_has_settings(self, base_config):
         for axis in ABLATION_AXES:
-            assert len(_axis_settings(axis, base_config)) >= 2
+            assert len(ABLATION_SETTINGS[axis]) >= 2
 
     def test_unknown_axis_refused(self, corpus, base_config):
         with pytest.raises(ContractError, match="axis"):

@@ -2,13 +2,16 @@
 
 build_affinity selects each row's k nearest candidates with a partition
 and an explicit tie fill; evaluate and affinity_quality_map count each
-relevant item's rank.  Each test draws a case and compares the package
-with the per-row loops in tests/slow_references.py: A and sigma_sq as
-bytes, mAP, CMC and counts, and the quality mAP.  Points sit on a coarse
-grid and rows are duplicated, so exact distance and affinity ties are
-common; block sizes down to one pair per block are drawn too.
+relevant item's rank; AffinityMatrix.candidates packs every row's
+positive entries in one pass.  Each test draws a case and compares the
+package with the per-row loops in tests/slow_references.py: A and
+sigma_sq as bytes, mAP, CMC and counts, the candidates table as bytes and
+the quality mAP.  Points sit on a coarse grid and rows are duplicated,
+so exact distance and affinity ties are common; block sizes down to one
+pair per block are drawn too.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -153,6 +156,13 @@ def test_affinity_quality_map_matches_per_row_sort(seed, built):
         A = np.where(rng.random((C, C)) < 0.3, rng.choice(values, size=(C, C)), 0.0)
         A[rng.random(C) < 0.2] = 0.0
     aff = AffinityMatrix(A=A, sigma_sq=1.0, k=C, epoch_built=0, camera_of_class=cameras, masked=True)
+    for M in (A, np.zeros_like(A)):  # an all-zero affinity still gets one padding column
+        table = dataclasses.replace(aff, A=M).candidates
+        want_index, want_weights, want_count = slow.affinity_candidates(M)
+        assert same_bits(table.index, want_index)
+        assert same_bits(table.weights, want_weights)
+        assert same_bits(table.count, want_count)
+        assert same_bits(table.class_index, np.arange(C))
     try:
         want = slow.affinity_quality_map(A, cameras, truth)
     except AffinityError:

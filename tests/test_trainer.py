@@ -36,6 +36,21 @@ def fast_config(**overrides):
     return TrainConfig(**base)
 
 
+def thin_camera_dataset():
+    """Two cameras of 4 persons, and camera 2 with a single person (2 images each)."""
+    rng_data = np.random.default_rng(31)
+    samples = []
+    for cam in range(2):
+        for local in range(4):
+            for _ in range(2):
+                samples.append(
+                    Sample(rng_data.standard_normal(4), cam, local, cam * 4 + local)
+                )
+    samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
+    samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
+    return dataset_from_samples(samples, 3, 4, "train")
+
+
 def params_of(model, head):
     out = dict(model.params())
     out.update({f"head.{k}": v for k, v in head.params().items()})
@@ -173,6 +188,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="n_persons"):
             config_from_dict({"n_persons": 8})
 
+    def test_value_types_checked_against_fields(self):
+        cfg = config_from_dict({"margin": 1, "epochs": 4, "warmup_epochs": 2})
+        assert cfg.margin == 1.0 and type(cfg.margin) is float
+        for values in ({"epochs": 3.5}, {"epochs": True}, {"n_p": "x"}, {"lam": None},
+                       {"mask_same_camera": "false"}, {"mask_same_camera": 0}):
+            key = next(iter(values))
+            with pytest.raises(ConfigError, match=f"'{key}'"):
+                config_from_dict(values)
+
     def test_partial_dict_overrides_base(self):
         base = fast_config()
         cfg = config_from_dict({"margin": 0.7}, base=base)
@@ -276,23 +300,23 @@ class TestTrainingRuns:
     def test_thin_camera_excluded_from_intra_sampling_and_counted(self):
         # Camera 2 holds a single person: unusable for triplets, but the
         # run proceeds on the remaining cameras and reports the exclusion.
-        rng_data = np.random.default_rng(31)
-        samples = []
-        for cam in range(2):
-            for local in range(4):
-                for _ in range(2):
-                    samples.append(
-                        Sample(rng_data.standard_normal(4), cam, local, cam * 4 + local)
-                    )
-        samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
-        samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
-        ds = dataset_from_samples(samples, 3, 4, "train")
+        ds = thin_camera_dataset()
         result = train(ds, fast_config(n_p=4, epochs=1, warmup_epochs=1))
         assert result.excluded_cameras == (2,)
         # Camera 2's lone person never enters an intra batch, so its buffer
         # column stays untouched.
         lone_class = ds.index.class_of(2, 0)
         assert lone_class in result.buffer.uninitialized_classes()
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_thin_camera_with_joint_epochs_refused_before_training(self, lam):
+        # The lone person's buffer column is never filled, so the first
+        # joint epoch could not build the affinity; no epoch runs at all.
+        seen = []
+        cfg = fast_config(n_p=4, epochs=2, warmup_epochs=1, lam=lam)
+        with pytest.raises(ConfigError, match="camera 2 has a single person.*warmup_epochs"):
+            train(thin_camera_dataset(), cfg, epoch_callback=lambda e, r: seen.append(e))
+        assert seen == []
 
     def test_all_cameras_eligible_reports_no_exclusions(self, tiny_train):
         result = train(tiny_train, fast_config(epochs=1, warmup_epochs=1))
