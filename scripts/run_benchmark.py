@@ -34,9 +34,11 @@ from crosscam.benchmark import (  # noqa: E402
     BENCHMARK_SEEDS,
     BENCHMARK_SETTINGS,
     benchmark_corpus,
+    parse_seeds,
     run_benchmark,
 )
 from crosscam.data import write_text_atomic  # noqa: E402
+from crosscam.errors import CrosscamError  # noqa: E402
 
 
 def parse_args(argv=None):
@@ -148,9 +150,19 @@ def compare_lines(outcome, ref_dir):
 
 
 def main(argv=None):
+    """Run the benchmark; a CrosscamError is reported on one line with exit status 1."""
     args = parse_args(argv)
+    try:
+        return run(args)
+    except CrosscamError as e:
+        message = str(e).replace("\n", " ")
+        print(f"error {type(e).__name__}: {message}", file=sys.stderr)
+        return 1
+
+
+def run(args):
     labels = [s for s in args.settings.split(",") if s]
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s)
+    seeds = parse_seeds(args.seeds)
     overrides = {}
     if args.epochs is not None:
         overrides["epochs"] = args.epochs

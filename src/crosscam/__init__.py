@@ -63,7 +63,7 @@ from .benchmark import run_ablation
 from .trainer import (
     TrainConfig,
     TrainLog,
-    TrainResult,
+    TrainState,
     classification_sampler,
     config_from_dict,
     config_to_dict,

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .data import Dataset, SynthSpec, generate_synthetic
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .evaluation import evaluate
 from .trainer import TrainConfig, TrainLog, train
 
@@ -173,6 +173,14 @@ class ResultTable:
         }
 
 
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """A comma-separated seed list; run_settings refuses an empty or repeated one."""
+    try:
+        return tuple(int(s) for s in text.split(",") if s.strip())
+    except ValueError as e:
+        raise ConfigError(f"seeds must be a comma-separated integer list: {e}") from e
+
+
 def run_settings(
     axis: str,
     settings: dict[str, dict],
@@ -186,8 +194,11 @@ def run_settings(
 
     corpus holds the train, query and gallery splits.  With
     validate_each_epoch, the query/gallery scores of every epoch go into
-    the log as well.
+    the log as well.  seeds must be nonempty and distinct: each is one
+    paired comparison.
     """
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must name at least one seed, each once; got {list(seeds)}")
     splits = (corpus["query"], corpus["gallery"])
     rows = []
     for label, overrides in settings.items():

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .benchmark import ABLATION_AXES, run_ablation
+from .benchmark import ABLATION_AXES, parse_seeds, run_ablation
 from .data import (
     SynthSpec,
     dataclass_from_dict,
@@ -200,14 +200,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     query = load_dataset(args.query)
     gallery = load_dataset(args.gallery)
-    try:
-        seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
-    except ValueError as e:
-        raise ConfigError(f"--seeds must be a comma-separated integer list: {e}") from e
-    if not seeds:
-        raise ConfigError("--seeds must name at least one seed")
-
-    result = run_ablation(dataset, config, args.axis, query=query, gallery=gallery, seeds=seeds)
+    result = run_ablation(dataset, config, args.axis, query=query, gallery=gallery,
+                          seeds=parse_seeds(args.seeds))
 
     _ensure_out_dir(args.out)
     _write_json(os.path.join(args.out, "effective_config.json"), config_to_dict(config))

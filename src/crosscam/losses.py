@@ -86,7 +86,7 @@ def _batch_triplet(
     pos_d = D[idx, pos_pick]
     neg_d = D[idx, neg_pick]
     hinge = margin + pos_d - neg_d
-    active = hinge > 0.0
+    active = ~(hinge <= 0.0)  # a NaN hinge counts as active, so the loss shows it
     grad = np.zeros_like(E)
     if active.any():
         a_idx = idx[active]

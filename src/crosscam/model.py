@@ -277,6 +277,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
 
     arrays: dict[str, np.ndarray] = {}
     scalars: dict[str, float] = {}
+    where: dict[str, int] = {}  # line of each array header and scalar
     i = 1
     saw_end = False
     while i < len(lines):
@@ -292,46 +293,58 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 rows, cols = int(parts[2]), int(parts[3])
             except ValueError as e:
                 raise FormatError(path, i + 1, f"bad array header: {e}") from e
+            if min(rows, cols) < 0:
+                raise FormatError(path, i + 1, f"array {name!r}: negative shape {rows} x {cols}")
             if i + rows >= len(lines):
                 raise FormatError(path, i + 1, f"truncated array {name!r}")
-            data = np.zeros((rows, cols))
+            values = []
             for r in range(rows):
                 vals = lines[i + 1 + r].split()
                 if len(vals) != cols:
                     raise FormatError(path, i + 2 + r, f"array {name!r}: expected {cols} values")
                 try:
-                    data[r] = [float(v) for v in vals]
+                    values.append([float(v) for v in vals])
                 except ValueError as e:
                     raise FormatError(path, i + 2 + r, f"array {name!r}: {e}") from e
-            arrays[name] = data
+            arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
+            where[name] = i + 1
             i += 1 + rows
         elif len(parts) == 3 and parts[0] == "scalar":
             try:
                 scalars[parts[1]] = float(parts[2])
             except ValueError as e:
                 raise FormatError(path, i + 1, f"bad scalar: {e}") from e
+            where[parts[1]] = i + 1
             i += 1
         else:
             raise FormatError(path, i + 1, f"unrecognized line: {line!r}")
     if not saw_end:
         raise FormatError(path, len(lines), "missing 'end' marker (truncated file?)")
 
-    def take(name: str, squeeze: bool = False) -> np.ndarray:
+    def take(name: str, *shape: int | None) -> np.ndarray:
+        """Pop an array of the given shape (None: any size); a 1-d shape is stored as one row."""
         if name not in arrays:
             raise FormatError(path, None, f"missing required array {name!r}")
         a = arrays.pop(name)
-        return a[0] if squeeze else a
+        want = shape if len(shape) == 2 else (1, *shape)
+        if any(w is not None and w != got for w, got in zip(want, a.shape)):
+            expected = " x ".join("any" if w is None else str(w) for w in want)
+            raise FormatError(path, where[name], f"array {name!r} is {a.shape[0]} x {a.shape[1]}, "
+                                                 f"expected {expected} to match the other arrays")
+        return a if len(shape) == 2 else a[0]
 
-    model = EmbeddingModel(
-        W1=take("model.W1"),
-        b1=take("model.b1", squeeze=True),
-        W2=take("model.W2"),
-        b2=take("model.b2", squeeze=True),
-    )
+    W1 = take("model.W1", None, None)
+    W2 = take("model.W2", None, W1.shape[0])
+    model = EmbeddingModel(W1, take("model.b1", W1.shape[0]), W2, take("model.b2", W2.shape[0]))
     head = None
     if "head.Wc" in arrays:
-        head = ClassifierHead(Wc=take("head.Wc"), bc=take("head.bc", squeeze=True))
+        Wc = take("head.Wc", None, W2.shape[0])
+        head = ClassifierHead(Wc, take("head.bc", Wc.shape[0]))
 
+    decay_epoch = scalars.get("optimizer.decay_epoch", 0.0)
+    if not decay_epoch.is_integer():
+        raise FormatError(path, where["optimizer.decay_epoch"],
+                          f"optimizer.decay_epoch must be an integer, got {decay_epoch!r}")
     try:
         optimizer = Optimizer(
             learning_rate_pretrained=scalars.pop("optimizer.learning_rate_pretrained"),
@@ -344,14 +357,10 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise FormatError(path, None, f"missing optimizer scalar {e}") from e
 
     state = OptimizerState()
-    shapes = dict(model.params())
-    if head is not None:
-        shapes.update(head.params())
-    for name in list(arrays):
-        if name.startswith("velocity."):
-            pname = name[len("velocity."):]
-            a = arrays.pop(name)
-            if pname in shapes and shapes[pname].ndim == 1:
-                a = a[0]
-            state.velocities[pname] = a
+    params = {**model.params(), **(head.params() if head is not None else {})}
+    for name in [n for n in arrays if n.startswith("velocity.")]:
+        pname = name[len("velocity."):]
+        if pname not in params:
+            raise FormatError(path, where[name], f"velocity for absent parameter {pname!r}")
+        state.velocities[pname] = take(name, *params[pname].shape)
     return Checkpoint(model, head, optimizer, state, arrays, scalars)

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import evaluation
 from .affinity import (
-    AffinityMatrix, affinity_quality_map, build_affinity, soft_label_rows, soft_label_table,
+    AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity, soft_label_rows,
+    soft_label_table,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, dataclass_from_dict
@@ -244,9 +245,7 @@ def pk_sampler(
     """
     if not (0 <= camera_id < dataset.n_cameras):
         raise ContractError(f"camera_id {camera_id} out of range")
-    lo = dataset.index.offsets[camera_id]
-    hi = dataset.index.offsets[camera_id + 1]
-    persons = np.arange(lo, hi, dtype=np.int64)
+    persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
     if persons.size < 2:
         raise ContractError(
             f"camera {camera_id} has {persons.size} persons; intra-camera triplets need >= 2"
@@ -259,10 +258,7 @@ def pk_sampler(
     picks = np.zeros((n_p, n_k), dtype=np.int64)
     for r, cls in enumerate(chosen):
         idxs = dataset.indices_of_class(int(cls))
-        if idxs.size >= n_k:
-            picks[r] = rng.choice(idxs, size=n_k, replace=False)
-        else:
-            picks[r] = rng.choice(idxs, size=n_k, replace=True)
+        picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64), camera_id=camera_id)
 
 
@@ -293,34 +289,92 @@ def classification_sampler(
     Returns dataset sample indices in camera order.
     """
     quota, cameras = camera_shares(dataset, batch_total)
-    parts = []
-    for idx in cameras:
-        if idx.size >= quota:
-            parts.append(rng.choice(idx, size=quota, replace=False))
-        else:
-            parts.append(rng.choice(idx, size=quota, replace=True))
-    return np.concatenate(parts)
+    return np.concatenate([rng.choice(idx, size=quota, replace=idx.size < quota)
+                           for idx in cameras])
 
 
 @dataclass
-class TrainResult:
+class TrainState:
+    """Everything a run carries between iterations; train mutates one, the
+    epoch callback sees it live.  rng draws the batches, the epoch is
+    len(log.records) and final_affinity is the latest joint epoch's."""
+
     model: EmbeddingModel
     head: ClassifierHead
-    buffer: PersonBuffer
-    log: TrainLog
     optimizer: Optimizer
     opt_state: OptimizerState
-    affinity_builds: int
-    final_affinity: AffinityMatrix | None
+    buffer: PersonBuffer
+    rng: np.random.Generator
+    log: TrainLog = field(default_factory=TrainLog)
+    affinity_builds: int = 0
+    final_affinity: AffinityMatrix | None = None
     excluded_cameras: tuple[int, ...] = ()  # cameras with < 2 persons, skipped by intra sampling
 
 
-def _merge_grads(dst: dict[str, np.ndarray], src: dict[str, np.ndarray]) -> None:
-    for name, g in src.items():
-        if name in dst:
-            dst[name] = dst[name] + g
-        else:
-            dst[name] = g
+def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
+    """Rebuild the affinity from the buffer, refusing columns no warmup batch
+    filled: (soft-label rows, their table, degenerate row count,
+    affinity-quality mAP or None without full truth)."""
+    index = dataset.index
+    cams, missed = np.unique(index.camera_of_class_array()[~state.buffer.initialized],
+                             return_counts=True)
+    if cams.size:
+        raise ConfigError(
+            f"{config.warmup_epochs} warmup epoch(s) never drew " + ", ".join(
+                f"{m} of the {index.counts[c]} persons of camera {c}" for c, m in zip(cams, missed)
+            ) + " into an intra-camera batch; raise warmup_epochs, or n_p to the camera's person "
+            f"count ({max(index.counts[c] for c in cams)})"
+        )
+    state.final_affinity = aff = build_affinity(
+        state.buffer, index, config.k,
+        epoch=len(state.log.records) + 1, mask_same_camera=config.mask_same_camera,
+    )
+    state.affinity_builds += 1
+    rows = soft_label_rows(aff)
+    table = soft_label_table(rows)
+    truth = dataset.truth_of_class_array() if dataset.has_full_truth() else None
+    quality = affinity_quality_map(aff, truth) if truth is not None else None
+    return rows, table, int(np.count_nonzero(table.degenerate)), quality
+
+
+# The loss steps return (loss, terms, skipped anchors, gradient dicts in
+# merge order); a step without terms returns loss 0.0 and no gradients.
+
+def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: int) -> tuple:
+    """Within-camera triplet on one PK batch: (X, its TripletBatch, step result)."""
+    pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
+    X = dataset.features[pk.sample_indices.reshape(-1)]
+    E = forward_batch(state.model, X)
+    tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes, cam)
+    if config.mining_mode == "hard":
+        lv = intra_triplet_loss(tb, config.margin)
+    else:
+        lv = random_triplet_loss(tb, config.margin, state.rng)
+    n = E.shape[0]
+    dE = lv.grads["embeddings"].reshape(n, -1) / n
+    return X, tb, (lv.loss, n, 0, [backward(state.model, X, dE)])
+
+
+def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
+                  table: SoftLabelTable) -> tuple:
+    """Soft cross-entropy ("C") on one camera-balanced batch, skipping
+    samples whose soft-label row is degenerate."""
+    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
+    Xc = dataset.features[cls_idx]
+    Vc = forward_batch(state.model, Xc)
+    scores = head_forward(state.head, Vc)
+    probs = softmax_probs(scores)
+    z = dataset.class_ids[cls_idx]
+    keep = ~table.degenerate[z]
+    n = int(np.count_nonzero(keep))
+    if not n:
+        return 0.0, 0, keep.size, []
+    wce = weighted_cross_entropy(probs[keep], table.take(z[keep]))
+    dS = np.zeros_like(scores)
+    dS[keep] = wce.grads["scores"]
+    dS *= config.lam / n
+    head_grads, dVc = head_backward(state.head, Vc, dS)
+    return wce.loss, n, keep.size - n, [backward(state.model, Xc, dVc), head_grads]
 
 
 def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMatrix,
@@ -354,7 +408,31 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
     return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp
 
 
-EpochCallback = Callable[[int, "TrainResult"], None]
+def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
+            tb: TripletBatch) -> tuple:
+    """Weighted soft triplet ("D") with every row of the intra batch an anchor."""
+    loss, n, skipped, dE, Xp, dVp = _soft_triplet_step(
+        state.model, dataset, state.final_affinity, config, state.rng, *tb.flat()
+    )
+    if not n:
+        return loss, 0, skipped, []
+    scale = config.lam / n
+    return loss, n, skipped, [backward(state.model, X, dE * scale),
+                              backward(state.model, Xp, dVp * scale)]
+
+
+def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
+    """Fold a batch's pre-update embeddings into the buffer, one call per
+    distinct person in order of first appearance, and tick the round."""
+    groups: dict[int, list[int]] = {}
+    for r, cls in enumerate(tb.classes.tolist()):
+        groups.setdefault(cls, []).append(r)
+    for cls, rows_of in groups.items():
+        update_person(buf, cls, tb.embeddings[rows_of].reshape(-1, tb.embeddings.shape[2]))
+    buf.t += 1
+
+
+EpochCallback = Callable[[int, TrainState], None]
 
 
 def train(
@@ -363,12 +441,12 @@ def train(
     query: Dataset | None = None,
     gallery: Dataset | None = None,
     epoch_callback: EpochCallback | None = None,
-) -> TrainResult:
+) -> TrainState:
     """Run the full schedule on a training dataset.
 
     When query and gallery are given, retrieval metrics are computed
     after every epoch and logged.  epoch_callback, when given, observes
-    the in-progress result after each epoch (used for checkpointing).
+    the live state after each epoch (used for checkpointing).
     """
     config.validate()
     if dataset.split != "train":
@@ -376,7 +454,6 @@ def train(
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
 
-    C = dataset.index.total
     joint_epochs = config.epochs > config.warmup_epochs
     inter_active = joint_epochs and config.lam > 0.0
     use_c = inter_active and config.inter_mode in ("C", "C+D")
@@ -389,6 +466,7 @@ def train(
     excluded_cams = tuple(c for c in range(dataset.n_cameras) if c not in eligible_cams)
     if not eligible_cams:
         raise ContractError("no camera has >= 2 persons; intra-camera triplets impossible")
+    iters_per_epoch = math.ceil(len(dataset) / (config.n_p * config.n_k))
     lone = [c for c in excluded_cams if counts[c] == 1]
     if joint_epochs and lone:
         raise ConfigError(
@@ -396,149 +474,70 @@ def train(
             "first joint epoch would find its buffer column empty; give every camera at least "
             "2 persons or drop that camera, or set epochs equal to warmup_epochs (warmup only)"
         )
+    if joint_epochs and iters_per_epoch < len(eligible_cams):
+        raise ConfigError(
+            f"an epoch makes {iters_per_epoch} intra-camera batch(es) of n_p * n_k samples, one "
+            f"camera each in turn from the first, so camera {eligible_cams[iters_per_epoch]} never "
+            "gets one and its buffer columns stay empty; lower n_p or n_k"
+        )
 
-    ss = np.random.SeedSequence(config.seed)
-    init_seed, train_seed = ss.spawn(2)
+    init_seed, train_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng_init = np.random.default_rng(init_seed)
-    rng = np.random.default_rng(train_seed)
-
-    model = init_model(dataset.d_in, config.hidden_dim, config.embed_dim, rng_init)
-    head = init_head(config.embed_dim, C, rng_init)
-    optimizer = config.optimizer()
-    state = OptimizerState()
-    buf = new_buffer(config.embed_dim, C)
-
-    batch_size = config.n_p * config.n_k
-    iters_per_epoch = math.ceil(len(dataset) / batch_size)
-    truth_cls = dataset.truth_of_class_array() if dataset.has_full_truth() else None
-
-    log = TrainLog()
-    affinity_builds = 0
-    aff: AffinityMatrix | None = None
-    result = TrainResult(model, head, buf, log, optimizer, state, 0, None, excluded_cams)
+    state = TrainState(
+        model=init_model(dataset.d_in, config.hidden_dim, config.embed_dim, rng_init),
+        head=init_head(config.embed_dim, dataset.index.total, rng_init),
+        optimizer=config.optimizer(), opt_state=OptimizerState(),
+        buffer=new_buffer(config.embed_dim, dataset.index.total),
+        rng=np.random.default_rng(train_seed), excluded_cameras=excluded_cams,
+    )
 
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
-        rows = table = None
-        affinity_map_value: float | None = None
-        degenerate_rows = 0
+        # The last epoch's soft-label rows go before the next build, not right
+        # after their table: that raised peak RSS at C = 2,450 by 12 MB (measured).
+        rows, table, degenerate_rows, affinity_map = None, None, 0, None
         if joint:
-            aff = build_affinity(
-                buf, dataset.index, config.k,
-                epoch=epoch, mask_same_camera=config.mask_same_camera,
-            )
-            affinity_builds += 1
-            # rows lives until the next epoch: freeing its C small arrays here
-            # raised peak RSS at C = 2,450 by 12 MB (measured).
-            rows = soft_label_rows(aff)
-            table = soft_label_table(rows)
-            degenerate_rows = int(np.count_nonzero(table.degenerate))
-            if truth_cls is not None:
-                affinity_map_value = affinity_quality_map(aff, truth_cls)
-
-        intra_sum = 0.0
-        intra_anchors = 0
-        inter_sum = 0.0
-        inter_terms = 0
+            rows, table, degenerate_rows, affinity_map = _epoch_start(state, dataset, config)
+        intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
         for it in range(iters_per_epoch):
-            cam = eligible_cams[it % len(eligible_cams)]
-            pk = pk_sampler(dataset, cam, config.n_p, config.n_k, rng)
-            flat_idx = pk.sample_indices.reshape(-1)
-            X = dataset.features[flat_idx]
-            E = forward_batch(model, X)
-            tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes, cam)
-            if config.mining_mode == "hard":
-                lv = intra_triplet_loss(tb, config.margin)
-            else:
-                lv = random_triplet_loss(tb, config.margin, rng)
-            if not np.isfinite(lv.loss):
-                raise TrainingError(f"non-finite intra loss at epoch {epoch}, iteration {it}")
-            dE = lv.grads["embeddings"].reshape(batch_size, -1) / batch_size
-            grads = backward(model, X, dE)
-            intra_sum += lv.loss
-            intra_anchors += batch_size
-
-            if use_c and joint:
-                cls_idx = classification_sampler(dataset, rng, config.class_batch_total)
-                Xc = dataset.features[cls_idx]
-                Vc = forward_batch(model, Xc)
-                scores = head_forward(head, Vc)
-                probs = softmax_probs(scores)
-                z = dataset.class_ids[cls_idx]
-                keep = ~table.degenerate[z]
-                contributing = int(np.count_nonzero(keep))
-                skipped += keep.size - contributing
-                if contributing:
-                    wce = weighted_cross_entropy(probs[keep], table.take(z[keep]))
-                    if not np.isfinite(wce.loss):
-                        raise TrainingError(
-                            f"non-finite soft cross-entropy at epoch {epoch}, iteration {it}"
-                        )
-                    dS = np.zeros_like(scores)
-                    dS[keep] = wce.grads["scores"]
-                    dS *= config.lam / contributing
-                    head_grads, dVc = head_backward(head, Vc, dS)
-                    _merge_grads(grads, backward(model, Xc, dVc))
-                    _merge_grads(grads, head_grads)
-                    inter_sum += wce.loss
-                    inter_terms += contributing
-
-            if use_d and joint:
-                loss_d, n_d, skip_d, dE_extra, Xp, dVp = _soft_triplet_step(
-                    model, dataset, aff, config, rng, *tb.flat()
-                )
-                skipped += skip_d
-                if n_d:
-                    if not np.isfinite(loss_d):
-                        raise TrainingError(
-                            f"non-finite weighted triplet loss at epoch {epoch}, iteration {it}"
-                        )
-                    scale = config.lam / n_d
-                    _merge_grads(grads, backward(model, X, dE_extra * scale))
-                    _merge_grads(grads, backward(model, Xp, dVp * scale))
-                    inter_sum += loss_d
-                    inter_terms += n_d
-
-            sgd_step(model, head, grads, optimizer, state, epoch)
-
-            # Buffer updates use this batch's pre-update embeddings, one
-            # call per distinct person in order of first appearance.
-            groups: dict[int, list[int]] = {}
-            for r, cls in enumerate(pk.classes):
-                groups.setdefault(int(cls), []).append(r)
-            for cls, rows_of in groups.items():
-                feats = tb.embeddings[rows_of].reshape(-1, tb.embeddings.shape[2])
-                update_person(buf, cls, feats)
-            buf.t += 1
+            X, tb, out = _intra_step(state, dataset, config, eligible_cams[it % len(eligible_cams)])
+            # In merge order; a step runs only once the one before it passed the check.
+            steps = [(intra, "intra loss", lambda: out)]
+            if joint and use_c:
+                steps.append((inter, "soft cross-entropy",
+                              lambda: _soft_ce_step(state, dataset, config, table)))
+            if joint and use_d:
+                steps.append((inter, "weighted triplet loss",
+                              lambda: _d_step(state, dataset, config, X, tb)))
+            grads: dict[str, np.ndarray] = {}
+            for sums, what, step in steps:
+                loss, terms, skip, step_grads = step()
+                skipped += skip
+                if not terms:
+                    continue
+                if not np.isfinite(loss):
+                    raise TrainingError(f"non-finite {what} at epoch {epoch}, iteration {it}")
+                for part in step_grads:
+                    for name, g in part.items():
+                        grads[name] = grads[name] + g if name in grads else g
+                sums[0] += loss
+                sums[1] += terms
+            sgd_step(state.model, state.head, grads, state.optimizer, state.opt_state, epoch)
+            _update_buffer(state.buffer, tb)
 
         val_map = val_rank1 = None
         if query is not None and gallery is not None:
-            res = evaluation.evaluate(model, query, gallery)
-            val_map = res.map
-            val_rank1 = res.cmc[1]
-
-        record = EpochRecord(
-            epoch=epoch,
-            intra_loss=intra_sum / max(intra_anchors, 1),
-            inter_loss=(inter_sum / inter_terms) if inter_terms else 0.0,
-            affinity_map=affinity_map_value,
-            val_map=val_map,
-            val_rank1=val_rank1,
-            skipped_anchors=skipped,
-            degenerate_rows=degenerate_rows,
-            wall_time=time.perf_counter() - t0,
-        )
-        log.records.append(record)
-        result.affinity_builds = affinity_builds
-        result.final_affinity = aff
+            res = evaluation.evaluate(state.model, query, gallery)
+            val_map, val_rank1 = res.map, res.cmc[1]
+        state.log.records.append(EpochRecord(
+            epoch, intra[0] / max(intra[1], 1), inter[0] / inter[1] if inter[1] else 0.0,
+            affinity_map, val_map, val_rank1, skipped, degenerate_rows, time.perf_counter() - t0,
+        ))
         if epoch_callback is not None:
-            epoch_callback(epoch, result)
-
-    result.affinity_builds = affinity_builds
-    result.final_affinity = aff
-    return result
+            epoch_callback(epoch, state)
+    return state
 
 
 def config_to_dict(config: TrainConfig) -> dict:

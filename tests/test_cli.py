@@ -242,6 +242,36 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("error FormatError:")
 
+    def test_inconsistent_checkpoint(self, pipeline, tmp_path, capsys):
+        lines = read(pipeline["run"] / "checkpoint_final.txt").splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("array model.b1 ")))
+        lines[at + 1] += " 0.5"  # one bias more than model.W1 has rows
+        lines[at] = f"array model.b1 1 {len(lines[at + 1].split())}"
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["eval", "--checkpoint", str(bad),
+             "--query", str(pipeline["data"] / "query.txt"),
+             "--gallery", str(pipeline["data"] / "gallery.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error FormatError: {bad}:{at + 1}: array 'model.b1' is 1 x 13")
+
+    def test_short_warmup_fails_cleanly(self, tmp_path, capsys):
+        # Cameras of 10, 9 and 14 persons: one warmup epoch of 12-person
+        # batches leaves two persons of camera 2 undrawn.
+        data = tmp_path / "data"
+        gen = ["--n-identities", "16"] + GEN_FLAGS[2:]
+        assert main(["gen", "--out", str(data)] + gen) == 0
+        code = main(["train", "--data", str(data / "train.txt"), "--out", str(tmp_path / "run")]
+                    + TRAIN_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error ConfigError: 1 warmup epoch(s) never drew 2 of the 14 "
+                              "persons of camera 2")
+        assert not (tmp_path / "run" / "train_log.csv").exists()
+
     def test_query_without_gallery_rejected(self, pipeline, tmp_path, capsys):
         code = main(
             ["train", "--data", str(pipeline["data"] / "train.txt"),

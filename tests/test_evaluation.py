@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crosscam import (
+    ConfigError,
     ContractError,
     EvaluationError,
     EmbeddingModel,
@@ -15,7 +16,7 @@ from crosscam import (
     run_ablation,
     train,
 )
-from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS
+from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS, parse_seeds
 from crosscam.evaluation import CMC_KS, average_precision
 from crosscam.model import forward_batch
 from oracles import oracle_average_precision, oracle_retrieval
@@ -243,6 +244,17 @@ class TestAblationHarness:
     def test_every_declared_axis_has_settings(self, base_config):
         for axis in ABLATION_AXES:
             assert len(ABLATION_SETTINGS[axis]) >= 2
+
+    @pytest.mark.parametrize("seeds", [(), (1, 2, 1)])
+    def test_empty_or_repeated_seeds_refused(self, corpus, base_config, seeds):
+        with pytest.raises(ConfigError, match="seeds must name at least one seed, each once"):
+            run_ablation(corpus["train"], base_config, "inter_mode",
+                         corpus["query"], corpus["gallery"], seeds=seeds)
+
+    def test_seed_list_parsing(self):
+        assert parse_seeds("3, 1,,2") == (3, 1, 2)
+        with pytest.raises(ConfigError, match="comma-separated integer list"):
+            parse_seeds("1,two")
 
     def test_unknown_axis_refused(self, corpus, base_config):
         with pytest.raises(ContractError, match="axis"):

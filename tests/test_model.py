@@ -215,6 +215,40 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("prefix, new_lines, reason", [
+        ("array model.W1 ", ["array model.W1 -1 3"], "array 'model.W1': negative shape -1 x 3"),
+        ("array model.b1 ", ["array model.b1 0 2"], "array 'model.b1' is 0 x 2, expected 1 x 2"),
+        ("array model.b1 ", ["array model.b1 1 5", "1.0 2.0 3.0 4.0 5.0"],
+         "array 'model.b1' is 1 x 5, expected 1 x 2"),
+        ("array model.W2 ", ["array model.W2 4 3"] + ["0.0 0.0 0.0"] * 4,
+         "array 'model.W2' is 4 x 3, expected any x 2"),
+        ("array head.Wc ", ["array head.Wc 5 3"] + ["0.0 0.0 0.0"] * 5,
+         "array 'head.Wc' is 5 x 3, expected any x 4"),
+        ("array head.bc ", ["array head.bc 1 4", "0.0 0.0 0.0 0.0"],
+         "array 'head.bc' is 1 x 4, expected 1 x 5"),
+        ("array velocity.b1 ", ["array velocity.b1 1 3", "1.0 1.0 1.0"],
+         "array 'velocity.b1' is 1 x 3, expected 1 x 2"),
+        ("array velocity.Wc ", ["array velocity.Wx 1 1", "0.0"],
+         "velocity for absent parameter 'Wx'"),
+        ("scalar optimizer.decay_epoch ", ["scalar optimizer.decay_epoch 2.5"],
+         "optimizer.decay_epoch must be an integer, got 2.5"),
+    ])
+    def test_inconsistent_checkpoint_names_the_line(self, rng, tmp_path, prefix, new_lines,
+                                                    reason):
+        state = OptimizerState()
+        state.velocities["b1"] = np.ones(2)
+        state.velocities["Wc"] = np.ones((5, 4))
+        p = tmp_path / "ck.txt"
+        save_checkpoint(p, init_model(3, 2, 4, rng), init_head(4, 5, rng), Optimizer(), state)
+        lines = p.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        n_old = 1 + (int(lines[at].split()[2]) if prefix.startswith("array") else 0)
+        p.write_text("\n".join(lines[:at] + new_lines + lines[at + n_old:]) + "\n")
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(p)
+        assert info.value.line == at + 1
+        assert info.value.reason.startswith(reason)
+
     def test_save_twice_is_byte_identical(self, rng, tmp_path):
         m = small_model(rng)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,4 +1,5 @@
-"""scripts/run_benchmark.py --compare flags any change in a log or a final score."""
+"""scripts/run_benchmark.py: --compare flags any change in a log or a final score, and
+bad arguments end in one error line."""
 
 import importlib.util
 import json
@@ -50,3 +51,16 @@ def test_run_absent_from_reference_summary_fails(tmp_path):
     lines, ok = script.compare_lines(outcome(0.5), ref)
     assert not ok
     assert "  [MISSING] full seed 2: not in summary.json" in lines
+
+
+def test_bad_seed_lists_are_reported_on_one_line(capsys):
+    for seeds in (",", "1,1", "1,two"):
+        assert script.main(["--settings", "baseline_intra", "--seeds", seeds, "--epochs", "1",
+                            "--warmup-epochs", "1", "--decay-epoch", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error ConfigError: seeds must ") and err.count("\n") == 1
+
+
+def test_unknown_setting_is_reported_on_one_line(capsys):
+    assert script.main(["--settings", "nonsense", "--seeds", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error ContractError: unknown benchmark setting")

@@ -6,10 +6,12 @@ import pytest
 from crosscam import (
     ConfigError,
     ContractError,
+    Dataset,
     Sample,
     SynthSpec,
     TrainConfig,
     TrainLog,
+    TrainingError,
     classification_sampler,
     config_from_dict,
     config_to_dict,
@@ -317,6 +319,43 @@ class TestTrainingRuns:
         with pytest.raises(ConfigError, match="camera 2 has a single person.*warmup_epochs"):
             train(thin_camera_dataset(), cfg, epoch_callback=lambda e, r: seen.append(e))
         assert seen == []
+
+    def test_short_warmup_refused_at_first_joint_epoch(self):
+        # Cameras of 10, 9 and 14 persons.  One warmup epoch makes five
+        # 12-person batches, camera 2 gets one of them, and two of its
+        # persons are never drawn: their buffer columns are still empty.
+        ds = generate_synthetic(SynthSpec(n_identities=16, n_cameras=3, images_per_person=3,
+                                          d_latent=3, d_in=8, seed=7))["train"]
+        assert ds.index.counts == (10, 9, 14)
+        seen = []
+        with pytest.raises(ConfigError, match=(
+            r"1 warmup epoch\(s\) never drew 2 of the 14 persons of camera 2 into an "
+            r"intra-camera batch; raise warmup_epochs, or n_p to the camera's person count \(14\)"
+        )):
+            train(ds, fast_config(n_p=12, epochs=3, warmup_epochs=1),
+                  epoch_callback=lambda e, state: seen.append(e))
+        assert seen == [1]
+        result = train(ds, fast_config(n_p=12, epochs=3, warmup_epochs=2))
+        assert result.affinity_builds == 1
+
+    def test_epoch_too_short_to_reach_every_camera_refused_before_training(self, tiny_train):
+        # One batch per epoch, and the camera rotation restarts every epoch,
+        # so cameras 1 and 2 would never be drawn however long the warmup.
+        cfg = fast_config(n_k=len(tiny_train), epochs=3, warmup_epochs=2)
+        with pytest.raises(ConfigError, match="makes 1 intra-camera batch.*camera 1 never gets one"):
+            train(tiny_train, cfg)
+        assert len(train(tiny_train, dataclasses.replace(cfg, epochs=2)).log.records) == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("mining_mode", ["hard", "random"])
+    def test_overflowing_intra_loss_is_a_training_error(self, tiny_train, mining_mode):
+        # Squared distances between embeddings this large overflow, and the
+        # triplet hinges become inf - inf = NaN.
+        huge = Dataset(tiny_train.features * 1e200, tiny_train.camera_ids, tiny_train.local_ids,
+                       tiny_train.truth, tiny_train.n_cameras, "train")
+        with pytest.raises(TrainingError, match="non-finite intra loss at epoch 1, iteration 0"):
+            train(huge, fast_config(mining_mode=mining_mode))
 
     def test_all_cameras_eligible_reports_no_exclusions(self, tiny_train):
         result = train(tiny_train, fast_config(epochs=1, warmup_epochs=1))
