@@ -39,24 +39,32 @@ def new_buffer(d: int, n_classes: int) -> PersonBuffer:
     return PersonBuffer(P=np.zeros((d, n_classes)), initialized=np.zeros(n_classes, dtype=bool))
 
 
-def update_person(buf: PersonBuffer, class_index: int, batch_features: np.ndarray) -> None:
-    """Pull one person's column toward the mean of its batch features.
+def update_person(buf: PersonBuffer, class_index: int | np.ndarray, batch_features: np.ndarray) -> None:
+    """Pull persons' columns toward the means of their batch features.
 
-    First touch sets the column to the batch mean outright; afterwards
-    p <- (p + mean) / 2.
+    One person: a class index and (m, d) or (d,) features.  A batch of
+    R distinct persons: (R,) class indices and (R, m, d) features, which
+    gives the bits of R one-person calls (each mean sums its m rows in
+    order).  First touch sets a column to the batch mean outright;
+    afterwards p <- (p + mean) / 2.
     """
-    if not (0 <= class_index < buf.n_classes):
-        raise ContractError(f"class index {class_index} out of range [0, {buf.n_classes})")
+    classes = np.atleast_1d(np.asarray(class_index))
     feats = np.asarray(batch_features, dtype=np.float64)
-    if feats.ndim == 1:
-        feats = feats[None, :]
-    if feats.shape[0] == 0:
+    if np.ndim(class_index) == 0:
+        feats = feats.reshape((1,) * (3 - feats.ndim) + feats.shape)
+    if classes.ndim != 1 or feats.ndim != 3 or feats.shape[0] != classes.size:
+        raise ContractError(f"{classes.size} class indices for features of shape {feats.shape}")
+    bad = (classes < 0) | (classes >= buf.n_classes)
+    if bad.any():
+        raise ContractError(f"class index {classes[bad][0]} out of range [0, {buf.n_classes})")
+    ordered = np.sort(classes)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ContractError("a batch update needs distinct class indices")
+    if feats.shape[1] == 0:
         raise ContractError("batch_features must be nonempty")
-    if feats.shape[1] != buf.d:
-        raise ContractError(f"feature length {feats.shape[1]} != buffer dimension {buf.d}")
-    mean = feats.mean(axis=0)
-    if buf.initialized[class_index]:
-        buf.P[:, class_index] = 0.5 * (buf.P[:, class_index] + mean)
-    else:
-        buf.P[:, class_index] = mean
-        buf.initialized[class_index] = True
+    if feats.shape[2] != buf.d:
+        raise ContractError(f"feature length {feats.shape[2]} != buffer dimension {buf.d}")
+    mean = feats.mean(axis=1).T
+    seen = buf.initialized[classes]
+    buf.P[:, classes] = np.where(seen, 0.5 * (buf.P[:, classes] + mean), mean)
+    buf.initialized[classes] = True

@@ -147,20 +147,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     _ensure_out_dir(args.out)
 
     interval = args.checkpoint_interval
-    callback = None
-    if interval and interval > 0:
-        def callback(epoch: int, result) -> None:
-            if epoch % interval == 0:
-                _save_full_checkpoint(
-                    os.path.join(args.out, f"checkpoint_epoch_{epoch:04d}.txt"), result
-                )
+
+    def write_logs(log) -> None:
+        write_text_atomic(os.path.join(args.out, "train_log.csv"), log.to_csv())
+        write_text_atomic(os.path.join(args.out, "train_log.json"), log.to_json())
+        write_text_atomic(os.path.join(args.out, "timing.csv"), log.timing_csv())
+
+    def callback(epoch: int, result) -> None:
+        write_logs(result.log)  # a run that fails later keeps its finished epochs
+        if interval and interval > 0 and epoch % interval == 0:
+            _save_full_checkpoint(
+                os.path.join(args.out, f"checkpoint_epoch_{epoch:04d}.txt"), result
+            )
 
     result = train(dataset, config, query=query, gallery=gallery, epoch_callback=callback)
 
     _write_json(os.path.join(args.out, "effective_config.json"), config_to_dict(config))
-    write_text_atomic(os.path.join(args.out, "train_log.csv"), result.log.to_csv())
-    write_text_atomic(os.path.join(args.out, "train_log.json"), result.log.to_json())
-    write_text_atomic(os.path.join(args.out, "timing.csv"), result.log.timing_csv())
+    if not result.log.records:  # no epoch ran, so the callback wrote no logs
+        write_logs(result.log)
     _save_full_checkpoint(os.path.join(args.out, "checkpoint_final.txt"), result)
     _write_run_meta(args.out, "train", config.seed)
     last = result.log.records[-1] if result.log.records else None

@@ -20,12 +20,12 @@ from .affinity import (
     AffinityMatrix, SoftLabelRow, SoftLabelTable, soft_label_table, squared_distances,
 )
 from .data import Dataset
+from .draws import choice_rows
 from .errors import ContractError, SelectionError
 
 LOG_FLOOR = 1e-12
-# Anchors per block of hardest-negative distances: (16, n, d) temporaries
-# beat both one anchor person at a time and one (A, n, d) tensor.
-NEGATIVE_BLOCK = 16
+# Safety factor on the hardest-negative screen's rounding bound (>= 4).
+SCREEN_SAFETY = 4.0
 
 
 @dataclass
@@ -145,15 +145,15 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     """
     E, labels = _validate_triplet_batch(batch)
     D = np.sqrt(squared_distances(E, E))
-    n = E.shape[0]
-    pos_pick = np.zeros(n, dtype=np.int64)
-    neg_pick = np.zeros(n, dtype=np.int64)
-    for a in range(n):
-        pos = np.flatnonzero((labels == labels[a]))
-        pos = pos[pos != a]
-        neg = np.flatnonzero(labels != labels[a])
-        pos_pick[a] = pos[rng.integers(pos.size)]
-        neg_pick[a] = neg[rng.integers(neg.size)]
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    other = labels[:, None] != labels[None, :]
+    # One draw per anchor among its other same-person indices, then one
+    # among the different-person ones, interleaved in anchor order; the
+    # k-th (0-based) True of a row is where its running count passes k.
+    k = rng.integers(np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1))
+    pos_pick = np.argmax(np.cumsum(same, axis=1) > k[:, :1], axis=1)
+    neg_pick = np.argmax(np.cumsum(other, axis=1) > k[:, 1:], axis=1)
     return _batch_triplet(batch, margin, pos_pick, neg_pick, D)
 
 
@@ -226,7 +226,7 @@ def select_positives(
     affinities ("nearest", padded cyclically).  One uniformly random
     sample of each drawn person is used.  Weights are 1/n_k in mode
     "AW", or the drawn affinities renormalized to sum 1 in mode "W".
-    Anchors draw in order, persons first; only the draws run per anchor.
+    Anchors draw in order, persons first, through draws.choice_rows.
 
     anchor_classes is (A,).  Returns (A, n_k) dataset sample indices,
     (A, n_k) weights and an (A,) mask, False where the anchor's row is
@@ -251,12 +251,15 @@ def select_positives(
         drawn = np.take_along_axis(cand.index, cyclic, axis=1)
     members, starts = dataset.class_members()
     sizes = np.diff(starts)
+    rows = np.flatnonzero(valid)
     slot = np.zeros_like(drawn)
-    for a in np.flatnonzero(valid).tolist():
-        if positive_sampling == "random":
-            m = int(cand.count[a])
-            drawn[a] = rng.choice(cand.index[a, :m], size=n_k, replace=m < n_k)
-        slot[a] = [rng.integers(size) for size in sizes[drawn[a]].tolist()]
+    if positive_sampling == "random":
+        index = cand.index[rows]
+        picked, slot[rows] = choice_rows(rng, cand.count[rows], n_k,
+                                         then=lambda r, c: sizes[index[r[:, None], c]])
+        drawn[rows] = np.take_along_axis(index, picked, axis=1)
+    else:
+        slot[rows] = rng.integers(sizes[drawn[rows]])
     weights = np.full(drawn.shape, 1.0 / n_k)
     if weighting_mode == "W":
         weights = aff.A[anchor_classes[:, None], drawn]
@@ -276,14 +279,30 @@ def select_hardest_negative(
     anchor_embedding (A, d) with an (A,) anchor_class gives an (A,)
     result; (d,) with a scalar class gives an int.  The batch is expected
     to be single-camera, so this is the hardest same-camera negative.
-    Distances are sqrt(sum((E[j] - a)**2)) over the last axis, for
-    NEGATIVE_BLOCK anchors at a time; the anchor's own person is masked
-    with +inf and ties resolve to the lowest index.  Raises
-    SelectionError when an anchor has no negative.
+    Distances are t_ij = sqrt(sum((b_j - a_i)**2)), each summed over its
+    own d values; the anchor's own person is masked and ties resolve to
+    the lowest index (the lowest negative when every distance
+    overflows).  Raises SelectionError when an anchor has no negative.
+
+    Only the pairs that can win are summed.  The screen g_ij, the
+    expanded form of squared_distances, is within E_ij = c (d+3) u
+    ((|a_i| + |b_j|)**2 + 2**-1021) of the exact squared distance D_ij,
+    u = 2**-53, c = SCREEN_SAFETY: the two squared norms and the dot
+    product each err by at most d u times their magnitude, the two
+    additions by u each, and the 2**-1021 term covers underflow.  The
+    direct s_ij = t_ij**2 before its sqrt is within (d+2) u of D_ij
+    relatively, and the rounded sqrt keeps order up to u.  So any j with
+    t_ij <= t_im, m the screen's argmin, has g_ij <= (g_im + E_im) F + E_ij
+    with F = 1 + (2d+8) u to first order; the screen keeps every j under
+    that bound with F = 1 + 3 gamma, gamma = c (d+3) u, which is larger.
+    The kept pairs, the winner among them, are summed directly.  A row
+    whose screen is not finite (squared norms overflow above about
+    1e154) keeps every pair.
     """
     batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
     batch_classes = np.asarray(batch_classes)
-    anchors, classes = np.atleast_2d(anchor_embedding), np.atleast_1d(anchor_class)
+    anchors = np.atleast_2d(np.asarray(anchor_embedding, dtype=np.float64))
+    classes = np.atleast_1d(anchor_class)
     if batch_embeddings.ndim != 2 or batch_classes.shape != (batch_embeddings.shape[0],):
         raise ContractError("batch embeddings and classes are inconsistent")
     if classes.shape != anchors.shape[:1]:
@@ -292,12 +311,26 @@ def select_hardest_negative(
     lonely = same.all(axis=1)
     if lonely.any():
         raise SelectionError(f"no same-camera negative available for class {classes[lonely].min()}")
-    picks = np.zeros(classes.size, dtype=np.int64)
-    for lo in range(0, classes.size, NEGATIVE_BLOCK):
-        diffs = batch_embeddings[None, :, :] - anchors[lo:lo + NEGATIVE_BLOCK, None, :]
-        dist = np.sqrt(np.sum(diffs * diffs, axis=2))
-        dist[same[lo:lo + NEGATIVE_BLOCK]] = np.inf
-        picks[lo:lo + NEGATIVE_BLOCK] = np.argmin(dist, axis=1)
+    rows = np.arange(classes.size)
+    gamma = SCREEN_SAFETY * (anchors.shape[1] + 3) * 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen is handled below
+        g = squared_distances(anchors, batch_embeddings)
+        norms = np.sqrt(np.sum(anchors * anchors, axis=1))[:, None] + np.sqrt(
+            np.sum(batch_embeddings * batch_embeddings, axis=1))
+        err = gamma * (norms * norms + 2.0**-1021)
+        wild = ~np.isfinite(g + err).all(axis=1)
+    g[same] = np.inf
+    m = np.argmin(g, axis=1)
+    bound = (g[rows, m] + err[rows, m]) * (1.0 + 3.0 * gamma)
+    keep = (g <= bound[:, None] + err) | wild[:, None]
+    keep &= ~same
+    ii, jj = np.nonzero(keep)
+    diffs = batch_embeddings[jj] - anchors[ii]
+    dist = np.full(keep.shape, np.inf)
+    dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    picks = np.argmin(dist, axis=1)
+    overflowed = ~keep[rows, picks]  # every kept distance is inf: the first kept wins
+    picks[overflowed] = np.argmax(keep[overflowed], axis=1)
     return int(picks[0]) if np.ndim(anchor_embedding) == 1 else picks
 
 

@@ -29,6 +29,7 @@ from .affinity import (
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, dataclass_from_dict
+from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -241,7 +242,8 @@ def pk_sampler(
     Persons are drawn without replacement; when the camera has fewer than
     n_p persons, every person is included once and the remainder is drawn
     with replacement.  Samples per person are drawn without replacement,
-    falling back to replacement when the person has fewer than n_k.
+    falling back to replacement when the person has fewer than n_k, one
+    person after another through draws.choice_rows.
     """
     if not (0 <= camera_id < dataset.n_cameras):
         raise ContractError(f"camera_id {camera_id} out of range")
@@ -255,10 +257,9 @@ def pk_sampler(
     else:
         extra = rng.choice(persons, size=n_p - persons.size, replace=True)
         chosen = np.concatenate([rng.permutation(persons), extra])
-    picks = np.zeros((n_p, n_k), dtype=np.int64)
-    for r, cls in enumerate(chosen):
-        idxs = dataset.indices_of_class(int(cls))
-        picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
+    members, starts = dataset.class_members()
+    slots, _ = choice_rows(rng, np.diff(starts)[chosen], n_k)
+    picks = members[starts[chosen][:, None] + slots]
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64), camera_id=camera_id)
 
 
@@ -423,12 +424,17 @@ def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndar
 
 def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
     """Fold a batch's pre-update embeddings into the buffer, one call per
-    distinct person in order of first appearance, and tick the round."""
-    groups: dict[int, list[int]] = {}
-    for r, cls in enumerate(tb.classes.tolist()):
-        groups.setdefault(cls, []).append(r)
-    for cls, rows_of in groups.items():
-        update_person(buf, cls, tb.embeddings[rows_of].reshape(-1, tb.embeddings.shape[2]))
+    distinct count of rows per person (one call when the persons are
+    distinct), each person's rows in batch order, and tick the round."""
+    order = np.argsort(tb.classes, kind="stable")  # each person's rows together, in batch order
+    classes = tb.classes[order]
+    first = np.flatnonzero(np.diff(classes, prepend=-1))
+    count = np.diff(first, append=classes.size)
+    for c in np.unique(count).tolist():
+        group = first[count == c]
+        rows = order[group[:, None] + np.arange(c)]
+        update_person(buf, classes[group],
+                      tb.embeddings[rows].reshape(group.size, -1, tb.embeddings.shape[2]))
     buf.t += 1
 
 

@@ -3,9 +3,11 @@
 These are the loops the package ran before its D (weighted triplet) and
 C (soft cross-entropy) paths were batched, one call per anchor or per
 sample, in order, before affinity construction, retrieval scoring
-and affinity quality counted ranks instead of sorting each row, and
-before an affinity's positive entries were packed in one pass.
-tests/test_batched_equivalence.py and tests/test_ranking_equivalence.py
+and affinity quality counted ranks instead of sorting each row, before
+an affinity's positive entries were packed in one pass, and before the
+per-row generator draws were replayed in one batch and the buffer was
+updated once per batch.  tests/test_batched_equivalence.py,
+tests/test_ranking_equivalence.py and tests/test_draws_equivalence.py
 check that the package gives the same bits, generator state included.
 """
 
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from crosscam.affinity import squared_distances
+from crosscam.buffer import update_person
 from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
 from crosscam.model import forward_batch
 
@@ -240,3 +243,53 @@ def affinity_quality_map(A, cameras, truth):
     if not aps:
         raise AffinityError("affinity quality undefined: no row has a cross-camera true match")
     return float(np.mean(aps))
+
+
+def choice_rows(rng, pops, size, then=None):
+    """(choices, follow-up draws) of one real choice, then integers, call per row."""
+    choices = np.zeros((len(pops), size), dtype=np.int64)
+    drawn = np.zeros_like(choices)
+    for r, pop in enumerate(np.asarray(pops).tolist()):
+        choices[r] = rng.choice(pop, size=size, replace=pop < size)
+        if then is not None:
+            drawn[r] = [rng.integers(h) for h in then(np.array([r]), choices[r:r + 1])[0].tolist()]
+    return choices, (drawn if then is not None else None)
+
+
+def pk_sampler(dataset, camera_id, n_p, n_k, rng):
+    """(sample indices, classes) of one PK batch, one choice per person."""
+    persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
+    if persons.size >= n_p:
+        chosen = rng.choice(persons, size=n_p, replace=False)
+    else:
+        extra = rng.choice(persons, size=n_p - persons.size, replace=True)
+        chosen = np.concatenate([rng.permutation(persons), extra])
+    picks = np.zeros((n_p, n_k), dtype=np.int64)
+    for r, cls in enumerate(chosen):
+        idxs = dataset.indices_of_class(int(cls))
+        picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
+    return picks, chosen
+
+
+def update_buffer(buf, embeddings, classes):
+    """One update_person call per distinct person, in order of first
+    appearance, over that person's rows in batch order."""
+    groups = {}
+    for r, cls in enumerate(np.asarray(classes).tolist()):
+        groups.setdefault(cls, []).append(r)
+    for cls, rows_of in groups.items():
+        update_person(buf, cls, embeddings[rows_of].reshape(-1, embeddings.shape[2]))
+
+
+def random_triplet_picks(labels, rng):
+    """(positive, negative) index per anchor: two scalar draws per anchor."""
+    n = labels.size
+    pos_pick = np.zeros(n, dtype=np.int64)
+    neg_pick = np.zeros(n, dtype=np.int64)
+    for a in range(n):
+        pos = np.flatnonzero(labels == labels[a])
+        pos = pos[pos != a]
+        neg = np.flatnonzero(labels != labels[a])
+        pos_pick[a] = pos[rng.integers(pos.size)]
+        neg_pick[a] = neg[rng.integers(neg.size)]
+    return pos_pick, neg_pick

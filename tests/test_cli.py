@@ -270,7 +270,12 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error ConfigError: 1 warmup epoch(s) never drew 2 of the 14 "
                               "persons of camera 2")
-        assert not (tmp_path / "run" / "train_log.csv").exists()
+        # The logs are written after every epoch, so the finished warmup epoch survives.
+        log = read(tmp_path / "run" / "train_log.csv").splitlines()
+        assert log[0] == ",".join(TRAINLOG_COLUMNS)
+        assert [line.split(",")[0] for line in log[1:]] == ["1"]
+        assert json.loads(read(tmp_path / "run" / "train_log.json"))["records"][0]["epoch"] == 1
+        assert read(tmp_path / "run" / "timing.csv").splitlines()[1].startswith("1,")
 
     def test_query_without_gallery_rejected(self, pipeline, tmp_path, capsys):
         code = main(

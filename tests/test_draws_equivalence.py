@@ -1,0 +1,239 @@
+"""Batched draws, the screened hardest negative and the batched buffer
+update give the bits of their per-row loops.
+
+Each test runs the package's batched form and the loop in
+tests/slow_references.py, which calls numpy's own Generator.choice and
+Generator.integers, and compares picks, values, losses and the
+generator state afterwards (PCG64's buffered half word included), on
+PCG64 and MT19937.  Cases include populations smaller than and equal to
+the draw size (Floyd's first draw then has range 0 and reads nothing),
+persons with one sample, an odd number of words already read, words
+that Lemire's method rejects, rows in numpy's tail-shuffle branch,
+repeated persons in a batch, near-tied distances and distances whose
+expanded form overflows or underflows.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import slow_references as slow
+from crosscam import ContractError, new_buffer, select_hardest_negative, update_person
+from crosscam.draws import choice_rows, replay
+from crosscam.affinity import squared_distances
+from crosscam.losses import TripletBatch, _batch_triplet, random_triplet_loss
+from crosscam.trainer import _update_buffer, pk_sampler
+from test_batched_equivalence import person_dataset, points, same_bits
+
+SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+seeds = st.integers(min_value=0, max_value=2**31)
+bit_generators = st.sampled_from([np.random.PCG64, np.random.MT19937])
+
+
+def state(rng):
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng.bit_generator.state)
+
+
+def twin_generators(bit_generator, seed, skip):
+    """Two generators in one state, skip 32-bit words into their stream."""
+    pair = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    for g in pair:
+        g.integers(0, 2**32, size=skip, dtype=np.uint32)
+    return pair
+
+
+@SETTINGS
+@given(seed=seeds, bit_generator=bit_generators, with_then=st.booleans())
+def test_choice_rows_matches_real_calls(seed, bit_generator, with_then):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 7))
+    pops = rng.integers(1, 11, size=int(rng.integers(0, 26)))
+    pops[rng.random(pops.size) < 0.25] = size  # Floyd's first draw in [0, 0]
+    ones = float(rng.choice([0.0, 0.02, 0.3]))  # share of persons with one sample
+    table = np.where(rng.random((pops.size, 10)) < ones, 1, rng.integers(2, 6, size=(pops.size, 10)))
+    then = (lambda rows, c: table[rows[:, None], c]) if with_then else None
+    ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
+
+    want = slow.choice_rows(ref, pops, size, then)
+    out = choice_rows(got, pops, size, then)
+    assert state(got) == state(ref)
+    assert out[0].tolist() == want[0].tolist()
+    assert (out[1] is None) == (want[1] is None)
+    if with_then:
+        assert out[1].tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_choice_rows_with_rejected_words(bit_generator):
+    # Bounds near 3 * 2**30 reject about a quarter of all words.
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pops = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=int(rng.integers(1, 12)))
+        pops[0] = rng.integers(1, 4)
+        table = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=(pops.size, 3))
+        table[rng.random(table.shape) < 0.3] = 1  # one-sample persons: rows left to numpy
+        then = (lambda rows, c: table[rows, :c.shape[1]])
+        ref, got = twin_generators(bit_generator, seed, seed % 3)
+        want = slow.choice_rows(ref, pops, 3, then)
+        out = choice_rows(got, pops, 3, then)
+        assert state(got) == state(ref)
+        assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
+
+
+@pytest.mark.parametrize("size", [199, 200, 201, 202])
+def test_tail_shuffle_rows_are_exact(size):
+    # numpy shuffles a tail instead of running Floyd when pop > 10,000 and
+    # size > pop // 50: pop 10,001 switches between sizes 200 and 201.
+    pops = np.array([3, 10_001, 250, 20_000, 10_001])
+    ref, got = twin_generators(np.random.PCG64, size, 1)
+    want = slow.choice_rows(ref, pops, size, then=lambda rows, c: np.full(c.shape, 3))
+    out = choice_rows(got, pops, size, then=lambda rows, c: np.full(c.shape, 3))
+    assert state(got) == state(ref)
+    assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
+
+
+def test_replay_core_on_hand_made_words():
+    # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31 and
+    # rejects word 0 (3 * 0 mod 2**32 < 2**32 mod 3 = 1), so the replay
+    # settles the first row only: one word read.
+    words = np.array([2**31, 0, 7], dtype=np.uint32)
+    choices, drawn, settled, read = replay(words, np.array([3, 3, 3]), 1)
+    assert choices[:1].tolist() == [[1]] and drawn is None and (settled, read) == (1, 1)
+    # Population 1 reads no word for its choice; the follow-up draw in
+    # [0, 5) takes (2**32 - 1) * 5 >> 32 = 4.
+    five = lambda rows, c: np.full(c.shape, 5)
+    choices, drawn, settled, read = replay(np.array([2**32 - 1], dtype=np.uint32), np.array([1]), 1, five)
+    assert choices.tolist() == [[0]] and drawn.tolist() == [[4]] and (settled, read) == (1, 1)
+    # A follow-up draw in [0, 1), a person with one sample, reads no word:
+    # its row is not settled, though its values happen to be right.
+    one_then_five = lambda rows, c: np.where(rows[:, None] == 0, 1, 5)
+    choices, drawn, settled, read = replay(words, np.array([1, 1]), 1, one_then_five)
+    assert (settled, read) == (0, 0)
+    # Too few words for the draws is refused.
+    with pytest.raises(ContractError):
+        replay(words[:1], np.array([3, 3]), 1)
+    assert replay(words[:0], np.array([1, 1]), 1)[2:] == (2, 0)
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_pk_sampler_matches_per_person_choices(seed):
+    rng = np.random.default_rng(seed)
+    ds = person_dataset(rng, int(rng.integers(2, 4)), int(rng.integers(6, 30)))
+    cam = int(np.argmax(ds.index.counts))
+    n_p, n_k = int(rng.integers(2, ds.index.counts[cam] + 3)), int(rng.integers(2, 6))
+    draw_seed = int(rng.integers(2**31))
+    ref, got = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    want_picks, want_classes = slow.pk_sampler(ds, cam, n_p, n_k, ref)
+    batch = pk_sampler(ds, cam, n_p, n_k, got)
+    assert state(got) == state(ref)
+    assert batch.sample_indices.tolist() == want_picks.tolist()
+    assert batch.classes.tolist() == want_classes.tolist()
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_update_buffer_matches_per_person_calls(seed):
+    rng = np.random.default_rng(seed)
+    C, d = int(rng.integers(2, 12)), int(rng.integers(1, 9))
+    n_p, n_k = int(rng.integers(2, 10)), int(rng.integers(1, 5))
+    classes = rng.integers(0, C, size=n_p)  # repeats are common
+    embeddings = points(rng, (n_p, n_k, d))
+    want, got = new_buffer(d, C), new_buffer(d, C)
+    for c in np.flatnonzero(rng.random(C) < 0.5):  # some columns already seen
+        f = points(rng, (2, d))
+        update_person(want, int(c), f)
+        update_person(got, int(c), f)
+    slow.update_buffer(want, embeddings, classes)
+    _update_buffer(got, TripletBatch(embeddings, classes, 0))
+    assert same_bits(got.P, want.P)
+    assert got.initialized.tolist() == want.initialized.tolist()
+    assert got.t == 1
+
+
+def test_batched_update_person_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        R, m, d = (int(x) for x in rng.integers(1, [9, 30, 70]))
+        C = R + int(rng.integers(0, 4))
+        classes = rng.permutation(C)[:R]
+        feats = rng.standard_normal((R, m, d)) * 10.0 ** float(rng.integers(-3, 4))
+        want, got = new_buffer(d, C), new_buffer(d, C)
+        seen = classes[rng.random(R) < 0.5]
+        for buf in (want, got):
+            update_person(buf, seen, np.ones((seen.size, 1, d)))
+        for r in range(R):
+            update_person(want, int(classes[r]), feats[r])
+        update_person(got, classes, feats)
+        assert same_bits(got.P, want.P)
+        assert got.initialized.tolist() == want.initialized.tolist()
+
+
+def test_batched_update_person_rejects_repeated_classes():
+    buf = new_buffer(2, 3)
+    with pytest.raises(ContractError):
+        update_person(buf, np.array([1, 1]), np.ones((2, 1, 2)))
+    with pytest.raises(ContractError):
+        update_person(buf, np.array([0, 1]), np.ones((3, 1, 2)))
+    assert not buf.initialized.any()
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_random_triplet_loss_matches_two_draws_per_anchor(seed):
+    rng = np.random.default_rng(seed)
+    n_p, n_k, d = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    classes = rng.integers(0, max(2, n_p - 1), size=n_p)
+    classes[:2] = [0, 1]  # two persons at least; repeats allowed
+    batch = TripletBatch(points(rng, (n_p, n_k, d)), classes, 0)
+    draw_seed = int(rng.integers(2**31))
+    ref, got = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+    E, labels = batch.flat()
+    pos, neg = slow.random_triplet_picks(labels, ref)
+    want = _batch_triplet(batch, 0.3, pos, neg, np.sqrt(squared_distances(E, E)))
+    out = random_triplet_loss(batch, 0.3, got)
+    assert state(got) == state(ref)
+    assert same_bits(out.loss, want.loss)
+    assert same_bits(out.grads["embeddings"], want.grads["embeddings"])
+    assert out.counters == want.counters
+
+
+def _negative_case(rng, scale):
+    """Anchors and a batch with many near-ties, possibly far from the origin."""
+    n, d = int(rng.integers(2, 24)), int(rng.integers(1, 40))
+    centre = rng.standard_normal(d) * float(rng.choice([0.0, 1e3, 1e6]))
+    batch = centre + points(rng, (n, d)) * float(rng.choice([1.0, 1e-4]))
+    classes = rng.integers(0, 4, size=n)
+    classes[:2] = [0, 1]
+    a_idx = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 1)))
+    anchors = np.where(rng.random((a_idx.size, 1)) < 0.7, batch[a_idx],
+                       centre + points(rng, (a_idx.size, d)))
+    # Two rows at a permuted or mirrored offset from an anchor lie at the
+    # same distance from it up to rounding.
+    for _ in range(int(rng.integers(0, 2 * n))):
+        a = anchors[rng.integers(anchors.shape[0])]
+        off = float(rng.choice([0.1, 1e-3, 1e-7])) * rng.standard_normal(d)
+        j1, j2 = rng.integers(n, size=2)
+        batch[j1] = a + off
+        batch[j2] = a + rng.permutation(off) * rng.choice([-1.0, 1.0])
+    return anchors * scale, batch * scale, classes, rng.integers(0, 4, size=a_idx.size)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=seeds, scale=st.sampled_from([1.0, 1e-150, 1e160]))
+def test_screened_hardest_negative_matches_per_anchor_scan(seed, scale):
+    rng = np.random.default_rng(seed)
+    anchors, batch, classes, anchor_classes = _negative_case(rng, scale)
+    keep = (anchor_classes[:, None] != classes).any(axis=1)
+    anchors, anchor_classes = anchors[keep], anchor_classes[keep]
+    if not anchors.shape[0]:
+        return
+    want = [slow.select_hardest_negative(a, batch, classes, c)
+            for a, c in zip(anchors, anchor_classes)]
+    got = select_hardest_negative(anchors, batch, classes, anchor_classes)
+    assert got.tolist() == want
+    assert select_hardest_negative(anchors[0], batch, classes, anchor_classes[0]) == want[0]
