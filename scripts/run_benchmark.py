@@ -62,10 +62,20 @@ def parse_args(argv=None):
 
 def direction_lines(outcome, labels):
     """Human-readable verdicts for every expected ordering both of whose
-    sides were actually run."""
+    sides were actually run.  The verdict compares medians; under each,
+    the per-seed paired differences (higher side minus lower side, seeds
+    both sides ran) and how many of them agree with the ordering are
+    reported, to show how near the medians are to flipping."""
 
     def med(label):
         return outcome.row(label).median_map
+
+    def paired(hi, lo, strict):
+        lo_map = {run.seed: run.map for run in outcome.row(lo).runs}
+        diffs = [run.map - lo_map[run.seed] for run in outcome.row(hi).runs if run.seed in lo_map]
+        agree = sum(d > 0 if strict else d >= 0 for d in diffs)
+        return (f"      per-seed {hi} - {lo}: {' '.join(f'{d:+.4f}' for d in diffs)}; "
+                f"{agree}/{len(diffs)} seeds agree")
 
     checks = [
         ("soft_ce beats baseline_intra", "soft_ce", "baseline_intra", True),
@@ -82,6 +92,7 @@ def direction_lines(outcome, labels):
         a, b = med(hi), med(lo)
         ok = a > b if strict else a >= b
         lines.append(f"  [{'ok' if ok else 'FAIL'}] {text}: {a:.4f} vs {b:.4f}")
+        lines.append(paired(hi, lo, strict))
     return lines
 
 

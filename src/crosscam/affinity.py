@@ -181,16 +181,19 @@ def build_affinity(
 
 
 def soft_label_rows(aff: AffinityMatrix) -> list[SoftLabelRow]:
-    """Normalize each affinity row to sum 1; zero-sum rows become degenerate."""
-    rows = []
-    for i in range(aff.n_classes):
-        row = aff.A[i]
-        total = row.sum()
-        if total <= 0.0:
-            rows.append(SoftLabelRow(i, np.zeros_like(row), degenerate=True))
-        else:
-            rows.append(SoftLabelRow(i, row / total, degenerate=False))
-    return rows
+    """Normalize each affinity row to sum 1; zero-sum rows become degenerate.
+
+    All rows are one (C, C) block and each row's weights are a view of it:
+    one allocation, returned to the allocator whole once the rows go.  A
+    C-contiguous row sum has the bits of the row's own sum.
+    """
+    A = np.ascontiguousarray(aff.A)
+    total = A.sum(axis=1)[:, None]
+    degenerate = total <= 0.0  # a NaN total is not degenerate: its weights are NaN
+    weights = np.zeros(A.shape)
+    np.divide(A, total, out=weights, where=~degenerate)
+    return [SoftLabelRow(i, weights[i], degenerate=bool(degenerate[i, 0]))
+            for i in range(aff.n_classes)]
 
 
 def soft_label_table(rows: list[SoftLabelRow]) -> SoftLabelTable:

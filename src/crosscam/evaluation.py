@@ -6,6 +6,12 @@ identity and its camera are excluded from the ranking (they would be
 trivially easy matches); a query with no remaining true match is skipped
 and counted.  mAP averages per-query average precision; Rank-k is the
 fraction of queries with a true match in the top k.
+
+Ranks are found without a per-query argsort: each distance row is
+sorted once, each relevant item's count of nearer items is a binary
+search in its sorted row, and only items whose distance ties another
+item's get their earlier ties counted from the unsorted row.  Non-finite
+embeddings or distances are refused.
 """
 
 from __future__ import annotations
@@ -39,15 +45,53 @@ def average_precision(relevant_in_rank_order: np.ndarray) -> float:
     return float(hit_aps(np.zeros_like(hits), hits)[1][0])
 
 
+def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
+                   op: np.ufunc) -> np.ndarray:
+    """Per pair, the number of leading items x of ranked[rows] with op(x, t).
+
+    Rows are sorted ascending (NaN last), so op = np.less or np.less_equal
+    holds on a prefix of each row; one vectorised binary search over all
+    pairs, a power of two per step, finds its length.
+    """
+    n = ranked.shape[1]
+    count = np.zeros(rows.size, dtype=np.int64)
+    step = 1 << (n.bit_length() - 1) if n else 0
+    while step:
+        at = count + step
+        count += step * ((at <= n) & op(ranked[rows, np.minimum(at, n) - 1], t))
+        step >>= 1
+    return count
+
+
+def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Place of item g[i] in the stable ascending sort of row q[i] of d2.
+
+    The place is counted: the items of the row below d2[q, g], plus those
+    equal to it at a lower column (an item at NaN has place 0, and no item
+    is ever below NaN).  Each row is sorted once and searched; the earlier
+    equal items are counted only for pairs whose value ties another item
+    of its row, in blocks of pairs.
+    """
+    t = d2[q, g]
+    ranked = np.sort(d2, axis=1)
+    pos = _prefix_counts(ranked, q, t, np.less)
+    tied = np.flatnonzero(_prefix_counts(ranked, q, t, np.less_equal) - pos > 1)
+    column = np.arange(d2.shape[1])
+    step = max(1, BLOCK_ELEMENTS // d2.shape[1])
+    for lo in range(0, tied.size, step):
+        p = tied[lo:lo + step]
+        pos[p] += np.count_nonzero((d2[q[p]] == t[p, None]) & (column < g[p, None]), axis=1)
+    return pos
+
+
 def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> RetrievalResult:
     """Score a model on a query/gallery pair; read-only on all inputs.
 
     A relevant item's rank is its place in the stable ascending sort of
     the query's non-junk gallery: the items nearer to the query, or as
-    near and earlier in gallery file order.  It is found by counting
-    those items, in blocks of pairs, instead of sorting each row; junk
-    items count as infinitely far, which matches the sort as long as the
-    embedding distances are finite.
+    near and earlier in gallery file order (rank_positions).  Junk items
+    count as infinitely far, which matches the sort because every
+    distance is refused unless finite.
     """
     if query.d_in != gallery.d_in:
         raise ContractError(
@@ -60,23 +104,22 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
 
     Vq = forward_batch(model, query.features)
     Vg = forward_batch(model, gallery.features)
+    bad_q, bad_g = (int(np.count_nonzero(~np.isfinite(V).all(axis=1))) for V in (Vq, Vg))
+    if bad_q or bad_g:
+        raise EvaluationError(
+            f"{bad_q} of {len(query)} query and {bad_g} of {len(gallery)} gallery embeddings "
+            "are not finite; the model's parameters are non-finite or too large"
+        )
     d2 = squared_distances(Vq, Vg)
+    overflow = int(np.count_nonzero(~np.isfinite(d2)))
+    if overflow:
+        raise EvaluationError(f"{overflow} query-gallery squared distances overflow")
 
     same_person = query.truth[:, None] == gallery.truth
     junk = same_person & (query.camera_ids[:, None] == gallery.camera_ids)
     q, g = np.nonzero(same_person & ~junk)
     d2[junk] = np.inf  # unranked: never before a relevant item at a finite distance
-    pos = np.empty(q.size, dtype=np.int64)
-    column = np.arange(len(gallery))
-    step = max(1, BLOCK_ELEMENTS // len(gallery))
-    for lo in range(0, q.size, step):
-        qb, gb = q[lo:lo + step], g[lo:lo + step]
-        row = d2[qb]
-        t = row[np.arange(qb.size), gb][:, None]
-        pos[lo:lo + step] = np.count_nonzero(row < t, axis=1)
-        tied = row == t
-        if np.count_nonzero(tied) > qb.size:  # beyond each item itself: count those earlier
-            pos[lo:lo + step] += np.count_nonzero(tied & (column < gb[:, None]), axis=1)
+    pos = rank_positions(d2, q, g)
     order = np.lexsort((pos, q))
     q, pos = q[order], pos[order]
     hit_rows, aps = hit_aps(q, pos)

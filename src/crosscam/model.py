@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import write_text_atomic
+from .data import first_non_finite, write_text_atomic
 from .errors import ContractError, FormatError, TrainingError, VersionError
 
 CHECKPOINT_FORMAT = "crosscam-checkpoint"
@@ -307,6 +307,9 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
                 except ValueError as e:
                     raise FormatError(path, i + 2 + r, f"array {name!r}: {e}") from e
             arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
+            bad = first_non_finite(arrays[name])
+            if bad is not None:
+                raise FormatError(path, i + 2 + bad, f"array {name!r}: non-finite value")
             where[name] = i + 1
             i += 1 + rows
         elif len(parts) == 3 and parts[0] == "scalar":

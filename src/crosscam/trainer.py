@@ -298,7 +298,8 @@ def classification_sampler(
 class TrainState:
     """Everything a run carries between iterations; train mutates one, the
     epoch callback sees it live.  rng draws the batches, the epoch is
-    len(log.records) and final_affinity is the latest joint epoch's."""
+    len(log.records) and final_affinity is the latest joint epoch's; it is
+    None while the next one is built, so the two are never held at once."""
 
     model: EmbeddingModel
     head: ClassifierHead
@@ -314,8 +315,13 @@ class TrainState:
 
 def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
     """Rebuild the affinity from the buffer, refusing columns no warmup batch
-    filled: (soft-label rows, their table, degenerate row count,
-    affinity-quality mAP or None without full truth)."""
+    filled: (soft-label table, degenerate row count, affinity-quality mAP
+    or None without full truth).
+
+    The last epoch's affinity goes before the build and the dense
+    soft-label rows once their table is packed, so that no two dense
+    C x C arrays of different epochs or layers are held at once beyond
+    the build's own."""
     index = dataset.index
     cams, missed = np.unique(index.camera_of_class_array()[~state.buffer.initialized],
                              return_counts=True)
@@ -326,16 +332,16 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
             ) + " into an intra-camera batch; raise warmup_epochs, or n_p to the camera's person "
             f"count ({max(index.counts[c] for c in cams)})"
         )
+    state.final_affinity = None
     state.final_affinity = aff = build_affinity(
         state.buffer, index, config.k,
         epoch=len(state.log.records) + 1, mask_same_camera=config.mask_same_camera,
     )
     state.affinity_builds += 1
-    rows = soft_label_rows(aff)
-    table = soft_label_table(rows)
+    table = soft_label_table(soft_label_rows(aff))
     truth = dataset.truth_of_class_array() if dataset.has_full_truth() else None
     quality = affinity_quality_map(aff, truth) if truth is not None else None
-    return rows, table, int(np.count_nonzero(table.degenerate)), quality
+    return table, int(np.count_nonzero(table.degenerate)), quality
 
 
 # The loss steps return (loss, terms, skipped anchors, gradient dicts in
@@ -500,11 +506,9 @@ def train(
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
-        # The last epoch's soft-label rows go before the next build, not right
-        # after their table: that raised peak RSS at C = 2,450 by 12 MB (measured).
-        rows, table, degenerate_rows, affinity_map = None, None, 0, None
+        table, degenerate_rows, affinity_map = None, 0, None
         if joint:
-            rows, table, degenerate_rows, affinity_map = _epoch_start(state, dataset, config)
+            table, degenerate_rows, affinity_map = _epoch_start(state, dataset, config)
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
         for it in range(iters_per_epoch):

@@ -4,11 +4,14 @@ These are the loops the package ran before its D (weighted triplet) and
 C (soft cross-entropy) paths were batched, one call per anchor or per
 sample, in order, before affinity construction, retrieval scoring
 and affinity quality counted ranks instead of sorting each row, before
-an affinity's positive entries were packed in one pass, and before the
+an affinity's positive entries were packed in one pass, before the
 per-row generator draws were replayed in one batch and the buffer was
-updated once per batch.  tests/test_batched_equivalence.py,
-tests/test_ranking_equivalence.py and tests/test_draws_equivalence.py
-check that the package gives the same bits, generator state included.
+updated once per batch, before the soft-label rows were normalized as
+one block, and before retrieval ranks were searched in sorted rows
+instead of counted by one scan of the row per relevant item.
+tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py and
+tests/test_draws_equivalence.py check that the package gives the same
+bits, generator state included.
 """
 
 from __future__ import annotations
@@ -191,6 +194,31 @@ def evaluate(model, query, gallery):
         raise EvaluationError("every query was skipped: no query has an eligible true match")
     n = len(aps)
     return float(np.mean(aps)), {k: h / n for k, h in cmc_hits.items()}, n, skipped
+
+
+def rank_positions(d2, q, g):
+    """Each pair's place in the stable ascending sort of its row of d2, by
+    one scan of the row per pair: the items below, then the equal ones at
+    a lower column."""
+    column = np.arange(d2.shape[1])
+    pos = np.empty(len(q), dtype=np.int64)
+    for i, (r, c) in enumerate(zip(np.asarray(q).tolist(), np.asarray(g).tolist())):
+        row, t = d2[r], d2[r, c]
+        pos[i] = np.count_nonzero(row < t) + np.count_nonzero((row == t) & (column < c))
+    return pos
+
+
+def soft_label_rows(A):
+    """(weights, degenerate) of each affinity row normalized on its own."""
+    rows = []
+    for i in range(A.shape[0]):
+        row = A[i]
+        total = row.sum()
+        if total <= 0.0:
+            rows.append((np.zeros_like(row), True))
+        else:
+            rows.append((row / total, False))
+    return rows
 
 
 def build_affinity(feats, cameras, k, mask_same_camera=True):

@@ -6,6 +6,8 @@ sample, and compares losses, every gradient (as bytes, so signed zeros
 count), picks, counters and the generator state after the draws.  Cases
 include coinciding points, distance ties, degenerate rows, rows with
 fewer nonzeros than n_k or k, and the W / nearest / unmasked modes.
+The soft-label rows, normalized as one block, are compared row by row
+with the per-row normalization, including zero, NaN and subnormal rows.
 """
 
 import dataclasses
@@ -251,3 +253,28 @@ def test_soft_label_table_holds_each_rows_nonzeros(tiny_train):
         assert table.index[r, :m].tolist() == idx.tolist()
         assert same_bits(table.weights[r, :m], w)
         assert np.all(table.weights[r, m:] == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
+@SETTINGS
+@given(seed=seeds, transposed=st.booleans())
+def test_soft_label_rows_match_per_row_normalization(seed, transposed):
+    rng = np.random.default_rng(seed)
+    C = int(rng.integers(1, 14))
+    # Zeros, ties, subnormals, a rare negative, NaN and infinity.
+    values = [0.0, 0.25, 1.0, 5e-324, 2.5e-310, rng.random(), -0.5, np.nan, np.inf]
+    p = np.array([40, 5, 5, 6, 6, 10, 1, 1, 1], dtype=float)
+    A = rng.choice(values, size=(C, C), p=p / p.sum())
+    A[rng.random(C) < 0.2] = 0.0  # zero rows
+    if rng.random() < 0.3:
+        A[rng.integers(C)] = 5e-324  # a row of subnormals, its total subnormal too
+    if transposed:
+        A = A.T  # a row that is not contiguous
+    aff = AffinityMatrix(A=A, sigma_sq=1.0, k=C, epoch_built=0,
+                         camera_of_class=np.zeros(C, dtype=np.int64), masked=False)
+    got = soft_label_rows(aff)
+    want = slow.soft_label_rows(A)
+    assert [r.class_index for r in got] == list(range(C))
+    assert [r.degenerate for r in got] == [d for _, d in want]
+    for row, (weights, _) in zip(got, want):
+        assert same_bits(row.weights, weights)

@@ -258,6 +258,23 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith(f"error FormatError: {bad}:{at + 1}: array 'model.b1' is 1 x 13")
 
+    def test_checkpoint_with_nan_weight_fails_cleanly(self, pipeline, tmp_path, capsys):
+        lines = read(pipeline["run"] / "checkpoint_final.txt").splitlines()
+        at = lines.index(next(line for line in lines if line.startswith("array model.W2 ")))
+        values = lines[at + 1].split()
+        lines[at + 1] = " ".join(["nan"] + values[1:])
+        bad = tmp_path / "nan.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        code = main(
+            ["eval", "--checkpoint", str(bad),
+             "--query", str(pipeline["data"] / "query.txt"),
+             "--gallery", str(pipeline["data"] / "gallery.txt")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error FormatError: {bad}:{at + 2}: array 'model.W2': non-finite value")
+
     def test_short_warmup_fails_cleanly(self, tmp_path, capsys):
         # Cameras of 10, 9 and 14 persons: one warmup epoch of 12-person
         # batches leaves two persons of camera 2 undrawn.

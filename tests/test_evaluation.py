@@ -156,6 +156,32 @@ class TestEvaluate:
             assert np.array_equal(v, before[k])
         assert np.array_equal(tiny_corpus["query"].features, fq)
 
+    def test_non_finite_embeddings_refused_with_their_count(self, tiny_corpus, rng):
+        model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)
+        model.W2[0, 0] = np.nan  # every embedding's first coordinate
+        nq, ng = len(tiny_corpus["query"]), len(tiny_corpus["gallery"])
+        with pytest.raises(EvaluationError, match=rf"^{nq} of {nq} query and {ng} of {ng} "
+                                                  "gallery embeddings are not finite"):
+            evaluate(model, tiny_corpus["query"], tiny_corpus["gallery"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the refusal
+    def test_one_overflowing_gallery_embedding_refused(self):
+        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 3)], 2, 2, "query")
+        gallery = dataset_from_samples([eval_sample([0.1, 0.0], 1, 0, 3),
+                                        eval_sample([1e300, 0.0], 1, 1, 4)], 2, 2, "gallery")
+        model = identity_model(2)
+        model.W1 *= 1e10  # finite parameters, an infinite hidden unit for the second item
+        with pytest.raises(EvaluationError, match=r"^0 of 1 query and 1 of 2 gallery embeddings"):
+            evaluate(model, query, gallery)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the refusal
+    def test_overflowing_distances_refused_with_their_count(self):
+        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 3)], 2, 2, "query")
+        gallery = dataset_from_samples([eval_sample([0.1, 0.0], 1, 0, 3),
+                                        eval_sample([1e200, 0.0], 1, 1, 4)], 2, 2, "gallery")
+        with pytest.raises(EvaluationError, match=r"^1 query-gallery squared distances overflow"):
+            evaluate(identity_model(2), query, gallery)
+
     def test_contract_violations(self, tiny_corpus, rng):
         model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)
         other = dataset_from_samples([eval_sample([0.0], 0, 0, 0)], 2, 1, "gallery")

@@ -249,6 +249,20 @@ class TestCheckpoint:
         assert info.value.line == at + 1
         assert info.value.reason.startswith(reason)
 
+    @pytest.mark.parametrize("name, value", [("W2", np.nan), ("b1", np.inf), ("W1", -np.inf)])
+    def test_non_finite_value_names_its_line(self, rng, tmp_path, name, value):
+        m = init_model(3, 2, 4, rng)
+        getattr(m, name).flat[-1] = value
+        p = tmp_path / "ck.txt"
+        save_checkpoint(p, m, None, Optimizer(), OptimizerState())
+        lines = p.read_text().splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith(f"array model.{name} "))
+        rows = int(lines[header].split()[2])
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(p)
+        assert info.value.line == header + 1 + rows  # the array's last row
+        assert info.value.reason == f"array 'model.{name}': non-finite value"
+
     def test_save_twice_is_byte_identical(self, rng, tmp_path):
         m = small_model(rng)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -1,14 +1,16 @@
 """Rank counting gives the bits of the per-row stable sorts it replaced.
 
 build_affinity selects each row's k nearest candidates with a partition
-and an explicit tie fill; evaluate and affinity_quality_map count each
-relevant item's rank; AffinityMatrix.candidates packs every row's
-positive entries in one pass.  Each test draws a case and compares the
-package with the per-row loops in tests/slow_references.py: A and
-sigma_sq as bytes, mAP, CMC and counts, the candidates table as bytes and
-the quality mAP.  Points sit on a coarse grid and rows are duplicated,
-so exact distance and affinity ties are common; block sizes down to one
-pair per block are drawn too.
+and an explicit tie fill; evaluate finds each relevant item's rank by a
+binary search in its sorted row (evaluation.rank_positions) and
+affinity_quality_map counts it; AffinityMatrix.candidates packs every
+row's positive entries in one pass.  Each test draws a case and compares
+the package with the per-row loops in tests/slow_references.py: A and
+sigma_sq as bytes, mAP, CMC and counts, rank positions (with infinite
+and NaN distances too), the candidates table as bytes and the quality
+mAP.  Points sit on a coarse grid and rows are duplicated, so exact
+distance and affinity ties are common; block sizes down to one pair per
+block are drawn too.
 """
 
 import dataclasses
@@ -101,6 +103,22 @@ def test_evaluate_matches_per_query_sort(seed, block):
     assert list(got.cmc) == list(want[1])
     assert all(same_bits(got.cmc[k], want[1][k]) for k in want[1])
     assert (got.n_evaluated, got.n_skipped) == want[2:]
+
+
+@SETTINGS
+@given(seed=seeds, block=blocks)
+def test_rank_positions_match_per_pair_scan(seed, block):
+    rng = np.random.default_rng(seed)
+    Q, G = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+    # Integer-valued distances tie often; inf stands for junk, NaN for a broken distance.
+    d2 = rng.integers(0, 6, size=(Q, G)).astype(float)
+    d2[rng.random((Q, G)) < 0.15] = np.inf
+    d2[rng.random((Q, G)) < 0.05] = np.nan
+    q, g = np.nonzero(rng.random((Q, G)) < 0.4)
+    want = slow.rank_positions(d2, q, g)
+    with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+        got = evaluation.rank_positions(d2, q, g)
+    assert same_bits(got, want)
 
 
 def buffer_of(columns):

@@ -1,5 +1,6 @@
-"""scripts/run_benchmark.py: --compare flags any change in a log or a final score, and
-bad arguments end in one error line."""
+"""scripts/run_benchmark.py: --compare flags any change in a log or a final score, the
+ordering verdicts report their per-seed paired differences, and bad arguments end in
+one error line."""
 
 import importlib.util
 import json
@@ -51,6 +52,28 @@ def test_run_absent_from_reference_summary_fails(tmp_path):
     lines, ok = script.compare_lines(outcome(0.5), ref)
     assert not ok
     assert "  [MISSING] full seed 2: not in summary.json" in lines
+
+
+def test_orderings_report_per_seed_differences_and_agreement():
+    def row(label, maps):
+        return Row(label, {}, [Run(seed, m, 0.5, TrainLog()) for seed, m in maps.items()])
+
+    table = ResultTable("benchmark", [
+        row("soft_triplet", {1: 0.875, 2: 0.75, 3: 0.5}),
+        row("soft_triplet_unmasked", {1: 0.625, 2: 0.75, 3: 0.625}),
+        row("soft_triplet_w", {1: 0.5, 3: 0.875, 4: 0.25}),  # seeds 1 and 3 pair
+        row("baseline_intra", {1: 0.75, 2: 0.75, 3: 0.5}),
+    ])
+    labels = [r.label for r in table.rows]
+    assert script.direction_lines(table, labels) == [
+        "  [FAIL] soft_triplet beats baseline_intra: 0.7500 vs 0.7500",
+        "      per-seed soft_triplet - baseline_intra: +0.1250 +0.0000 +0.0000; 1/3 seeds agree",
+        "  [ok] soft_triplet >= soft_triplet_unmasked: 0.7500 vs 0.6250",
+        "      per-seed soft_triplet - soft_triplet_unmasked: +0.2500 +0.0000 -0.1250; "
+        "2/3 seeds agree",
+        "  [ok] soft_triplet >= soft_triplet_w: 0.7500 vs 0.5000",
+        "      per-seed soft_triplet - soft_triplet_w: +0.3750 -0.3750; 1/2 seeds agree",
+    ]
 
 
 def test_bad_seed_lists_are_reported_on_one_line(capsys):

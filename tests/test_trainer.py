@@ -1,4 +1,7 @@
 import dataclasses
+import gc
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -17,10 +20,13 @@ from crosscam import (
     config_to_dict,
     dataset_from_samples,
     generate_synthetic,
+    new_buffer,
     pk_sampler,
     train,
 )
-from crosscam.trainer import TRAINLOG_COLUMNS
+from crosscam import trainer
+from crosscam.model import Optimizer, OptimizerState, init_head, init_model
+from crosscam.trainer import TRAINLOG_COLUMNS, TrainState
 
 
 def fast_config(**overrides):
@@ -408,3 +414,41 @@ class TestTrainLogSerialization:
         assert len(timing) == 1 + 3
         assert "wall_time" not in trained_log.to_csv()
         assert "wall_time" not in trained_log.to_json()
+
+
+def test_epoch_start_holds_one_dense_affinity(monkeypatch):
+    """The last epoch's affinity is gone before the next build starts, and
+    the dense soft-label rows are gone once their table is packed: after
+    an epoch start, about one C x C float64 array (the new affinity) is
+    left of what it allocated."""
+    C, n_cameras, d = 700, 4, 8
+    rng = np.random.default_rng(5)
+    cams = np.arange(C) * n_cameras // C  # persons in camera order, one sample each
+    local = np.arange(C) - np.searchsorted(cams, cams)
+    ds = Dataset(rng.standard_normal((C, d)), cams, local, local, n_cameras, "train")
+    buffer = new_buffer(d, C)
+    buffer.P[:] = rng.standard_normal((d, C))
+    buffer.initialized[:] = True
+    state = TrainState(model=init_model(d, 4, 4, rng), head=init_head(4, C, rng),
+                       optimizer=Optimizer(), opt_state=OptimizerState(), buffer=buffer, rng=rng)
+    config = TrainConfig(k=6)
+    trainer._epoch_start(state, ds, config)
+    previous = weakref.ref(state.final_affinity)
+    released = []
+    build = trainer.build_affinity
+
+    def checked_build(*args, **kwargs):
+        released.append(previous() is None)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "build_affinity", checked_build)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = trainer._epoch_start(state, ds, config)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert released == [True]
+    assert out[1] == 0 and state.final_affinity.A.shape == (C, C)
+    assert held <= 1.1 * C * C * 8
