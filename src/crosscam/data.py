@@ -137,8 +137,9 @@ class Dataset:
             raise ContractError("per-sample arrays must all have one entry per sample")
         if split not in SPLITS:
             raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
-        if n > 0 and (camera_ids.min() < 0 or camera_ids.max() >= n_cameras):
-            raise ContractError("camera_id out of range")
+        off = np.flatnonzero((camera_ids < 0) | (camera_ids >= n_cameras))
+        if off.size:
+            raise ContractError(f"sample {off[0]}: camera_id out of range", sample=int(off[0]))
         bad = first_non_finite(features)
         if bad is not None:
             raise NonFiniteFeatureError(f"sample {bad}: non-finite feature value", sample=bad)
@@ -162,29 +163,27 @@ class Dataset:
     def _build_index(self) -> PersonIndex:
         counts = []
         for cam in range(self.n_cameras):
-            locals_here = self.local_ids[self.camera_ids == cam]
-            if locals_here.size == 0:
-                counts.append(0)
-                continue
-            uniq = np.unique(locals_here)
-            want = np.arange(uniq.size)
-            if uniq.min() < 0 or not np.array_equal(uniq, want):
+            here = np.flatnonzero(self.camera_ids == cam)
+            uniq = np.unique(self.local_ids[here])
+            if uniq.size and (uniq[0] != 0 or uniq[-1] != uniq.size - 1):  # not exactly 0..k-1
+                bad = int(here[(self.local_ids[here] < 0) | (self.local_ids[here] >= uniq.size)][0])
                 raise ContractError(
                     f"camera {cam}: local person ids must be exactly 0..{uniq.size - 1}, "
-                    f"got {uniq.tolist()[:8]}..."
+                    f"got {uniq.tolist()[:8]}...", sample=bad,
                 )
             counts.append(int(uniq.size))
         return PersonIndex(tuple(counts))
 
     def _check_truth_purity(self) -> None:
         seen: dict[tuple[int, int], int] = {}
-        for cam, loc, t in zip(self.camera_ids, self.local_ids, self.truth):
+        for i, (cam, loc, t) in enumerate(zip(self.camera_ids, self.local_ids, self.truth)):
             key = (int(cam), int(loc))
             if t == -1:
                 continue
             if key in seen and seen[key] != int(t):
                 raise ContractError(
-                    f"person {key} has inconsistent truth identities {seen[key]} and {int(t)}"
+                    f"person {key} has inconsistent truth identities {seen[key]} and {int(t)}",
+                    sample=i,
                 )
             seen.setdefault(key, int(t))
 
@@ -461,13 +460,16 @@ def write_text_atomic(path: str | os.PathLike, content: str) -> None:
         raise
 
 
-def _expect_header(path: str, lines: list[str], lineno: int, key: str) -> str:
+def _expect_header(path: str, lines: list[str], lineno: int, key: str, count: bool = False):
+    """The value of header line lineno, 'key value'; with count, an int >= 0."""
     if lineno >= len(lines):
         raise FormatError(path, lineno + 1, f"missing '{key}' header line")
     parts = lines[lineno].split(maxsplit=1)
     if len(parts) != 2 or parts[0] != key:
         raise FormatError(path, lineno + 1, f"expected '{key} <value>', got {lines[lineno]!r}")
-    return parts[1]
+    if count and not (parts[1].isascii() and parts[1].isdigit()):
+        raise FormatError(path, lineno + 1, f"'{key}' must be an integer >= 0, got {parts[1]!r}")
+    return int(parts[1]) if count else parts[1]
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
@@ -489,24 +491,22 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     split = _expect_header(path, lines, 1, "split")
     if split not in SPLITS:
         raise FormatError(path, 2, f"unknown split {split!r}")
-    try:
-        n_cameras = int(_expect_header(path, lines, 2, "n_cameras"))
-        d_in = int(_expect_header(path, lines, 3, "d_in"))
-        n_samples = int(_expect_header(path, lines, 4, "n_samples"))
-    except ValueError as e:
-        raise FormatError(path, 3, f"non-integer header value: {e}") from e
-    if n_cameras < 0 or d_in < 0 or n_samples < 0:
-        raise FormatError(path, 3, "negative header value")
-
+    n_cameras, d_in, n_samples = (_expect_header(path, lines, i, key, count=True)
+                                  for i, key in enumerate(("n_cameras", "d_in", "n_samples"), 2))
+    # Both sizes are checked against the records before anything is allocated.
     first_record = 5
+    if n_samples > len(lines) - first_record:
+        raise FormatError(path, 5, f"n_samples {n_samples}, but only "
+                                   f"{len(lines) - first_record} lines follow the header")
+    width = len(lines[first_record].split()) - 3 if n_samples else d_in
+    if width != d_in:
+        raise FormatError(path, 4, f"d_in {d_in}, but record 0 has {width} feature values")
     features = np.zeros((n_samples, d_in), dtype=np.float64)
     cams = np.zeros(n_samples, dtype=np.int64)
     locs = np.zeros(n_samples, dtype=np.int64)
     truth = np.full(n_samples, -1, dtype=np.int64)
     for r in range(n_samples):
         lineno = first_record + r
-        if lineno >= len(lines):
-            raise FormatError(path, lineno + 1, f"truncated: expected record {r} of {n_samples}")
         parts = lines[lineno].split()
         if len(parts) != 3 + d_in:
             raise FormatError(
@@ -518,7 +518,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             locs[r] = int(parts[1])
             truth[r] = -1 if parts[2] == "-" else int(parts[2])
             features[r] = [float(v) for v in parts[3:]]
-        except ValueError as e:
+        except (ValueError, OverflowError) as e:
             raise FormatError(path, lineno + 1, f"record {r}: {e}") from e
 
     bad = first_non_finite(features)
@@ -531,5 +531,6 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
     try:
         return Dataset(features, cams, locs, truth, n_cameras, split)
-    except ContractError as e:
-        raise FormatError(path, None, f"inconsistent dataset: {e}") from e
+    except ContractError as e:  # each check a file can fail names its sample
+        line = None if e.sample is None else first_record + e.sample + 1
+        raise FormatError(path, line, f"inconsistent dataset: {e}") from e

@@ -12,7 +12,12 @@ class CrosscamError(Exception):
 
 
 class ContractError(CrosscamError):
-    """A precondition or invariant of an operation was violated."""
+    """A precondition or invariant of an operation was violated; sample is
+    the row index of the sample that breaks it, where one does."""
+
+    def __init__(self, message: str, sample: int | None = None):
+        self.sample = sample
+        super().__init__(message)
 
 
 class FormatError(CrosscamError):
@@ -31,10 +36,6 @@ class FormatError(CrosscamError):
 
 class NonFiniteFeatureError(ContractError):
     """A feature vector holds NaN or infinity; sample is its row index."""
-
-    def __init__(self, message: str, sample: int):
-        self.sample = sample
-        super().__init__(message)
 
 
 class VersionError(FormatError):

@@ -7,11 +7,11 @@ trivially easy matches); a query with no remaining true match is skipped
 and counted.  mAP averages per-query average precision; Rank-k is the
 fraction of queries with a true match in the top k.
 
-Ranks are found without a per-query argsort: each distance row is
-sorted once, each relevant item's count of nearer items is a binary
-search in its sorted row, and only items whose distance ties another
-item's get their earlier ties counted from the unsorted row.  Non-finite
-embeddings or distances are refused.
+Ranks are found without a full-row sort: relevant items come from the
+gallery grouped by identity, and only each row's items up to its farthest
+relevant item are sorted and binary-searched; items whose distance ties
+another item's get their earlier ties counted from the unsorted row.
+Non-finite embeddings or distances are refused.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
                    op: np.ufunc) -> np.ndarray:
     """Per pair, the number of leading items x of ranked[rows] with op(x, t).
 
-    Rows are sorted ascending (NaN last), so op = np.less or np.less_equal
+    Rows are sorted ascending (NaN or +inf last), so op = np.less or np.less_equal
     holds on a prefix of each row; one vectorised binary search over all
     pairs, a power of two per step, finds its length.
     """
@@ -63,17 +63,32 @@ def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
     return count
 
 
+def identity_pairs(query_truth: np.ndarray, gallery_truth: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(query row, gallery column) of each pair with one identity, in np.nonzero order."""
+    by_id = np.argsort(gallery_truth, kind="stable")
+    lo, hi = (np.searchsorted(gallery_truth[by_id], query_truth, side=s) for s in ("left", "right"))
+    q = np.repeat(np.arange(query_truth.size), hi - lo)
+    return q, by_id[np.arange(q.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+
+
 def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Place of item g[i] in the stable ascending sort of row q[i] of d2.
 
     The place is counted: the items of the row below d2[q, g], plus those
     equal to it at a lower column (an item at NaN has place 0, and no item
-    is ever below NaN).  Each row is sorted once and searched; the earlier
-    equal items are counted only for pairs whose value ties another item
-    of its row, in blocks of pairs.
+    is ever below NaN).  Only the items at or below a row's farthest
+    non-NaN pair value are sorted, packed in a block padded with +inf, and
+    searched; the earlier equal items are counted only for pairs whose
+    value ties another item of its row, in blocks of pairs.
     """
     t = d2[q, g]
-    ranked = np.sort(d2, axis=1)
+    far = np.full(d2.shape[0], -np.inf)
+    np.fmax.at(far, q, t)
+    near = d2 <= far[:, None]
+    width = np.count_nonzero(near, axis=1)
+    ranked = np.full((d2.shape[0], width.max(initial=0)), np.inf)
+    ranked[np.arange(ranked.shape[1]) < width[:, None]] = d2[near]
+    ranked.sort(axis=1)
     pos = _prefix_counts(ranked, q, t, np.less)
     tied = np.flatnonzero(_prefix_counts(ranked, q, t, np.less_equal) - pos > 1)
     column = np.arange(d2.shape[1])
@@ -115,10 +130,10 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
     if overflow:
         raise EvaluationError(f"{overflow} query-gallery squared distances overflow")
 
-    same_person = query.truth[:, None] == gallery.truth
-    junk = same_person & (query.camera_ids[:, None] == gallery.camera_ids)
-    q, g = np.nonzero(same_person & ~junk)
-    d2[junk] = np.inf  # unranked: never before a relevant item at a finite distance
+    q, g = identity_pairs(query.truth, gallery.truth)
+    junk = query.camera_ids[q] == gallery.camera_ids[g]
+    d2[q[junk], g[junk]] = np.inf  # unranked: never before a relevant item at a finite distance
+    q, g = q[~junk], g[~junk]
     pos = rank_positions(d2, q, g)
     order = np.lexsort((pos, q))
     q, pos = q[order], pos[order]

@@ -10,7 +10,7 @@ epoch.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,6 +70,22 @@ class Optimizer:
     momentum: float = 0.9
     decay_epoch: int = 200
     decay_factor: float = 0.1
+
+    def invalid(self) -> tuple[str, str] | None:
+        """(field, reason) of the first setting SGD cannot run with, or None.
+
+        The one source of these rules, for configs and checkpoints alike.
+        """
+        for name, ok, want in (
+            ("learning_rate_pretrained", 0 < self.learning_rate_pretrained < np.inf, "finite and > 0"),
+            ("learning_rate_new", 0 < self.learning_rate_new < np.inf, "finite and > 0"),
+            ("momentum", 0 <= self.momentum < 1, "in [0, 1)"),
+            ("decay_epoch", self.decay_epoch >= 1, ">= 1"),
+            ("decay_factor", 0 < self.decay_factor < np.inf, "finite and > 0"),
+        ):
+            if not ok:
+                return name, f"{name} must be {want}, got {getattr(self, name)!r}"
+        return None
 
     def effective_rates(self, epoch: int) -> tuple[float, float]:
         """(body lr, head lr) at a 1-based epoch; decayed once from decay_epoch on."""
@@ -239,9 +255,8 @@ def save_checkpoint(
             _emit_array(lines, f"head.{name}", a)
     for name, a in state.velocities.items():
         _emit_array(lines, f"velocity.{name}", a)
-    for fname in ("learning_rate_pretrained", "learning_rate_new", "momentum",
-                  "decay_epoch", "decay_factor"):
-        lines.append(f"scalar optimizer.{fname} {repr(float(getattr(optimizer, fname)))}")
+    for f in fields(optimizer):
+        lines.append(f"scalar optimizer.{f.name} {repr(float(getattr(optimizer, f.name)))}")
     for name, a in (extra_arrays or {}).items():
         _emit_array(lines, name, a)
     for name, v in (extra_scalars or {}).items():
@@ -278,13 +293,11 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     arrays: dict[str, np.ndarray] = {}
     scalars: dict[str, float] = {}
     where: dict[str, int] = {}  # line of each array header and scalar
-    i = 1
-    saw_end = False
+    i, end_line = 1, None
     while i < len(lines):
         line = lines[i]
         if line == "end":
-            saw_end = True
-            i += 1
+            end_line = i + 1
             break
         parts = line.split()
         if len(parts) == 4 and parts[0] == "array":
@@ -321,13 +334,13 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             i += 1
         else:
             raise FormatError(path, i + 1, f"unrecognized line: {line!r}")
-    if not saw_end:
+    if end_line is None:
         raise FormatError(path, len(lines), "missing 'end' marker (truncated file?)")
 
     def take(name: str, *shape: int | None) -> np.ndarray:
         """Pop an array of the given shape (None: any size); a 1-d shape is stored as one row."""
         if name not in arrays:
-            raise FormatError(path, None, f"missing required array {name!r}")
+            raise FormatError(path, end_line, f"missing required array {name!r} before 'end'")
         a = arrays.pop(name)
         want = shape if len(shape) == 2 else (1, *shape)
         if any(w is not None and w != got for w, got in zip(want, a.shape)):
@@ -349,15 +362,13 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise FormatError(path, where["optimizer.decay_epoch"],
                           f"optimizer.decay_epoch must be an integer, got {decay_epoch!r}")
     try:
-        optimizer = Optimizer(
-            learning_rate_pretrained=scalars.pop("optimizer.learning_rate_pretrained"),
-            learning_rate_new=scalars.pop("optimizer.learning_rate_new"),
-            momentum=scalars.pop("optimizer.momentum"),
-            decay_epoch=int(scalars.pop("optimizer.decay_epoch")),
-            decay_factor=scalars.pop("optimizer.decay_factor"),
-        )
+        settings = {f.name: scalars.pop(f"optimizer.{f.name}") for f in fields(Optimizer)}
     except KeyError as e:
-        raise FormatError(path, None, f"missing optimizer scalar {e}") from e
+        raise FormatError(path, end_line, f"missing optimizer scalar {e} before 'end'") from e
+    optimizer = Optimizer(**{**settings, "decay_epoch": int(settings["decay_epoch"])})
+    bad = optimizer.invalid()
+    if bad:
+        raise FormatError(path, where[f"optimizer.{bad[0]}"], f"optimizer.{bad[1]}")
 
     state = OptimizerState()
     params = {**model.params(), **(head.params() if head is not None else {})}

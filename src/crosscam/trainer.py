@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Callable
 
 import numpy as np
@@ -130,40 +130,21 @@ class TrainConfig:
                 "affinity from the person buffer, which only warmup epochs fill; "
                 "set warmup_epochs to at least 1"
             )
-        if self.decay_epoch < 1:
-            raise ConfigError("decay_epoch must be >= 1")
-        if self.decay_factor <= 0:
-            raise ConfigError("decay_factor must be > 0")
-        if self.inter_mode not in INTER_MODES:
-            raise ConfigError(f"inter_mode must be one of {INTER_MODES}, got {self.inter_mode!r}")
-        if self.weighting_mode not in WEIGHTING_MODES:
-            raise ConfigError(
-                f"weighting_mode must be one of {WEIGHTING_MODES}, got {self.weighting_mode!r}"
-            )
-        if self.mining_mode not in MINING_MODES:
-            raise ConfigError(f"mining_mode must be one of {MINING_MODES}, got {self.mining_mode!r}")
-        if self.positive_sampling not in POSITIVE_SAMPLING_MODES:
-            raise ConfigError(
-                f"positive_sampling must be one of {POSITIVE_SAMPLING_MODES}, "
-                f"got {self.positive_sampling!r}"
-            )
+        for name, modes in (("inter_mode", INTER_MODES), ("weighting_mode", WEIGHTING_MODES),
+                            ("mining_mode", MINING_MODES),
+                            ("positive_sampling", POSITIVE_SAMPLING_MODES)):
+            if getattr(self, name) not in modes:
+                raise ConfigError(f"{name} must be one of {modes}, got {getattr(self, name)!r}")
         if self.class_batch_total < 1:
             raise ConfigError("class_batch_total must be >= 1")
         if min(self.hidden_dim, self.embed_dim) < 1:
             raise ConfigError("model dimensions must be >= 1")
-        if self.learning_rate_pretrained <= 0 or self.learning_rate_new <= 0:
-            raise ConfigError("learning rates must be > 0")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ConfigError("momentum must be in [0, 1)")
+        bad = self.optimizer().invalid()
+        if bad:
+            raise ConfigError(bad[1])
 
     def optimizer(self) -> Optimizer:
-        return Optimizer(
-            learning_rate_pretrained=self.learning_rate_pretrained,
-            learning_rate_new=self.learning_rate_new,
-            momentum=self.momentum,
-            decay_epoch=self.decay_epoch,
-            decay_factor=self.decay_factor,
-        )
+        return Optimizer(**{f.name: getattr(self, f.name) for f in fields(Optimizer)})
 
 
 @dataclass

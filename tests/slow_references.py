@@ -8,7 +8,9 @@ an affinity's positive entries were packed in one pass, before the
 per-row generator draws were replayed in one batch and the buffer was
 updated once per batch, before the soft-label rows were normalized as
 one block, and before retrieval ranks were searched in sorted rows
-instead of counted by one scan of the row per relevant item.
+instead of counted by one scan of the row per relevant item.  The
+distance kernel both slow scorers use is a frozen copy of the package's
+one-expression form.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py and
 tests/test_draws_equivalence.py check that the package gives the same
 bits, generator state included.
@@ -18,12 +20,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from crosscam.affinity import squared_distances
 from crosscam.buffer import update_person
 from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
 from crosscam.model import forward_batch
 
 LOG_FLOOR = 1e-12
+
+
+def squared_distances(a, b):
+    """(len(a), len(b)) squared Euclidean distances, clipped at 0: the
+    package's distance kernel in its one-expression form, frozen here so
+    that the slow evaluate and build_affinity do not use the kernel they
+    check."""
+    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _unit_difference(a, b, dist):

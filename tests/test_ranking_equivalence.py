@@ -1,16 +1,18 @@
 """Rank counting gives the bits of the per-row stable sorts it replaced.
 
 build_affinity selects each row's k nearest candidates with a partition
-and an explicit tie fill; evaluate finds each relevant item's rank by a
-binary search in its sorted row (evaluation.rank_positions) and
-affinity_quality_map counts it; AffinityMatrix.candidates packs every
-row's positive entries in one pass.  Each test draws a case and compares
-the package with the per-row loops in tests/slow_references.py: A and
-sigma_sq as bytes, mAP, CMC and counts, rank positions (with infinite
-and NaN distances too), the candidates table as bytes and the quality
-mAP.  Points sit on a coarse grid and rows are duplicated, so exact
-distance and affinity ties are common; block sizes down to one pair per
-block are drawn too.
+and an explicit tie fill; evaluate finds each query's pairs by grouping
+the gallery by identity (evaluation.identity_pairs) and each relevant
+item's rank by a binary search in its row's sorted near prefix
+(evaluation.rank_positions), and affinity_quality_map counts it;
+AffinityMatrix.candidates packs every row's positive entries in one pass;
+squared_distances keeps the bits of its frozen one-expression form.
+Each test draws a case and compares the package with the per-row loops
+in tests/slow_references.py: A and sigma_sq as bytes, mAP, CMC and
+counts, rank positions (with infinite and NaN distances too), the pairs,
+the candidates table as bytes and the quality mAP.  Points sit on a
+coarse grid and rows are duplicated, so exact distance and affinity ties
+are common; block sizes down to one pair per block are drawn too.
 """
 
 import dataclasses
@@ -33,6 +35,7 @@ from crosscam import (
     affinity_quality_map,
     build_affinity,
     evaluate,
+    init_model,
     new_buffer,
     update_person,
 )
@@ -118,6 +121,70 @@ def test_rank_positions_match_per_pair_scan(seed, block):
     want = slow.rank_positions(d2, q, g)
     with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
         got = evaluation.rank_positions(d2, q, g)
+    assert same_bits(got, want)
+
+
+@SETTINGS
+@given(seed=seeds)
+def test_identity_pairs_match_nonzero(seed):
+    # Large galleries over few identities: an unstable grouping sort would
+    # put some group out of gallery order.  Identities absent on either side too.
+    rng = np.random.default_rng(seed)
+    n_ids = int(rng.integers(1, 12))
+    query_truth = rng.integers(0, n_ids + 2, size=int(rng.integers(0, 30)))
+    gallery_truth = rng.integers(0, n_ids, size=int(rng.integers(0, 400)))
+    q, g = evaluation.identity_pairs(query_truth, gallery_truth)
+    want_q, want_g = np.nonzero(query_truth[:, None] == gallery_truth)
+    assert same_bits(q, want_q) and same_bits(g, want_g.astype(g.dtype))
+
+
+INF, NAN = np.inf, np.nan
+
+
+@pytest.mark.parametrize("d2, pairs", [
+    # The farthest relevant item ties an earlier item: the prefix keeps it.
+    ([[2.0, 1.0, 2.0, 5.0]], [(0, 2)]),
+    # Rows of different widths: padding never counts as nearer.
+    ([[3.0, 1.0, 2.0, 0.5, 9.0], [4.0, 0.0, 7.0, 1.0, 8.0]], [(0, 0), (1, 1), (1, 3)]),
+    # A relevant item at +inf: the prefix is every item but NaN.
+    ([[INF, 1.0, INF, NAN, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0]], [(0, 2), (0, 1), (1, 2)]),
+    # A NaN relevant item beside finite ones: NaN is no row's farthest item.
+    ([[NAN, 3.0, 1.0, 2.0, NAN]], [(0, 0), (0, 1), (0, 4)]),
+    # A row whose relevant distances are all NaN, and a row with no pair at all.
+    ([[NAN, 1.0, NAN], [0.0, 1.0, 2.0], [2.0, 2.0, 2.0]], [(0, 0), (0, 2), (2, 1)]),
+    # Junk at +inf after the farthest relevant item, as evaluate marks it.
+    ([[INF, 0.5, 0.25, INF, 0.5]], [(0, 1), (0, 4)]),
+])
+def test_rank_positions_near_prefix_edges(d2, pairs):
+    d2 = np.array(d2)
+    q, g = (np.array(c, dtype=np.int64) for c in zip(*pairs))
+    assert same_bits(evaluation.rank_positions(d2, q, g), slow.rank_positions(d2, q, g))
+
+
+def test_evaluate_untrained_model_wide_block(tiny_corpus, rng):
+    # An untrained model puts relevant items deep in each row, so the sorted
+    # prefix is wide; the scores still have the per-query sort's bits.
+    model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)
+    query, gallery = tiny_corpus["query"], tiny_corpus["gallery"]
+    got = evaluate(model, query, gallery)
+    want = slow.evaluate(model, query, gallery)
+    assert same_bits(got.map, want[0])
+    assert all(same_bits(got.cmc[k], want[1][k]) for k in want[1])
+    assert (got.n_evaluated, got.n_skipped) == want[2:]
+
+
+@SETTINGS
+@given(seed=seeds, n_a=st.integers(1, 9), n_b=st.integers(1, 9), d=st.integers(1, 5),
+       scale=st.sampled_from([1.0, 0.0, 1e-160, 1e150, 1e153, 1e154]))
+def test_squared_distances_match_frozen_kernel(seed, n_a, n_b, d, scale):
+    # One-row and one-column inputs, zeros, duplicated rows, and magnitudes
+    # whose squares reach or pass the largest double.
+    rng = np.random.default_rng(seed)
+    a = copy_rows(rng, grid_points(rng, (n_a, d)) * scale, int(rng.integers(0, n_a + 1)))
+    b = np.vstack([a, grid_points(rng, (n_b, d)) * scale])[rng.permutation(n_a + n_b)[:n_b]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = slow.squared_distances(a, b)
+        got = affinity.squared_distances(a, b)
     assert same_bits(got, want)
 
 

@@ -173,6 +173,8 @@ class TestConfig:
             {"positive_sampling": "greedy"},
             {"momentum": 1.0},
             {"learning_rate_new": 0.0},
+            {"learning_rate_pretrained": float("nan")},
+            {"decay_factor": float("inf")},
         ],
     )
     def test_invalid_values_refused(self, overrides):
