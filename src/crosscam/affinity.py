@@ -1,56 +1,84 @@
 """Cross-camera affinity graph over person-level features.
 
-Given the buffer of per-person feature averages, build a C x C matrix of
-Gaussian similarities restricted to pairs from different cameras, keep
-only each row's k nearest candidates, and normalize rows into soft-label
+Given the buffer of per-person feature averages, keep each row's k
+nearest candidates among the persons of other cameras, weigh them by a
+Gaussian of their squared distance, and normalize rows into soft-label
 weight vectors.  The bandwidth sigma^2 is the mean squared distance over
-the candidate pairs, computed before exponentiation.
+the candidate pairs, computed before exponentiation.  The affinity is
+held as k-sparse tables; the one C x C array a build allocates is its
+distance matrix, which it drops before returning.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .buffer import PersonBuffer
 from .data import PersonIndex
 from .errors import AffinityError, ContractError
-from .ranking import BLOCK_ELEMENTS, hit_aps
+from .ranking import BLOCK_ELEMENTS, hit_aps, identity_pairs
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances in expanded form, clipped at 0."""
-    d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0, out=d2)
+    """(len(a), len(b)) squared Euclidean distances (|a|^2 + |b|^2) - 2 a.b, clipped at 0.
+
+    The product is one call, because a row block of it can differ from
+    the same rows of the whole product in the last bit.  It is finished
+    in place in row blocks, each step elementwise in that order, so the
+    result is the only (len(a), len(b)) array allocated.
+    """
+    d2 = a @ b.T
+    na, nb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    step = max(1, BLOCK_ELEMENTS // max(d2.shape[1], 1))
+    for lo in range(0, d2.shape[0], step):
+        block = d2[lo:lo + step]
+        block *= 2.0
+        np.subtract(na[lo:lo + step, None] + nb, block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return d2
 
 
 @dataclass
 class AffinityMatrix:
-    A: np.ndarray  # (C, C), nonnegative, row-sparse
+    """A row-sparse affinity as two k-sparse tables over the same rows.
+
+    candidates holds each row's nonzero affinities, soft_labels those
+    entries divided by the row total (the soft-label distributions the
+    losses read).  The dense matrix is only ever a view built on demand
+    (A, soft_label_rows).
+    """
+
+    candidates: SoftLabelTable
+    soft_labels: SoftLabelTable
     sigma_sq: float
     k: int
     epoch_built: int
     camera_of_class: np.ndarray  # (C,), camera id per class index
     masked: bool  # whether same-camera pairs were excluded
 
+    @classmethod
+    def from_dense(cls, A: np.ndarray, sigma_sq: float, k: int, epoch_built: int,
+                   camera_of_class: np.ndarray, masked: bool) -> AffinityMatrix:
+        """The affinity whose dense matrix is A (tests and oracles)."""
+        A = np.asarray(A, dtype=np.float64)
+        C = A.shape[0]
+        # Row-major, so each row's columns ascend.
+        rows, cols = np.divmod(np.flatnonzero(A), C)
+        entries = _pack(np.arange(C), rows, cols, A[rows, cols], C)
+        return cls(entries, _soft_labels(entries), float(sigma_sq), int(k), int(epoch_built),
+                   np.asarray(camera_of_class), bool(masked))
+
     @property
     def n_classes(self) -> int:
-        return self.A.shape[0]
+        return self.candidates.n_classes
 
-    @cached_property
-    def candidates(self) -> SoftLabelTable:
-        """Each row's positive entries with their raw affinities."""
-        # Row-major, so each row's columns ascend; a 2-D np.nonzero is several times slower.
-        rows, cols = np.divmod(np.flatnonzero(self.A > 0.0), self.n_classes)
-        count = np.bincount(rows, minlength=self.n_classes)
-        slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
-        index = np.zeros((self.n_classes, int(count.max(initial=1))), dtype=np.int64)
-        weights = np.zeros(index.shape)
-        index[rows, slot], weights[rows, slot] = cols, self.A[rows, cols]
-        return SoftLabelTable(np.arange(self.n_classes), index, weights, count, self.n_classes)
+    @property
+    def A(self) -> np.ndarray:
+        """The dense (C, C) affinity, built anew on each access."""
+        return self.candidates.dense()
 
 
 @dataclass
@@ -88,20 +116,48 @@ class SoftLabelTable:
     def degenerate(self) -> np.ndarray:
         return self.count == 0
 
-    def take(self, rows: np.ndarray) -> SoftLabelTable:
+    def take(self, rows) -> SoftLabelTable:
         return SoftLabelTable(self.class_index[rows], self.index[rows], self.weights[rows],
                               self.count[rows], self.n_classes)
 
+    def dense(self) -> np.ndarray:
+        """The rows as one dense (R, n_classes) array."""
+        out = np.zeros((self.count.size, self.n_classes))
+        r, s = np.nonzero(np.arange(self.index.shape[1]) < self.count[:, None])
+        out[r, self.index[r, s]] = self.weights[r, s]
+        return out
 
-def _sparse_table(class_index, entries: list[tuple[np.ndarray, np.ndarray]],
-                  n_classes: int) -> SoftLabelTable:
-    """Pack (columns, values) per row into a zero-padded SoftLabelTable."""
-    count = np.array([cols.size for cols, _ in entries], dtype=np.int64)
-    index = np.zeros((count.size, int(count.max(initial=1))), dtype=np.int64)
+
+def _pack(class_index: np.ndarray, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
+          n_classes: int) -> SoftLabelTable:
+    """Entries (row r of class_index[r], column, value), rows nondecreasing and
+    columns increasing within a row, as one zero-padded table."""
+    count = np.bincount(rows, minlength=class_index.size)
+    slot = np.arange(rows.size) - (np.cumsum(count) - count)[rows]
+    index = np.zeros((class_index.size, int(count.max(initial=1))), dtype=np.int64)
     weights = np.zeros(index.shape)
-    for r, (cols, vals) in enumerate(entries):
-        index[r, :cols.size], weights[r, :cols.size] = cols, vals
-    return SoftLabelTable(np.array(class_index, dtype=np.int64), index, weights, count, n_classes)
+    index[rows, slot], weights[rows, slot] = cols, values
+    return SoftLabelTable(np.asarray(class_index, dtype=np.int64), index, weights, count, n_classes)
+
+
+def _soft_labels(entries: SoftLabelTable) -> SoftLabelTable:
+    """Each row's entries divided by the row's total, zero quotients dropped;
+    a row whose total is 0 or less is degenerate.
+
+    Each total is summed over a dense row (in blocks of rows), so it has
+    the bits of the dense matrix's own row sum; a sum over the compact
+    entries can differ in the last bit.
+    """
+    total = np.empty(entries.count.size)
+    step = max(1, BLOCK_ELEMENTS // max(entries.n_classes, 1))
+    for lo in range(0, total.size, step):
+        total[lo:lo + step] = entries.take(slice(lo, lo + step)).dense().sum(axis=1)
+    real = np.arange(entries.index.shape[1]) < entries.count[:, None]
+    quotient = np.zeros(entries.weights.shape)
+    # A NaN total is not degenerate: its quotients are NaN.
+    np.divide(entries.weights, total[:, None], out=quotient, where=real & ~(total[:, None] <= 0.0))
+    r, s = np.nonzero(quotient)
+    return _pack(entries.class_index, r, entries.index[r, s], quotient[r, s], entries.n_classes)
 
 
 def build_affinity(
@@ -139,55 +195,73 @@ def build_affinity(
 
     feats = buf.P.T  # (C, d)
     d2 = squared_distances(feats, feats)
-
-    if mask_same_camera:
-        candidate = cameras[:, None] != cameras[None, :]
-    else:
-        candidate = ~np.eye(C, dtype=bool)
-    if not candidate.any():
+    flat = d2.reshape(-1)
+    # One pass over row blocks.  Each row keeps what a stable argsort of its
+    # candidates would put first: every candidate nearer than the row's k-th
+    # smallest candidate distance t, then candidates at exactly t in
+    # class-index order; a row with no candidate keeps nothing.  Once the
+    # block's kept distances are read, its candidate distances are packed
+    # forward into the front of d2, so sigma^2 is the mean of a prefix that
+    # holds d2[candidate] in row-major order.
+    kth = min(k, C) - 1
+    step = max(1, BLOCK_ELEMENTS // C)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []  # (flat position, distance) per block
+    packed = 0
+    # Each temporary goes once read, so a block holds about one float array.
+    for lo in range(0, C, step):
+        block = d2[lo:lo + step]
+        if mask_same_camera:
+            cand = cameras[lo:lo + step, None] != cameras
+        else:
+            cand = np.arange(lo, lo + block.shape[0])[:, None] != np.arange(C)
+        dist = np.where(cand, block, np.inf)
+        dist.partition(kth, axis=1)
+        t = dist[:, [kth]]
+        del dist
+        sel = (block <= t) & cand
+        at = np.flatnonzero(sel)
+        if (np.bincount(at // C, minlength=block.shape[0]) > k).any():  # too many tied at t
+            nearer = (block < t) & cand
+            tied = sel & ~nearer
+            tied &= np.cumsum(tied, axis=1) <= k - np.count_nonzero(nearer, axis=1)[:, None]
+            at = np.flatnonzero(nearer | tied)
+        del sel
+        kept.append((at + lo * C, block.reshape(-1)[at]))
+        moved = block[cand]
+        flat[packed:packed + moved.size] = moved
+        packed += moved.size
+    if not packed:
         raise AffinityError("no candidate pairs: every person shares a camera with every other")
+    sigma_sq = float(flat[:packed].mean())
+    del d2, flat, block  # before the tables' dense blocks of rows
 
-    sigma_sq = float(d2[candidate].mean())
-
-    A = np.zeros((C, C))
+    rows, cols = np.divmod(np.concatenate([at for at, _ in kept]), C)
+    near = np.concatenate([d for _, d in kept])
     if sigma_sq == 0.0:
         warnings.warn(
             "all candidate pairs are identical (sigma^2 = 0); affinity entries set to 1",
             RuntimeWarning,
             stacklevel=2,
         )
-    # Each row keeps what a stable argsort of its candidates would put
-    # first: every candidate nearer than the row's k-th smallest candidate
-    # distance t, then candidates at exactly t in class-index order.  A row
-    # with no candidate keeps nothing; soft_label_rows marks it degenerate.
-    kth = min(k, C) - 1
-    step = max(1, BLOCK_ELEMENTS // C)
-    for lo in range(0, C, step):
-        cand = candidate[lo:lo + step]
-        dist = np.where(cand, d2[lo:lo + step], np.inf)
-        t = np.partition(dist, kth, axis=1)[:, kth, None]
-        nearer = dist < t
-        tied = (dist == t) & cand
-        room = k - np.count_nonzero(nearer, axis=1)[:, None]
-        if (np.count_nonzero(tied, axis=1)[:, None] > room).any():
-            tied &= np.cumsum(tied, axis=1) <= room
-        r, c = np.divmod(np.flatnonzero(nearer | tied), C)
-        r += lo
-        A[r, c] = 1.0 if sigma_sq == 0.0 else np.exp(-d2[r, c] / sigma_sq)
+        values = np.ones(near.size)
+    else:
+        values = np.exp(-near / sigma_sq)
+    nonzero = values != 0.0
+    entries = _pack(np.arange(C), rows[nonzero], cols[nonzero], values[nonzero], C)
     return AffinityMatrix(
-        A=A, sigma_sq=sigma_sq, k=int(k), epoch_built=int(epoch),
-        camera_of_class=cameras, masked=bool(mask_same_camera),
+        candidates=entries, soft_labels=_soft_labels(entries), sigma_sq=sigma_sq, k=int(k),
+        epoch_built=int(epoch), camera_of_class=cameras, masked=bool(mask_same_camera),
     )
 
 
 def soft_label_rows(aff: AffinityMatrix) -> list[SoftLabelRow]:
-    """Normalize each affinity row to sum 1; zero-sum rows become degenerate.
+    """Normalize each dense affinity row to sum 1; zero-sum rows become degenerate.
 
-    All rows are one (C, C) block and each row's weights are a view of it:
-    one allocation, returned to the allocator whole once the rows go.  A
+    A dense view for checks and tests, built from aff.A on each call: all
+    rows are one (C, C) block and each row's weights are a view of it.  A
     C-contiguous row sum has the bits of the row's own sum.
     """
-    A = np.ascontiguousarray(aff.A)
+    A = aff.A
     total = A.sum(axis=1)[:, None]
     degenerate = total <= 0.0  # a NaN total is not degenerate: its weights are NaN
     weights = np.zeros(A.shape)
@@ -199,7 +273,10 @@ def soft_label_rows(aff: AffinityMatrix) -> list[SoftLabelRow]:
 def soft_label_table(rows: list[SoftLabelRow]) -> SoftLabelTable:
     """The nonzero weights of soft-label rows as one table, row r for rows[r]."""
     n_classes = rows[0].weights.size if rows else 0
-    return _sparse_table([r.class_index for r in rows], [r.nonzero() for r in rows], n_classes)
+    W = np.array([r.weights for r in rows]).reshape(len(rows), n_classes)
+    r, c = np.nonzero(W)
+    return _pack(np.array([row.class_index for row in rows], dtype=np.int64), r, c, W[r, c],
+                 n_classes)
 
 
 def affinity_quality_map(aff: AffinityMatrix, truth_of_class: np.ndarray) -> float:
@@ -219,23 +296,23 @@ def affinity_quality_map(aff: AffinityMatrix, truth_of_class: np.ndarray) -> flo
             f"truth mapping has shape {truth.shape}, expected ({aff.n_classes},)"
         )
     cameras, C = aff.camera_of_class, aff.n_classes
-    persons: dict[int, list[int]] = {}
-    for c, t in enumerate(truth.tolist()):
-        if t >= 0:
-            persons.setdefault(t, []).append(c)
-    cams = cameras.tolist()
-    pairs = [(i, j) for same in persons.values() for i in same for j in same if cams[i] != cams[j]]
-    if not pairs:
+    known = np.flatnonzero(truth >= 0)
+    rows, cols = (known[i] for i in identity_pairs(truth[known], truth[known]))
+    cross = cameras[rows] != cameras[cols]
+    rows, cols = rows[cross], cols[cross]
+    if not rows.size:
         raise AffinityError("affinity quality undefined: no row has a cross-camera true match")
-    rows, cols = np.array(pairs, dtype=np.int64).T
-    # A row is zero outside its few positive entries (aff.candidates).  A
-    # relevant entry of value v is preceded by the positive cross-camera
-    # entries above v or equal to it at a lower index, and, when v is 0, by
-    # the zero candidates at a lower index: the candidates below col minus
-    # the positive cross-camera entries below col.
+    # A row is zero outside its few nonzero entries (aff.candidates), and a
+    # relevant pair outside them has affinity 0.  A relevant entry of value
+    # v is preceded by the positive cross-camera entries above v or equal
+    # to it at a lower index, and, when v is 0, by the zero candidates at a
+    # lower index: the candidates below col minus the positive cross-camera
+    # entries below col.
     table = aff.candidates
-    idx, vals, v = table.index[rows], table.weights[rows], aff.A[rows, cols][:, None]
-    real = (np.arange(idx.shape[1]) < table.count[rows, None]) & (cameras[idx] != cameras[rows, None])
+    idx, vals = table.index[rows], table.weights[rows]
+    real = np.arange(idx.shape[1]) < table.count[rows, None]
+    v = np.where(real & (idx == cols[:, None]), vals, 0.0).sum(axis=1)[:, None]
+    real &= cameras[idx] != cameras[rows, None]
     lower = real & (idx < cols[:, None])
     pos = np.count_nonzero((real & (vals > v)) | ((vals == v) & lower), axis=1)
     cam_ids, cam = np.unique(cameras, return_inverse=True)

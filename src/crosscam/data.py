@@ -501,7 +501,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     width = len(lines[first_record].split()) - 3 if n_samples else d_in
     if width != d_in:
         raise FormatError(path, 4, f"d_in {d_in}, but record 0 has {width} feature values")
-    features = np.zeros((n_samples, d_in), dtype=np.float64)
+    try:
+        features = np.zeros((n_samples, d_in), dtype=np.float64)
+    except ValueError as e:  # with no record to bound it, d_in can pass any array's size
+        raise FormatError(path, 4, f"d_in {d_in}: {e}") from e
     cams = np.zeros(n_samples, dtype=np.int64)
     locs = np.zeros(n_samples, dtype=np.int64)
     truth = np.full(n_samples, -1, dtype=np.int64)

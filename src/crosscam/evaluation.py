@@ -24,7 +24,7 @@ from .affinity import squared_distances
 from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
-from .ranking import BLOCK_ELEMENTS, hit_aps
+from .ranking import BLOCK_ELEMENTS, hit_aps, identity_pairs
 
 CMC_KS = (1, 5, 10, 20)
 
@@ -61,14 +61,6 @@ def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
         count += step * ((at <= n) & op(ranked[rows, np.minimum(at, n) - 1], t))
         step >>= 1
     return count
-
-
-def identity_pairs(query_truth: np.ndarray, gallery_truth: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(query row, gallery column) of each pair with one identity, in np.nonzero order."""
-    by_id = np.argsort(gallery_truth, kind="stable")
-    lo, hi = (np.searchsorted(gallery_truth[by_id], query_truth, side=s) for s in ("left", "right"))
-    q = np.repeat(np.arange(query_truth.size), hi - lo)
-    return q, by_id[np.arange(q.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
 
 
 def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -243,26 +243,25 @@ def select_positives(
     anchor_classes = np.asarray(anchor_classes, dtype=np.int64)
     cand = aff.candidates.take(anchor_classes)
     valid = cand.count > 0
-    drawn = np.zeros((anchor_classes.size, n_k), dtype=np.int64)
+    at = np.zeros((anchor_classes.size, n_k), dtype=np.int64)  # each pick's place in its table row
     if positive_sampling == "nearest":
         real = np.arange(cand.index.shape[1]) < cand.count[:, None]
         order = np.argsort(np.where(real, -cand.weights, np.inf), axis=1, kind="stable")
-        cyclic = np.take_along_axis(order, np.arange(n_k) % np.maximum(cand.count, 1)[:, None], 1)
-        drawn = np.take_along_axis(cand.index, cyclic, axis=1)
+        at = np.take_along_axis(order, np.arange(n_k) % np.maximum(cand.count, 1)[:, None], 1)
     members, starts = dataset.class_members()
     sizes = np.diff(starts)
     rows = np.flatnonzero(valid)
-    slot = np.zeros_like(drawn)
+    slot = np.zeros_like(at)
     if positive_sampling == "random":
         index = cand.index[rows]
-        picked, slot[rows] = choice_rows(rng, cand.count[rows], n_k,
-                                         then=lambda r, c: sizes[index[r[:, None], c]])
-        drawn[rows] = np.take_along_axis(index, picked, axis=1)
-    else:
+        at[rows], slot[rows] = choice_rows(rng, cand.count[rows], n_k,
+                                           then=lambda r, c: sizes[index[r[:, None], c]])
+    drawn = np.take_along_axis(cand.index, at, axis=1)
+    if positive_sampling == "nearest":
         slot[rows] = rng.integers(sizes[drawn[rows]])
     weights = np.full(drawn.shape, 1.0 / n_k)
     if weighting_mode == "W":
-        weights = aff.A[anchor_classes[:, None], drawn]
+        weights = np.take_along_axis(cand.weights, at, axis=1)
         weights[valid] /= weights[valid].sum(axis=1, keepdims=True)
     weights[~valid] = 0.0
     return np.where(valid[:, None], members[starts[drawn] + slot], 0), weights, valid

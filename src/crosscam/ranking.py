@@ -1,7 +1,8 @@
 """Average precision from the rank positions of relevant items.
 
 Retrieval scoring and affinity quality both rank a row of candidates and
-average the precision at each relevant position.  They find the
+average the precision at each relevant position.  Both find their
+relevant pairs by grouping identities (identity_pairs) and the
 positions by counting, and this module turns positions into APs.
 """
 
@@ -10,8 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 # Pairwise temporaries are processed in blocks of about this many
-# elements (512 KB per float64 array) so that they leave peak RSS alone.
-BLOCK_ELEMENTS = 1 << 16
+# elements (128 KB per float64 array), so that the few a block holds at
+# once stay a small part of any quadratic array they come from.
+BLOCK_ELEMENTS = 1 << 14
 
 
 def hit_aps(rows: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -31,3 +33,10 @@ def hit_aps(rows: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.nda
         aps[same] = precision[start[same, None] + np.arange(h)].mean(axis=1)
     return row_ids, aps
 
+
+def identity_pairs(query_truth: np.ndarray, gallery_truth: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(query row, gallery column) of each pair with one identity, in np.nonzero order."""
+    by_id = np.argsort(gallery_truth, kind="stable")
+    lo, hi = (np.searchsorted(gallery_truth[by_id], query_truth, side=s) for s in ("left", "right"))
+    q = np.repeat(np.arange(query_truth.size), hi - lo)
+    return q, by_id[np.arange(q.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]

@@ -23,9 +23,9 @@ from typing import Callable
 import numpy as np
 
 from . import evaluation
-from .affinity import (
+# soft_label_rows is not called here; it stays bound for perfbench's tracer.
+from .affinity import (  # noqa: F401
     AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity, soft_label_rows,
-    soft_label_table,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, dataclass_from_dict
@@ -299,10 +299,9 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
     filled: (soft-label table, degenerate row count, affinity-quality mAP
     or None without full truth).
 
-    The last epoch's affinity goes before the build and the dense
-    soft-label rows once their table is packed, so that no two dense
-    C x C arrays of different epochs or layers are held at once beyond
-    the build's own."""
+    The last epoch's affinity goes before the build, so the only C x C
+    array alive is the build's distance matrix; what stays is the new
+    affinity's k-sparse tables."""
     index = dataset.index
     cams, missed = np.unique(index.camera_of_class_array()[~state.buffer.initialized],
                              return_counts=True)
@@ -319,7 +318,7 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
         epoch=len(state.log.records) + 1, mask_same_camera=config.mask_same_camera,
     )
     state.affinity_builds += 1
-    table = soft_label_table(soft_label_rows(aff))
+    table = aff.soft_labels
     truth = dataset.truth_of_class_array() if dataset.has_full_truth() else None
     quality = affinity_quality_map(aff, truth) if truth is not None else None
     return table, int(np.count_nonzero(table.degenerate)), quality

@@ -254,9 +254,9 @@ def build_affinity(feats, cameras, k, mask_same_camera=True):
 
 
 def affinity_candidates(A):
-    """(index, weights, count): each affinity row's positive columns and values,
+    """(index, weights, count): each row's nonzero columns and values,
     zero-padded to a common width, one row at a time."""
-    cols = [np.flatnonzero(row > 0.0) for row in A]
+    cols = [np.flatnonzero(row) for row in A]
     count = np.array([c.size for c in cols], dtype=np.int64)
     index = np.zeros((count.size, int(count.max(initial=1))), dtype=np.int64)
     weights = np.zeros(index.shape)

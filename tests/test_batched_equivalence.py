@@ -6,8 +6,9 @@ sample, and compares losses, every gradient (as bytes, so signed zeros
 count), picks, counters and the generator state after the draws.  Cases
 include coinciding points, distance ties, degenerate rows, rows with
 fewer nonzeros than n_k or k, and the W / nearest / unmasked modes.
-The soft-label rows, normalized as one block, are compared row by row
-with the per-row normalization, including zero, NaN and subnormal rows.
+The soft-label rows, normalized as one block, and the k-sparse soft-label
+table are compared row by row with the per-row normalization, including
+zero, NaN and subnormal rows.
 """
 
 import dataclasses
@@ -73,8 +74,8 @@ def sparse_affinity(rng, ds, k):
         m = int(rng.integers(0, min(k, C - 1) + 1)) if rng.random() < 0.8 else 0
         cols = rng.choice(np.delete(np.arange(C), i), size=m, replace=False)
         A[i, cols] = rng.choice([0.25, 0.5, 1.0, rng.random()], size=m)
-    return AffinityMatrix(A=A, sigma_sq=1.0, k=k, epoch_built=0,
-                          camera_of_class=ds.index.camera_of_class_array(), masked=False)
+    return AffinityMatrix.from_dense(A=A, sigma_sq=1.0, k=k, epoch_built=0,
+                                     camera_of_class=ds.index.camera_of_class_array(), masked=False)
 
 
 @SETTINGS
@@ -215,7 +216,10 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
     for c in range(C):
         update_person(buf, c, points(rng, (1, 4)))
     aff = build_affinity(buf, ds.index, int(rng.integers(1, 8)), mask_same_camera=mask)
-    aff.A[rng.random(C) < 0.2] = 0.0  # degenerate rows
+    A = aff.A
+    A[rng.random(C) < 0.2] = 0.0  # degenerate rows
+    aff = AffinityMatrix.from_dense(A, aff.sigma_sq, aff.k, aff.epoch_built, aff.camera_of_class,
+                                    aff.masked)
     config = dataclasses.replace(
         TrainConfig(), n_k=int(rng.integers(2, 6)), embed_dim=4, hidden_dim=5,
         margin=float(rng.choice([0.0, 0.3, 2.0])),
@@ -270,11 +274,20 @@ def test_soft_label_rows_match_per_row_normalization(seed, transposed):
         A[rng.integers(C)] = 5e-324  # a row of subnormals, its total subnormal too
     if transposed:
         A = A.T  # a row that is not contiguous
-    aff = AffinityMatrix(A=A, sigma_sq=1.0, k=C, epoch_built=0,
-                         camera_of_class=np.zeros(C, dtype=np.int64), masked=False)
+    aff = AffinityMatrix.from_dense(A=A, sigma_sq=1.0, k=C, epoch_built=0,
+                                    camera_of_class=np.zeros(C, dtype=np.int64), masked=False)
     got = soft_label_rows(aff)
     want = slow.soft_label_rows(A)
     assert [r.class_index for r in got] == list(range(C))
     assert [r.degenerate for r in got] == [d for _, d in want]
     for row, (weights, _) in zip(got, want):
         assert same_bits(row.weights, weights)
+    # The k-sparse soft labels hold the nonzero weights at A's nonzero
+    # entries: a quotient that underflows to zero is dropped, and so is a
+    # zero entry of a row whose total is NaN.
+    W = np.array([w for w, _ in want]).reshape(C, C)
+    table = aff.soft_labels
+    for part, w in zip((table.index, table.weights, table.count),
+                       slow.affinity_candidates(np.where(A != 0.0, W, 0.0))):
+        assert same_bits(part, w)
+    assert table.degenerate.tolist() == [d for _, d in want]

@@ -1,18 +1,27 @@
-"""The per-layer benchmark can still find every function it traces.
+"""The benchmark can still find every function it traces and imports,
+and the dense views its checks read keep their bits.
 
 perfbench/tracer.py replaces each name in TRACED_NAMES on its module and
 reports it under layer_name; BENCHMARK.json lists the per-layer metrics
-by those names.  A function renamed or no longer bound in the module
-would break the traced benchmark, which the tests under perfbench/ only
-catch when run on their own.  This reads the tracer without changing it.
+by those names.  perfbench/job.py imports names from the package and
+checks the final affinity through its dense views (AffinityMatrix.A and
+soft_label_rows).  A function renamed or no longer bound, or a view that
+changed, would break the benchmark, which the tests under perfbench/
+only catch when run on their own.  This reads perfbench without
+changing it.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import slow_references as slow
+from crosscam import PersonIndex, build_affinity, new_buffer, soft_label_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +44,40 @@ def test_traced_name_resolves_and_has_its_metrics(module_name, attr):
     metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     layer = TRACER.layer_name(fn)
     assert {f"{layer}.calls", f"{layer}.self_s"} <= metrics
+
+
+def _job_imports():
+    tree = ast.parse((ROOT / "perfbench" / "job.py").read_text())
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[0] == "crosscam" for alias in node.names]
+
+
+JOB_IMPORTS = _job_imports()
+
+
+def test_job_imports_names_from_the_package():
+    assert ("crosscam", "soft_label_rows") in JOB_IMPORTS
+
+
+@pytest.mark.parametrize("module_name,attr", JOB_IMPORTS, ids=[f"{m}.{a}" for m, a in JOB_IMPORTS])
+def test_job_import_is_bound(module_name, attr):
+    assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr} is not bound"
+
+
+@pytest.mark.parametrize("mask", [True, False])
+def test_dense_views_keep_the_bits_of_the_dense_build(mask):
+    # The matrices check_affinity and the oracle check read.
+    rng = np.random.default_rng(7)
+    index = PersonIndex((9, 14, 6, 11))
+    buf = new_buffer(5, index.total)
+    buf.P[:] = rng.standard_normal(buf.P.shape)
+    buf.initialized[:] = True
+    aff = build_affinity(buf, index, 4, mask_same_camera=mask)
+    want_A, _ = slow.build_affinity(buf.P.T, index.camera_of_class_array(), 4, mask)
+    assert aff.A.tobytes() == want_A.tobytes()
+    rows = soft_label_rows(aff)
+    want_rows = slow.soft_label_rows(want_A)
+    assert [r.degenerate for r in rows] == [d for _, d in want_rows]
+    for row, (weights, _) in zip(rows, want_rows):
+        assert row.weights.tobytes() == weights.tobytes()

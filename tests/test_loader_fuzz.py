@@ -13,7 +13,8 @@ scalar) with a drawn token.
   a case either loads or fails with a named line.
 Drawn numbers are bounded so that no case allocates more than a few MB.
 The 10**11 header sizes that would not fit in memory are checked
-explicitly: the loaders refuse them before allocating anything.
+explicitly: the loaders refuse them before allocating anything.  So is a
+file with no records and a d_in too large for any array.
 """
 
 import numpy as np
@@ -117,6 +118,19 @@ def test_dataset_header_size_checked_before_allocating(valid_files, tmp_path, ke
         load_dataset(path)
     assert err.value.line == line
     assert f"{key} {10**11}" in err.value.reason
+
+
+def test_dataset_without_records_refuses_an_unallocatable_d_in(valid_files, tmp_path):
+    # No record bounds d_in, and numpy refuses an array of 0 rows this wide.
+    lines = [f"d_in {2**62}" if text.startswith("d_in ") else
+             "n_samples 0" if text.startswith("n_samples ") else text
+             for text in valid_files["dataset"][:5]] + ["end"]
+    path = tmp_path / "d.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as err:
+        load_dataset(path)
+    assert err.value.line == 4
+    assert f"d_in {2**62}" in err.value.reason
 
 
 def test_out_of_range_record_value_names_its_line(valid_files, tmp_path):

@@ -223,7 +223,7 @@ def selection_fixture():
     A = np.zeros((4, 4))
     A[0, 2] = np.exp(-1.0 / 1.5)
     A[0, 3] = np.exp(-2.0 / 1.5)
-    aff = AffinityMatrix(
+    aff = AffinityMatrix.from_dense(
         A=A, sigma_sq=1.5, k=2, epoch_built=0,
         camera_of_class=np.array([0, 0, 1, 1]), masked=True,
     )

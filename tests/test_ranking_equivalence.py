@@ -5,17 +5,17 @@ and an explicit tie fill; evaluate finds each query's pairs by grouping
 the gallery by identity (evaluation.identity_pairs) and each relevant
 item's rank by a binary search in its row's sorted near prefix
 (evaluation.rank_positions), and affinity_quality_map counts it;
-AffinityMatrix.candidates packs every row's positive entries in one pass;
-squared_distances keeps the bits of its frozen one-expression form.
+AffinityMatrix keeps every row's nonzero entries and soft labels as
+k-sparse tables built in one pass; squared_distances keeps the bits of its
+frozen one-expression form.
 Each test draws a case and compares the package with the per-row loops
-in tests/slow_references.py: A and sigma_sq as bytes, mAP, CMC and
+in tests/slow_references.py: A, sigma_sq and both tables as bytes, mAP, CMC and
 counts, rank positions (with infinite and NaN distances too), the pairs,
 the candidates table as bytes and the quality mAP.  Points sit on a
 coarse grid and rows are duplicated, so exact distance and affinity ties
 are common; block sizes down to one pair per block are drawn too.
 """
 
-import dataclasses
 import warnings
 from unittest import mock
 
@@ -188,6 +188,20 @@ def test_squared_distances_match_frozen_kernel(seed, n_a, n_b, d, scale):
     assert same_bits(got, want)
 
 
+@pytest.mark.parametrize("block", [1, 2 * 2000, 1 << 14])
+def test_squared_distances_keep_their_bits_in_row_blocks(block):
+    # The finish runs in row blocks down to one row, but the product must
+    # stay one call: a row block of a product can differ from the same rows
+    # of the whole in the last bit (one row is a matrix-vector product, and
+    # F @ F.T is a symmetric rank-k update).
+    rng = np.random.default_rng(11)
+    a, b = rng.standard_normal((300, 32)), rng.standard_normal((2000, 32))
+    F = rng.standard_normal((32, 600)).T  # a transposed view, as the person buffer gives
+    with mock.patch.object(affinity, "BLOCK_ELEMENTS", block):
+        assert same_bits(affinity.squared_distances(a, b), slow.squared_distances(a, b))
+        assert same_bits(affinity.squared_distances(F, F), slow.squared_distances(F, F))
+
+
 def buffer_of(columns):
     buf = new_buffer(columns.shape[1], columns.shape[0])
     for c, col in enumerate(columns):
@@ -216,6 +230,12 @@ def test_build_affinity_matches_per_row_sort(seed, block, mask):
         got = build_affinity(buf, index, k, mask_same_camera=mask)
     assert same_bits(got.A, want_A)
     assert same_bits(got.sigma_sq, want_sigma)
+    # Both k-sparse tables: the nonzero entries of A and of its normalized rows.
+    soft = np.array([w for w, _ in slow.soft_label_rows(want_A)]).reshape(want_A.shape)
+    for table, M in ((got.candidates, want_A), (got.soft_labels, soft)):
+        for part, want in zip((table.index, table.weights, table.count), slow.affinity_candidates(M)):
+            assert same_bits(part, want)
+        assert same_bits(table.class_index, np.arange(C))
     assert (want_sigma == 0.0) == any(issubclass(w.category, RuntimeWarning) for w in caught)
 
 
@@ -240,9 +260,10 @@ def test_affinity_quality_map_matches_per_row_sort(seed, built):
         values = [0.0, 0.25, 0.5, 1.0, rng.random()]
         A = np.where(rng.random((C, C)) < 0.3, rng.choice(values, size=(C, C)), 0.0)
         A[rng.random(C) < 0.2] = 0.0
-    aff = AffinityMatrix(A=A, sigma_sq=1.0, k=C, epoch_built=0, camera_of_class=cameras, masked=True)
+    aff = AffinityMatrix.from_dense(A=A, sigma_sq=1.0, k=C, epoch_built=0, camera_of_class=cameras,
+                                    masked=True)
     for M in (A, np.zeros_like(A)):  # an all-zero affinity still gets one padding column
-        table = dataclasses.replace(aff, A=M).candidates
+        table = AffinityMatrix.from_dense(M, 1.0, C, 0, cameras, True).candidates
         want_index, want_weights, want_count = slow.affinity_candidates(M)
         assert same_bits(table.index, want_index)
         assert same_bits(table.weights, want_weights)

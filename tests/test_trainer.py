@@ -25,7 +25,9 @@ from crosscam import (
     train,
 )
 from crosscam import trainer
+from crosscam.affinity import squared_distances
 from crosscam.model import Optimizer, OptimizerState, init_head, init_model
+from crosscam.ranking import BLOCK_ELEMENTS
 from crosscam.trainer import TRAINLOG_COLUMNS, TrainState
 
 
@@ -418,14 +420,10 @@ class TestTrainLogSerialization:
         assert "wall_time" not in trained_log.to_json()
 
 
-def test_epoch_start_holds_one_dense_affinity(monkeypatch):
-    """The last epoch's affinity is gone before the next build starts, and
-    the dense soft-label rows are gone once their table is packed: after
-    an epoch start, about one C x C float64 array (the new affinity) is
-    left of what it allocated."""
-    C, n_cameras, d = 700, 4, 8
-    rng = np.random.default_rng(5)
-    cams = np.arange(C) * n_cameras // C  # persons in camera order, one sample each
+def epoch_start_case(C, n_cameras, d, rng):
+    """A dataset of C persons in camera order, one sample each, and a state
+    whose buffer holds every person."""
+    cams = np.arange(C) * n_cameras // C
     local = np.arange(C) - np.searchsorted(cams, cams)
     ds = Dataset(rng.standard_normal((C, d)), cams, local, local, n_cameras, "train")
     buffer = new_buffer(d, C)
@@ -433,6 +431,17 @@ def test_epoch_start_holds_one_dense_affinity(monkeypatch):
     buffer.initialized[:] = True
     state = TrainState(model=init_model(d, 4, 4, rng), head=init_head(4, C, rng),
                        optimizer=Optimizer(), opt_state=OptimizerState(), buffer=buffer, rng=rng)
+    return ds, state
+
+
+def test_epoch_start_holds_one_dense_affinity(monkeypatch):
+    """The last epoch's affinity is gone before the next build starts, and
+    the dense soft-label rows are gone once their table is packed: after
+    an epoch start, about one C x C float64 array (the new affinity) is
+    left of what it allocated."""
+    C, n_cameras, d = 700, 4, 8
+    rng = np.random.default_rng(5)
+    ds, state = epoch_start_case(C, n_cameras, d, rng)
     config = TrainConfig(k=6)
     trainer._epoch_start(state, ds, config)
     previous = weakref.ref(state.final_affinity)
@@ -454,3 +463,34 @@ def test_epoch_start_holds_one_dense_affinity(monkeypatch):
     assert released == [True]
     assert out[1] == 0 and state.final_affinity.A.shape == (C, C)
     assert held <= 1.1 * C * C * 8
+
+
+def test_epoch_start_peaks_at_one_distance_matrix():
+    """An epoch start allocates one C x C array, the distance matrix: its
+    traced peak is that matrix plus block-sized temporaries, and what it
+    leaves is the affinity's k-sparse tables.  The distance kernel peaks
+    at its output plus one block."""
+    C, n_cameras, d = 700, 4, 8
+    rng = np.random.default_rng(5)
+    ds, state = epoch_start_case(C, n_cameras, d, rng)
+    config = TrainConfig(k=6)
+    trainer._epoch_start(state, ds, config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = trainer._epoch_start(state, ds, config)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out[1] == 0 and state.final_affinity.n_classes == C
+    assert peak <= 1.15 * C * C * 8
+    assert held <= 0.05 * C * C * 8
+
+    a, b = rng.standard_normal((300, d)), rng.standard_normal((2000, d))
+    tracemalloc.start()
+    try:
+        d2 = squared_distances(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * d2.nbytes + BLOCK_ELEMENTS * 8
