@@ -9,7 +9,7 @@ weighted triplet objectives on top of the within-camera triplet loss.
 __version__ = "0.1.0"
 
 from .affinity import (AffinityMatrix, SoftLabelRow, SoftLabelTable, affinity_quality_map,
-                       build_affinity, soft_label_rows, soft_label_table)
+                       build_affinity, soft_label_rows)
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import (
     Dataset,
@@ -51,7 +51,6 @@ from .model import (
     Optimizer,
     OptimizerState,
     backward,
-    forward,
     forward_batch,
     init_head,
     init_model,

@@ -59,18 +59,6 @@ class AffinityMatrix:
     camera_of_class: np.ndarray  # (C,), camera id per class index
     masked: bool  # whether same-camera pairs were excluded
 
-    @classmethod
-    def from_dense(cls, A: np.ndarray, sigma_sq: float, k: int, epoch_built: int,
-                   camera_of_class: np.ndarray, masked: bool) -> AffinityMatrix:
-        """The affinity whose dense matrix is A (tests and oracles)."""
-        A = np.asarray(A, dtype=np.float64)
-        C = A.shape[0]
-        # Row-major, so each row's columns ascend.
-        rows, cols = np.divmod(np.flatnonzero(A), C)
-        entries = _pack(np.arange(C), rows, cols, A[rows, cols], C)
-        return cls(entries, _soft_labels(entries), float(sigma_sq), int(k), int(epoch_built),
-                   np.asarray(camera_of_class), bool(masked))
-
     @property
     def n_classes(self) -> int:
         return self.candidates.n_classes
@@ -83,19 +71,11 @@ class AffinityMatrix:
 
 @dataclass
 class SoftLabelRow:
-    """Normalized affinity row: a distribution over candidate persons.
-
-    A row is degenerate when its affinity mass is zero; degenerate rows
-    carry no weights and must be skipped by consumers.
-    """
+    """One dense row of soft_label_rows: weights summing to 1, or all zero and degenerate."""
 
     class_index: int
     weights: np.ndarray  # (C,), sums to 1 unless degenerate
     degenerate: bool
-
-    def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
-        idx = np.flatnonzero(self.weights)
-        return idx, self.weights[idx]
 
 
 @dataclass
@@ -268,15 +248,6 @@ def soft_label_rows(aff: AffinityMatrix) -> list[SoftLabelRow]:
     np.divide(A, total, out=weights, where=~degenerate)
     return [SoftLabelRow(i, weights[i], degenerate=bool(degenerate[i, 0]))
             for i in range(aff.n_classes)]
-
-
-def soft_label_table(rows: list[SoftLabelRow]) -> SoftLabelTable:
-    """The nonzero weights of soft-label rows as one table, row r for rows[r]."""
-    n_classes = rows[0].weights.size if rows else 0
-    W = np.array([r.weights for r in rows]).reshape(len(rows), n_classes)
-    r, c = np.nonzero(W)
-    return _pack(np.array([row.class_index for row in rows], dtype=np.int64), r, c, W[r, c],
-                 n_classes)
 
 
 def affinity_quality_map(aff: AffinityMatrix, truth_of_class: np.ndarray) -> float:

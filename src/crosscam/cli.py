@@ -229,7 +229,7 @@ def cmd_export_metrics(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot read log file {args.log}: {e}") from e
     try:
         log = TrainLog.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError) as e:
+    except (json.JSONDecodeError, ContractError) as e:
         raise ContractError(f"log file {args.log} is not a valid training log: {e}") from e
     content = log.to_csv() if args.format == "csv" else log.to_json()
     if args.out:

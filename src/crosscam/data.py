@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -25,6 +24,9 @@ DATASET_FORMAT = "crosscam-dataset"
 DATASET_VERSION = "v1"
 
 SPLITS = ("train", "query", "gallery")
+# The most cameras a dataset may declare (public re-identification corpora
+# have at most 15), so that a corrupt header cannot size the person index.
+MAX_CAMERAS = 1024
 
 
 @dataclass(frozen=True)
@@ -137,6 +139,8 @@ class Dataset:
             raise ContractError("per-sample arrays must all have one entry per sample")
         if split not in SPLITS:
             raise ContractError(f"split must be one of {SPLITS}, got {split!r}")
+        if n_cameras > MAX_CAMERAS:
+            raise ContractError(f"n_cameras {n_cameras} is above MAX_CAMERAS = {MAX_CAMERAS}")
         off = np.flatnonzero((camera_ids < 0) | (camera_ids >= n_cameras))
         if off.size:
             raise ContractError(f"sample {off[0]}: camera_id out of range", sample=int(off[0]))
@@ -161,18 +165,20 @@ class Dataset:
         self.truth.setflags(write=False)
 
     def _build_index(self) -> PersonIndex:
-        counts = []
-        for cam in range(self.n_cameras):
-            here = np.flatnonzero(self.camera_ids == cam)
+        # Each camera's local ids must be exactly 0..k-1, so an id outside [0, n)
+        # is wrong; clipped, each (camera, id) is one int64 key, sorted once.
+        n = len(self)
+        key = self.camera_ids * (n + 2) + np.clip(self.local_ids, -1, n) + 1
+        cams, locs = np.divmod(np.unique(key), n + 2)
+        counts = np.bincount(cams, minlength=self.n_cameras)
+        wrong = cams[locs - 1 != np.arange(cams.size) - (np.cumsum(counts) - counts)[cams]]
+        if wrong.size:  # the first sample of the lowest wrong camera whose id is out of range
+            here = np.flatnonzero(self.camera_ids == wrong[0])
             uniq = np.unique(self.local_ids[here])
-            if uniq.size and (uniq[0] != 0 or uniq[-1] != uniq.size - 1):  # not exactly 0..k-1
-                bad = int(here[(self.local_ids[here] < 0) | (self.local_ids[here] >= uniq.size)][0])
-                raise ContractError(
-                    f"camera {cam}: local person ids must be exactly 0..{uniq.size - 1}, "
-                    f"got {uniq.tolist()[:8]}...", sample=bad,
-                )
-            counts.append(int(uniq.size))
-        return PersonIndex(tuple(counts))
+            bad = int(here[(self.local_ids[here] < 0) | (self.local_ids[here] >= uniq.size)][0])
+            raise ContractError(f"camera {wrong[0]}: local person ids must be exactly "
+                                f"0..{uniq.size - 1}, got {uniq.tolist()[:8]}...", sample=bad)
+        return PersonIndex(tuple(counts.tolist()))
 
     def _check_truth_purity(self) -> None:
         seen: dict[tuple[int, int], int] = {}
@@ -188,9 +194,7 @@ class Dataset:
             seen.setdefault(key, int(t))
 
     def _resolve_classes(self) -> np.ndarray:
-        offs = np.asarray(self.index.offsets[:-1], dtype=np.int64)
-        out = offs[self.camera_ids] + self.local_ids if len(self) else np.zeros(0, dtype=np.int64)
-        return out
+        return np.asarray(self.index.offsets[:-1], dtype=np.int64)[self.camera_ids] + self.local_ids
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -207,9 +211,6 @@ class Dataset:
     @property
     def samples(self) -> list[Sample]:
         return [self.sample(i) for i in range(len(self))]
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self.samples)
 
     def class_members(self) -> tuple[np.ndarray, np.ndarray]:
         """Sample indices grouped by class, in file order within a class,
@@ -313,7 +314,13 @@ class SynthSpec:
 
 
 # The JSON values each annotated field type accepts.
-_FIELD_VALUES = {"int": int, "float": (int, float), "bool": bool, "str": str}
+_FIELD_VALUES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+                 "bool": bool, "str": str}
+
+
+def field_accepts(want: str, value) -> bool:
+    """Whether a JSON value fits a dataclass field annotated want; a bool is not an int."""
+    return isinstance(value, bool) == (want == "bool") and isinstance(value, _FIELD_VALUES[want])
 
 
 def dataclass_from_dict(cls, values: dict, base=None):
@@ -329,7 +336,7 @@ def dataclass_from_dict(cls, values: dict, base=None):
         if key not in types:
             raise ConfigError(f"unknown config key {key!r}")
         want = types[key]
-        if isinstance(value, bool) != (want == "bool") or not isinstance(value, _FIELD_VALUES[want]):
+        if not field_accepts(want, value):
             raise ConfigError(
                 f"config key {key!r} must be a {want}, got {type(value).__name__} {value!r}"
             )
@@ -493,7 +500,9 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
         raise FormatError(path, 2, f"unknown split {split!r}")
     n_cameras, d_in, n_samples = (_expect_header(path, lines, i, key, count=True)
                                   for i, key in enumerate(("n_cameras", "d_in", "n_samples"), 2))
-    # Both sizes are checked against the records before anything is allocated.
+    # Every size is checked, against its limit or the records, before anything is allocated.
+    if n_cameras > MAX_CAMERAS:
+        raise FormatError(path, 3, f"n_cameras {n_cameras} is above MAX_CAMERAS = {MAX_CAMERAS}")
     first_record = 5
     if n_samples > len(lines) - first_record:
         raise FormatError(path, 5, f"n_samples {n_samples}, but only "

@@ -37,14 +37,6 @@ class RetrievalResult:
     n_skipped: int
 
 
-def average_precision(relevant_in_rank_order: np.ndarray) -> float:
-    """AP of one ranked list: mean of precision at each relevant position."""
-    hits = np.flatnonzero(relevant_in_rank_order)
-    if hits.size == 0:
-        raise ContractError("average precision undefined without a relevant item")
-    return float(hit_aps(np.zeros_like(hits), hits)[1][0])
-
-
 def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
                    op: np.ufunc) -> np.ndarray:
     """Per pair, the number of leading items x of ranked[rows] with op(x, t).

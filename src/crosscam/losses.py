@@ -16,9 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import (
-    AffinityMatrix, SoftLabelRow, SoftLabelTable, soft_label_table, squared_distances,
-)
+from .affinity import AffinityMatrix, SoftLabelTable, squared_distances
 from .data import Dataset
 from .draws import choice_rows
 from .errors import ContractError, SelectionError
@@ -167,25 +165,21 @@ def softmax_probs(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable | SoftLabelRow) -> LossValue:
+def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossValue:
     """Sum over samples of -sum_c w(c) log p(c), with score gradients.
 
-    probs is (B, C) with one table row per sample, or (C,) with one row
-    (a SoftLabelRow counts as a one-row table).  As weights sum to one,
-    the score gradient is the softmax identity probs - w.  Probabilities
+    probs is (B, C) with one table row per sample.  As weights sum to
+    one, the score gradient is the softmax identity probs - w.  Probabilities
     are clamped at LOG_FLOOR inside the log only; each clamp is counted.
     The masked affinity gives a row's own class zero weight, so no mass
     ever lands on the sample's true class; own_class_zero_weight counts
     how often.  Per-sample losses are summed in sample order.
     """
-    if isinstance(labels, SoftLabelRow):
-        labels = soft_label_table([labels])
     if labels.degenerate.any():
         raise ContractError("weighted cross-entropy is undefined for a degenerate row")
-    probs = np.asarray(probs, dtype=np.float64)
-    P = np.atleast_2d(probs)
+    P = np.asarray(probs, dtype=np.float64)
     if P.shape != (labels.count.size, labels.n_classes):
-        raise ContractError(f"probs shape {probs.shape} != {labels.count.size} rows of {labels.n_classes}")
+        raise ContractError(f"probs shape {P.shape} != {labels.count.size} rows of {labels.n_classes}")
     real = np.arange(labels.index.shape[1]) < labels.count[:, None]
     p = np.take_along_axis(P, labels.index, axis=1)
     terms = labels.weights * np.log(np.maximum(p, LOG_FLOOR))
@@ -201,7 +195,7 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable | SoftLabel
     own = ((labels.index == labels.class_index[:, None]) & real).any(axis=1)
     return LossValue(
         loss=loss,
-        grads={"scores": grad.reshape(probs.shape)},
+        grads={"scores": grad},
         counters={
             "clamped_logs": int(np.count_nonzero((p < LOG_FLOOR) & real)),
             "own_class_zero_weight": int(np.count_nonzero(~own)),
@@ -268,16 +262,15 @@ def select_positives(
 
 
 def select_hardest_negative(
-    anchor_embedding: np.ndarray,
+    anchors: np.ndarray,
     batch_embeddings: np.ndarray,
     batch_classes: np.ndarray,
-    anchor_class: int | np.ndarray,
-) -> int | np.ndarray:
-    """Index of the nearest embedding whose person differs from the anchor's.
+    anchor_classes: np.ndarray,
+) -> np.ndarray:
+    """Per anchor, the index of the nearest embedding whose person differs.
 
-    anchor_embedding (A, d) with an (A,) anchor_class gives an (A,)
-    result; (d,) with a scalar class gives an int.  The batch is expected
-    to be single-camera, so this is the hardest same-camera negative.
+    anchors is (A, d) with (A,) anchor_classes.  The batch is expected to
+    be single-camera, so this is the hardest same-camera negative.
     Distances are t_ij = sqrt(sum((b_j - a_i)**2)), each summed over its
     own d values; the anchor's own person is masked and ties resolve to
     the lowest index (the lowest negative when every distance
@@ -300,12 +293,12 @@ def select_hardest_negative(
     """
     batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
     batch_classes = np.asarray(batch_classes)
-    anchors = np.atleast_2d(np.asarray(anchor_embedding, dtype=np.float64))
-    classes = np.atleast_1d(anchor_class)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    classes = np.asarray(anchor_classes)
     if batch_embeddings.ndim != 2 or batch_classes.shape != (batch_embeddings.shape[0],):
         raise ContractError("batch embeddings and classes are inconsistent")
-    if classes.shape != anchors.shape[:1]:
-        raise ContractError("one anchor class per anchor embedding is required")
+    if anchors.ndim != 2 or classes.shape != anchors.shape[:1]:
+        raise ContractError("anchors must be (A, d) with one anchor class each")
     same = classes[:, None] == batch_classes
     lonely = same.all(axis=1)
     if lonely.any():
@@ -330,7 +323,7 @@ def select_hardest_negative(
     picks = np.argmin(dist, axis=1)
     overflowed = ~keep[rows, picks]  # every kept distance is inf: the first kept wins
     picks[overflowed] = np.argmax(keep[overflowed], axis=1)
-    return int(picks[0]) if np.ndim(anchor_embedding) == 1 else picks
+    return picks
 
 
 def weighted_triplet_loss(
@@ -343,17 +336,14 @@ def weighted_triplet_loss(
     """Sum over anchors of [sum_i w_i ||a - p_i|| - ||a - n|| + margin]_+.
 
     anchor (A, d), positives (A, n_k, d), weights (A, n_k), negative
-    (A, d); without the leading axis, one anchor.  Each anchor's weights
-    must sum to 1 (tolerance 1e-9).  Gradients, in the input shapes,
-    cover the anchor, every positive (scaled by its weight) and the
-    negative; all are zero where the hinge is inactive.  Per-anchor
-    losses are summed in anchor order; counters["active"] counts hinges.
+    (A, d).  Each anchor's weights must sum to 1 (tolerance 1e-9).
+    Gradients, in the input shapes, cover the anchor, every positive
+    (scaled by its weight) and the negative; all are zero where the hinge
+    is inactive.  Per-anchor losses are summed in anchor order;
+    counters["active"] counts hinges.
     """
-    single = np.ndim(anchor) == 1
-    anchor, positives, weights, negative = (
-        np.asarray(x, dtype=np.float64)[None] if single else np.asarray(x, dtype=np.float64)
-        for x in (anchor, positives, weights, negative)
-    )
+    anchor, positives, weights, negative = (np.asarray(x, dtype=np.float64)
+                                            for x in (anchor, positives, weights, negative))
     if anchor.ndim != 2 or positives.ndim != 3 or positives.shape[::2] != anchor.shape:
         raise ContractError(f"positives shape {positives.shape} incompatible with anchor")
     if weights.shape != positives.shape[:2]:
@@ -387,6 +377,6 @@ def weighted_triplet_loss(
         loss += max(h, 0.0)
     return LossValue(
         loss=loss,
-        grads={name: g[0] for name, g in grads.items()} if single else grads,
+        grads=grads,
         counters={"active": int(np.count_nonzero(active))},
     )

@@ -121,14 +121,6 @@ def init_head(d_embed: int, n_classes: int, rng: np.random.Generator) -> Classif
     return ClassifierHead(Wc, np.zeros(n_classes))
 
 
-def forward(model: EmbeddingModel, x: np.ndarray) -> np.ndarray:
-    """Embed a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.d_in,):
-        raise ContractError(f"input shape {x.shape} != ({model.d_in},)")
-    return forward_batch(model, x[None, :])[0]
-
-
 def forward_batch(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
     """Embed a batch of inputs, rows of X; returns (n, d)."""
     X = np.asarray(X, dtype=np.float64)

@@ -28,7 +28,7 @@ from .affinity import (  # noqa: F401
     AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity, soft_label_rows,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
-from .data import Dataset, dataclass_from_dict
+from .data import Dataset, dataclass_from_dict, field_accepts
 from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
@@ -189,15 +189,22 @@ class TrainLog:
 
     @staticmethod
     def from_json(text: str) -> "TrainLog":
+        """The log of a to_json payload; a cell that does not fit its column is refused."""
         payload = json.loads(text)
-        if payload.get("format") != TRAINLOG_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != TRAINLOG_FORMAT:
             raise ContractError("not a training log payload")
         if payload.get("version") != TRAINLOG_VERSION:
             raise ContractError(f"unsupported training log version {payload.get('version')!r}")
-        records = []
-        for rec in payload["records"]:
-            records.append(EpochRecord(**{c: rec[c] for c in TRAINLOG_COLUMNS}))
-        return TrainLog(records)
+        records = payload.get("records")
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ContractError("training log 'records' must be a list of objects")
+        types = {f.name: f.type for f in fields(EpochRecord)}
+        for i, rec in enumerate(records):
+            for c in TRAINLOG_COLUMNS:
+                if c not in rec or not field_accepts(types[c], rec[c]):
+                    got = repr(rec[c]) if c in rec else "nothing"
+                    raise ContractError(f"record {i}: column {c!r} takes {types[c]}, got {got}")
+        return TrainLog([EpochRecord(**{c: rec[c] for c in TRAINLOG_COLUMNS}) for rec in records])
 
     def timing_csv(self) -> str:
         lines = ["epoch,wall_time_s"]

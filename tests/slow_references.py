@@ -7,22 +7,32 @@ and affinity quality counted ranks instead of sorting each row, before
 an affinity's positive entries were packed in one pass, before the
 per-row generator draws were replayed in one batch and the buffer was
 updated once per batch, before the soft-label rows were normalized as
-one block, and before retrieval ranks were searched in sorted rows
-instead of counted by one scan of the row per relevant item.  The
+one block, before retrieval ranks were searched in sorted rows
+instead of counted by one scan of the row per relevant item, and before
+the person index grouped a dataset's records by camera in one sort.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form.
-tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py and
-tests/test_draws_equivalence.py check that the package gives the same
-bits, generator state included.
+tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
+tests/test_draws_equivalence.py and tests/test_data.py check that the
+package gives the same bits (or errors), generator state included.
+
+It also holds the helpers that only tests need, so that the package
+keeps one call shape per layer: label_table and affinity_from_dense
+build the package's k-sparse tables and affinities from dense rows (the
+C loss takes a batch of table rows only), row_nonzeros
+reads a dense soft-label row, and hit_ap scores one ranked list through
+ranking.hit_aps, the code evaluate runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from crosscam.affinity import AffinityMatrix, _pack, _soft_labels
 from crosscam.buffer import update_person
 from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
 from crosscam.model import forward_batch
+from crosscam.ranking import hit_aps
 
 LOG_FLOOR = 1e-12
 
@@ -43,12 +53,42 @@ def _unit_difference(a, b, dist):
     return (a - b) / dist
 
 
+def label_table(W, class_index=None):
+    """The nonzero entries of dense rows W as one SoftLabelTable, row r for
+    class class_index[r] (by default r); each row's columns ascend."""
+    W = np.asarray(W, dtype=np.float64)
+    rows, cols = np.nonzero(W)
+    class_index = np.arange(W.shape[0]) if class_index is None else np.asarray(class_index)
+    return _pack(class_index, rows, cols, W[rows, cols], W.shape[1])
+
+
+def affinity_from_dense(A, sigma_sq, k, epoch_built, camera_of_class, masked):
+    """The AffinityMatrix whose dense matrix is A."""
+    entries = label_table(A)
+    return AffinityMatrix(entries, _soft_labels(entries), float(sigma_sq), int(k),
+                          int(epoch_built), np.asarray(camera_of_class), bool(masked))
+
+
+def row_nonzeros(row):
+    """(columns, weights) of a SoftLabelRow's nonzero weights."""
+    idx = np.flatnonzero(row.weights)
+    return idx, row.weights[idx]
+
+
+def hit_ap(relevant_in_rank_order):
+    """AP of one ranked list by ranking.hit_aps, the code evaluate runs."""
+    hits = np.flatnonzero(relevant_in_rank_order)
+    if hits.size == 0:
+        raise ContractError("average precision undefined without a relevant item")
+    return float(hit_aps(np.zeros_like(hits), hits)[1][0])
+
+
 def weighted_cross_entropy(probs, row):
     """(loss, score gradient, clamped logs, own class has zero weight) of one sample."""
     if row.degenerate:
         raise ContractError("weighted cross-entropy is undefined for a degenerate row")
     probs = np.asarray(probs, dtype=np.float64)
-    idx, w = row.nonzero()
+    idx, w = row_nonzeros(row)
     p = probs[idx]
     clamped = int(np.count_nonzero(p < LOG_FLOOR))
     loss = -float(np.sum(w * np.log(np.maximum(p, LOG_FLOOR))))
@@ -307,6 +347,22 @@ def pk_sampler(dataset, camera_id, n_p, n_k, rng):
         idxs = dataset.indices_of_class(int(cls))
         picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
     return picks, chosen
+
+
+def person_counts(camera_ids, local_ids, n_cameras):
+    """Per-camera person counts, one scan of the samples per camera; a
+    ContractError names the first camera whose local ids are not exactly
+    0..k-1 and its first sample with an id out of that range."""
+    counts = []
+    for cam in range(n_cameras):
+        here = np.flatnonzero(camera_ids == cam)
+        uniq = np.unique(local_ids[here])
+        if uniq.size and (uniq[0] != 0 or uniq[-1] != uniq.size - 1):
+            bad = int(here[(local_ids[here] < 0) | (local_ids[here] >= uniq.size)][0])
+            raise ContractError(f"camera {cam}: local person ids must be exactly "
+                                f"0..{uniq.size - 1}, got {uniq.tolist()[:8]}...", sample=bad)
+        counts.append(int(uniq.size))
+    return tuple(counts)
 
 
 def update_buffer(buf, embeddings, classes):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slow_references as slow
 from crosscam import (
     AffinityError,
-    AffinityMatrix,
     ContractError,
     PersonIndex,
     affinity_quality_map,
@@ -109,7 +109,7 @@ class TestSoftLabelRows:
         assert not r.degenerate
 
     def test_singleton_row_gets_weight_one(self):
-        aff = AffinityMatrix.from_dense(
+        aff = slow.affinity_from_dense(
             A=np.array([[0.0, 0.7], [0.0, 0.0]]), sigma_sq=1.0, k=1, epoch_built=0,
             camera_of_class=np.array([0, 1]), masked=True,
         )
@@ -117,7 +117,7 @@ class TestSoftLabelRows:
         assert rows[0].weights[1] == 1.0
 
     def test_zero_row_marked_degenerate(self):
-        aff = AffinityMatrix.from_dense(
+        aff = slow.affinity_from_dense(
             A=np.zeros((2, 2)), sigma_sq=1.0, k=1, epoch_built=0,
             camera_of_class=np.array([0, 1]), masked=True,
         )
@@ -146,7 +146,7 @@ class TestAffinityQuality:
         A[0, 1] = 0.9
         A[0, 2] = 0.5
         A[0, 3] = 0.3
-        aff = AffinityMatrix.from_dense(
+        aff = slow.affinity_from_dense(
             A=A, sigma_sq=1.0, k=3, epoch_built=0,
             camera_of_class=np.array([0, 1, 1, 1]), masked=True,
         )
@@ -171,7 +171,7 @@ class TestAffinityQuality:
         for i in range(10):
             j = (i + 5) % 10
             A[i, j] = 1.0 + A[i].max()
-        best = AffinityMatrix.from_dense(
+        best = slow.affinity_from_dense(
             A=A, sigma_sq=aff.sigma_sq, k=aff.k, epoch_built=0,
             camera_of_class=aff.camera_of_class, masked=True,
         )

@@ -5,10 +5,10 @@ perfbench/tracer.py replaces each name in TRACED_NAMES on its module and
 reports it under layer_name; BENCHMARK.json lists the per-layer metrics
 by those names.  perfbench/job.py imports names from the package and
 checks the final affinity through its dense views (AffinityMatrix.A and
-soft_label_rows).  A function renamed or no longer bound, or a view that
-changed, would break the benchmark, which the tests under perfbench/
-only catch when run on their own.  This reads perfbench without
-changing it.
+soft_label_rows) and its masked, camera_of_class and sigma_sq fields.
+A function renamed or no longer bound, or a view or field that changed,
+would break the benchmark, which the tests under perfbench/ only catch
+when run on their own.  This reads perfbench without changing it.
 """
 
 import ast
@@ -63,6 +63,26 @@ def test_job_imports_names_from_the_package():
 @pytest.mark.parametrize("module_name,attr", JOB_IMPORTS, ids=[f"{m}.{a}" for m, a in JOB_IMPORTS])
 def test_job_import_is_bound(module_name, attr):
     assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr} is not bound"
+
+
+def test_check_affinity_reads_are_bound():
+    # perfbench/job.py check_affinity and check_against_oracles read these
+    # attributes of the final affinity and of each soft_label_rows row.
+    rng = np.random.default_rng(3)
+    index = PersonIndex((4, 5, 3))
+    buf = new_buffer(3, index.total)
+    buf.P[:] = rng.standard_normal(buf.P.shape)
+    buf.initialized[:] = True
+    aff = build_affinity(buf, index, 2)
+    assert aff.A.shape == (index.total, index.total)
+    assert aff.masked is True
+    assert aff.camera_of_class.tolist() == index.camera_of_class_array().tolist()
+    assert isinstance(aff.sigma_sq, float)
+    rows = soft_label_rows(aff)
+    assert [row.class_index for row in rows] == list(range(index.total))
+    for row in rows:
+        assert row.weights.shape == (index.total,)
+        assert row.degenerate is False
 
 
 @pytest.mark.parametrize("mask", [True, False])

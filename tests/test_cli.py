@@ -308,6 +308,40 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("error ")
 
+    def _export_error(self, tmp_path, capsys, payload, fmt):
+        """stderr of export-metrics on a log holding this payload; it must fail cleanly."""
+        bad = tmp_path / "log.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["export-metrics", "--log", str(bad), "--format", fmt]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error ContractError: log file {bad} is not a valid training log: ")
+        return err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_metrics_refuses_a_log_that_is_not_an_object(self, tmp_path, capsys, fmt):
+        assert "not a training log payload" in self._export_error(tmp_path, capsys, [1, 2], fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_export_metrics_refuses_records_that_are_not_a_list(self, pipeline, tmp_path, capsys,
+                                                                 fmt):
+        payload = json.loads(read(pipeline["run"] / "train_log.json"))
+        payload["records"] = {"0": payload["records"][0]}
+        assert "'records' must be a list" in self._export_error(tmp_path, capsys, payload, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("column, value", [
+        ("intra_loss", "abc"), ("inter_loss", None), ("val_map", "0.5"), ("epoch", 2.0),
+        ("epoch", True), ("skipped_anchors", None), ("degenerate_rows", "3"), ("val_rank1", False),
+    ])
+    def test_export_metrics_refuses_a_cell_of_the_wrong_type(self, pipeline, tmp_path, capsys, fmt,
+                                                            column, value):
+        payload = json.loads(read(pipeline["run"] / "train_log.json"))
+        payload["records"][1][column] = value
+        err = self._export_error(tmp_path, capsys, payload, fmt)
+        assert f"record 1: column {column!r} takes " in err
+        assert err.rstrip().endswith(f"got {value!r}")
+
     def test_error_messages_are_single_line(self, pipeline, tmp_path, capsys):
         main(["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err

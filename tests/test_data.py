@@ -16,6 +16,8 @@ from crosscam import (
     load_dataset,
     save_dataset,
 )
+from crosscam.data import MAX_CAMERAS
+import slow_references as slow
 
 
 class TestPersonIndex:
@@ -147,6 +149,32 @@ class TestDatasetContainer:
                     np.full(4, -1), 1, "train")
         assert err.value.sample == 2
         assert "sample 2" in str(err.value)
+
+    def test_more_cameras_than_the_limit_refused(self):
+        Dataset(np.zeros((1, 2)), [0], [0], [-1], MAX_CAMERAS, "train")
+        with pytest.raises(ContractError, match="MAX_CAMERAS"):
+            Dataset(np.zeros((1, 2)), [0], [0], [-1], MAX_CAMERAS + 1, "train")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_person_index_matches_per_camera_scan(self, seed):
+        # Local ids from a few values, so cameras with and without gaps
+        # are both common, and now and then one far out of range.
+        rng = np.random.default_rng(seed)
+        n_cameras, n = int(rng.integers(1, 6)), int(rng.integers(0, 30))
+        cams = rng.integers(0, n_cameras, size=n)
+        local = rng.integers(0, int(rng.integers(1, 5)), size=n)
+        odd = rng.random(n) < 0.05
+        local[odd] = rng.choice([-1, -7, n, 10**15], size=int(odd.sum()))
+        try:
+            want = slow.person_counts(cams, local, n_cameras)
+        except ContractError as e:
+            with pytest.raises(ContractError) as err:
+                Dataset(np.zeros((n, 1)), cams, local, np.full(n, -1), n_cameras, "train")
+            assert (str(err.value), err.value.sample) == (str(e), e.sample)
+            return
+        got = Dataset(np.zeros((n, 1)), cams, local, np.full(n, -1), n_cameras, "train")
+        assert got.index.counts == want
 
     def test_sample_view(self, tiny_train):
         s = tiny_train.sample(0)

@@ -236,4 +236,5 @@ def test_screened_hardest_negative_matches_per_anchor_scan(seed, scale):
             for a, c in zip(anchors, anchor_classes)]
     got = select_hardest_negative(anchors, batch, classes, anchor_classes)
     assert got.tolist() == want
-    assert select_hardest_negative(anchors[0], batch, classes, anchor_classes[0]) == want[0]
+    one = select_hardest_negative(anchors[:1], batch, classes, anchor_classes[:1])  # a batch of one
+    assert one.tolist() == want[:1]

@@ -17,9 +17,11 @@ from crosscam import (
     train,
 )
 from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS, parse_seeds
-from crosscam.evaluation import CMC_KS, average_precision
+from crosscam.evaluation import CMC_KS
 from crosscam.model import forward_batch
+from crosscam.ranking import hit_aps
 from oracles import oracle_average_precision, oracle_retrieval
+from slow_references import hit_ap
 
 
 def identity_model(d):
@@ -38,11 +40,13 @@ def eval_sample(feature, cam, local, truth):
 
 
 class TestAveragePrecision:
+    """AP of one ranked list through ranking.hit_aps, the code evaluate runs."""
+
     def test_perfect_ranking(self):
-        assert average_precision(np.array([1, 1, 0, 0])) == 1.0
+        assert hit_ap(np.array([1, 1, 0, 0])) == 1.0
 
     def test_worked_example(self):
-        ap = average_precision(np.array([1, 0, 1]))
+        ap = hit_ap(np.array([1, 0, 1]))
         assert ap == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
         assert ap == pytest.approx(0.8333, abs=1e-4)
 
@@ -50,15 +54,18 @@ class TestAveragePrecision:
         for r in range(1, 6):
             rel = np.zeros(6, dtype=int)
             rel[r - 1] = 1
-            assert average_precision(rel) == pytest.approx(1.0 / r, abs=1e-12)
+            assert hit_ap(rel) == pytest.approx(1.0 / r, abs=1e-12)
 
     def test_undefined_without_relevant(self):
         with pytest.raises(ContractError):
-            average_precision(np.zeros(4, dtype=int))
+            hit_ap(np.zeros(4, dtype=int))
+        # hit_aps gives such a list no row, so evaluate skips its query.
+        rows, aps = hit_aps(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert rows.size == 0 and aps.size == 0
 
     @pytest.mark.parametrize("pattern", [[1], [0, 1], [1, 1, 1], [0, 1, 0, 1, 1]])
     def test_matches_definition_oracle(self, pattern):
-        got = average_precision(np.array(pattern))
+        got = hit_ap(np.array(pattern))
         assert got == pytest.approx(oracle_average_precision(pattern), abs=1e-12)
 
 

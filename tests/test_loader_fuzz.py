@@ -12,9 +12,10 @@ scalar) with a drawn token.
 - A number may leave a valid file (one feature value for another), so such
   a case either loads or fails with a named line.
 Drawn numbers are bounded so that no case allocates more than a few MB.
-The 10**11 header sizes that would not fit in memory are checked
-explicitly: the loaders refuse them before allocating anything.  So is a
-file with no records and a d_in too large for any array.
+The 10**11 header sizes that would not fit in memory (or, for n_cameras,
+exceed data.MAX_CAMERAS) are checked explicitly: the loaders refuse them
+before allocating anything.  So is a file with no records and a d_in too
+large for any array.
 """
 
 import numpy as np
@@ -106,10 +107,11 @@ def test_replaced_token_names_a_line(valid_files, tmp_path_factory, kind, data):
         assert error is not None
 
 
-@pytest.mark.parametrize("key, line", [("n_samples", 5), ("d_in", 4)])
+@pytest.mark.parametrize("key, line", [("n_samples", 5), ("d_in", 4), ("n_cameras", 3)])
 def test_dataset_header_size_checked_before_allocating(valid_files, tmp_path, key, line):
     # 10**11 samples or features would need terabytes; numpy would refuse
     # them at once, so the test itself allocates nothing large either way.
+    # A loader that did work per declared camera would run until killed.
     lines = [f"{key} {10**11}" if text.startswith(f"{key} ") else text
              for text in valid_files["dataset"]]
     path = tmp_path / "d.txt"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import slow_references as slow
 from crosscam import (
-    AffinityMatrix,
     ContractError,
     Sample,
     SelectionError,
@@ -17,7 +17,6 @@ from crosscam import (
     weighted_cross_entropy,
     weighted_triplet_loss,
 )
-from crosscam.affinity import SoftLabelRow
 from oracles import (
     finite_difference,
     oracle_hardest_negative,
@@ -140,25 +139,26 @@ class TestSoftmax:
             softmax_probs(np.array([np.inf, 0.0]))
 
 
-def row_of(weights, degenerate=False, class_index=0):
-    return SoftLabelRow(class_index, np.asarray(weights, dtype=np.float64), degenerate)
+def row_of(weights, class_index=0):
+    """One sample's soft-label row, as the one-row table the loss takes."""
+    return slow.label_table([weights], [class_index])
 
 
 class TestWeightedCrossEntropy:
     def test_one_hot_equals_plain_cross_entropy(self, rng):
         probs = softmax_probs(rng.standard_normal(6))
-        lv = weighted_cross_entropy(probs, row_of([0, 0, 1, 0, 0, 0]))
+        lv = weighted_cross_entropy(probs[None], row_of([0, 0, 1, 0, 0, 0]))
         assert lv.loss == pytest.approx(-np.log(probs[2]), abs=1e-12)
 
     def test_uniform_probs_give_log_c(self):
         probs = np.full(8, 1.0 / 8)
-        lv = weighted_cross_entropy(probs, row_of([0.25, 0.25, 0.5, 0, 0, 0, 0, 0]))
+        lv = weighted_cross_entropy(probs[None], row_of([0.25, 0.25, 0.5, 0, 0, 0, 0, 0]))
         assert lv.loss == pytest.approx(np.log(8), abs=1e-12)
 
     def test_worked_example(self):
         probs = softmax_probs(np.array([1.0, 0.0]))
         a, b = np.exp(-1.0 / 1.5), np.exp(-2.0 / 1.5)
-        lv = weighted_cross_entropy(probs, row_of([a / (a + b), b / (a + b)]))
+        lv = weighted_cross_entropy(probs[None], row_of([a / (a + b), b / (a + b)]))
         expected = -(a / (a + b)) * np.log(probs[0]) - (b / (a + b)) * np.log(probs[1])
         assert lv.loss == pytest.approx(expected, abs=1e-12)
         assert lv.loss == pytest.approx(0.6526, abs=1e-4)
@@ -166,14 +166,14 @@ class TestWeightedCrossEntropy:
     def test_gradient_is_probs_minus_weights(self, rng):
         probs = softmax_probs(rng.standard_normal(5))
         w = np.array([0.4, 0.0, 0.6, 0.0, 0.0])
-        lv = weighted_cross_entropy(probs, row_of(w))
-        np.testing.assert_allclose(lv.grads["scores"], probs - w, atol=1e-12)
+        lv = weighted_cross_entropy(probs[None], row_of(w))
+        np.testing.assert_allclose(lv.grads["scores"][0], probs - w, atol=1e-12)
 
     def test_score_shift_invariance(self, rng):
         s = rng.standard_normal(5)
         w = np.array([0.4, 0.0, 0.6, 0.0, 0.0])
-        a = weighted_cross_entropy(softmax_probs(s), row_of(w))
-        b = weighted_cross_entropy(softmax_probs(s + 77.0), row_of(w))
+        a = weighted_cross_entropy(softmax_probs(s[None]), row_of(w))
+        b = weighted_cross_entropy(softmax_probs(s[None] + 77.0), row_of(w))
         assert a.loss == pytest.approx(b.loss, abs=1e-9)
         np.testing.assert_allclose(a.grads["scores"], b.grads["scores"], atol=1e-9)
 
@@ -183,25 +183,25 @@ class TestWeightedCrossEntropy:
         w[[1, 4]] = [0.3, 0.7]
 
         def loss_at(s):
-            return weighted_cross_entropy(softmax_probs(s), row_of(w)).loss
+            return weighted_cross_entropy(softmax_probs(s[None]), row_of(w)).loss
 
-        lv = weighted_cross_entropy(softmax_probs(scores), row_of(w))
+        lv = weighted_cross_entropy(softmax_probs(scores[None]), row_of(w))
         numeric = finite_difference(loss_at, scores, eps=1e-6)
-        for a, n in zip(lv.grads["scores"], numeric):
+        for a, n in zip(lv.grads["scores"][0], numeric):
             assert relative_error(a, n) <= 1e-4
 
     def test_degenerate_row_rejected(self):
         with pytest.raises(ContractError):
-            weighted_cross_entropy(np.full(3, 1 / 3), row_of([0, 0, 0], degenerate=True))
+            weighted_cross_entropy(np.full((1, 3), 1 / 3), row_of([0, 0, 0]))
 
     def test_zero_probability_clamped_and_counted(self):
-        probs = np.array([1.0, 0.0])
+        probs = np.array([[1.0, 0.0]])
         lv = weighted_cross_entropy(probs, row_of([0.5, 0.5]))
         assert np.isfinite(lv.loss)
         assert lv.counters["clamped_logs"] == 1
 
     def test_own_class_zero_weight_surfaced(self):
-        probs = np.full(3, 1 / 3)
+        probs = np.full((1, 3), 1 / 3)
         # Row for class 0 whose own entry carries no weight (the usual
         # masked-affinity situation).
         lv = weighted_cross_entropy(probs, row_of([0.0, 0.4, 0.6], class_index=0))
@@ -223,7 +223,7 @@ def selection_fixture():
     A = np.zeros((4, 4))
     A[0, 2] = np.exp(-1.0 / 1.5)
     A[0, 3] = np.exp(-2.0 / 1.5)
-    aff = AffinityMatrix.from_dense(
+    aff = slow.affinity_from_dense(
         A=A, sigma_sq=1.5, k=2, epoch_built=0,
         camera_of_class=np.array([0, 0, 1, 1]), masked=True,
     )
@@ -296,18 +296,18 @@ class TestSelectPositives:
 class TestSelectHardestNegative:
     def test_argmin_example(self):
         batch = np.array([[3.0, 0.0], [1.0, 0.0]])
-        idx = select_hardest_negative(np.zeros(2), batch, np.array([1, 2]), anchor_class=0)
-        assert idx == 1
+        idx = select_hardest_negative(np.zeros((1, 2)), batch, np.array([1, 2]), np.array([0]))
+        assert idx.tolist() == [1]
 
     def test_singleton(self):
         batch = np.array([[5.0, 5.0]])
-        idx = select_hardest_negative(np.zeros(2), batch, np.array([3]), anchor_class=0)
-        assert idx == 0
+        idx = select_hardest_negative(np.zeros((1, 2)), batch, np.array([3]), np.array([0]))
+        assert idx.tolist() == [0]
 
     def test_no_candidates_refused(self):
         batch = np.zeros((2, 2))
         with pytest.raises(SelectionError):
-            select_hardest_negative(np.zeros(2), batch, np.array([4, 4]), anchor_class=4)
+            select_hardest_negative(np.zeros((1, 2)), batch, np.array([4, 4]), np.array([4]))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -320,8 +320,8 @@ class TestSelectHardestNegative:
         anchor_class = 0
         if not (classes != anchor_class).any():
             classes[0] = 1
-        got = select_hardest_negative(anchor, batch, classes, anchor_class)
-        assert got == oracle_hardest_negative(anchor, batch, classes, anchor_class)
+        got = select_hardest_negative(anchor[None], batch, classes, np.array([anchor_class]))
+        assert got.tolist() == [oracle_hardest_negative(anchor, batch, classes, anchor_class)]
 
 
 class TestWeightedTriplet:
@@ -330,7 +330,8 @@ class TestWeightedTriplet:
         anchor = np.zeros(2)
         positives = np.array([[2.0, 0.0], [3.0, 0.0]])
         negative = np.array([0.0, 2.0])
-        lv = weighted_triplet_loss(anchor, positives, np.array([0.5, 0.5]), negative, 0.3)
+        lv = weighted_triplet_loss(anchor[None], positives[None], np.array([[0.5, 0.5]]),
+                                   negative[None], 0.3)
         assert lv.loss == pytest.approx(0.8, abs=1e-12)
         assert lv.counters["active"] == 1
 
@@ -338,7 +339,8 @@ class TestWeightedTriplet:
         anchor = np.array([1.0, 1.0])
         positives = np.tile(anchor, (3, 1))
         negative = np.array([9.0, 9.0])
-        lv = weighted_triplet_loss(anchor, positives, np.full(3, 1 / 3), negative, 0.3)
+        lv = weighted_triplet_loss(anchor[None], positives[None], np.full((1, 3), 1 / 3),
+                                   negative[None], 0.3)
         assert lv.loss == 0.0
         assert all(np.all(g == 0.0) for g in lv.grads.values())
 
@@ -346,7 +348,7 @@ class TestWeightedTriplet:
         anchor = rng.standard_normal(3)
         pos = rng.standard_normal(3)
         neg = rng.standard_normal(3)
-        lv = weighted_triplet_loss(anchor, pos[None, :], np.array([1.0]), neg, 0.3)
+        lv = weighted_triplet_loss(anchor[None], pos[None, None], np.array([[1.0]]), neg[None], 0.3)
         plain = max(
             0.0,
             np.linalg.norm(anchor - pos) - np.linalg.norm(anchor - neg) + 0.3,
@@ -358,17 +360,18 @@ class TestWeightedTriplet:
         positives = rng.standard_normal((4, 3))
         weights = np.array([0.1, 0.2, 0.3, 0.4])
         neg = rng.standard_normal(3)
-        a = weighted_triplet_loss(anchor, positives, weights, neg, 0.3)
+        a = weighted_triplet_loss(anchor[None], positives[None], weights[None], neg[None], 0.3)
         perm = np.array([2, 0, 3, 1])
-        b = weighted_triplet_loss(anchor, positives[perm], weights[perm], neg, 0.3)
+        b = weighted_triplet_loss(anchor[None], positives[None, perm], weights[None, perm],
+                                  neg[None], 0.3)
         assert a.loss == pytest.approx(b.loss, abs=1e-12)
         np.testing.assert_allclose(a.grads["anchor"], b.grads["anchor"], atol=1e-12)
-        np.testing.assert_allclose(a.grads["positives"][perm], b.grads["positives"], atol=1e-12)
+        np.testing.assert_allclose(a.grads["positives"][:, perm], b.grads["positives"], atol=1e-12)
 
     def test_weights_must_sum_to_one(self, rng):
         with pytest.raises(ContractError):
             weighted_triplet_loss(
-                np.zeros(2), np.ones((2, 2)), np.array([0.5, 0.6]), np.ones(2), 0.3
+                np.zeros((1, 2)), np.ones((1, 2, 2)), np.array([[0.5, 0.6]]), np.ones((1, 2)), 0.3
             )
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -377,19 +380,19 @@ class TestWeightedTriplet:
         weights = np.array([0.3, 0.7])
         neg = anchor + 0.1 * rng.standard_normal(3)
 
-        lv = weighted_triplet_loss(anchor, positives, weights, neg, 0.3)
+        lv = weighted_triplet_loss(anchor[None], positives[None], weights[None], neg[None], 0.3)
         assert lv.loss > 0.0
 
         def loss_at(flat):
             a = flat[:3]
             p = flat[3:9].reshape(2, 3)
             n = flat[9:]
-            return weighted_triplet_loss(a, p, weights, n, 0.3).loss
+            return weighted_triplet_loss(a[None], p[None], weights[None], n[None], 0.3).loss
 
         flat0 = np.concatenate([anchor, positives.ravel(), neg])
         numeric = finite_difference(loss_at, flat0, eps=1e-6)
         analytic = np.concatenate(
-            [lv.grads["anchor"], lv.grads["positives"].ravel(), lv.grads["negative"]]
+            [lv.grads["anchor"][0], lv.grads["positives"].ravel(), lv.grads["negative"][0]]
         )
         for a, n in zip(analytic, numeric):
             assert relative_error(a, n) <= 1e-4

@@ -11,7 +11,6 @@ from crosscam import (
     OptimizerState,
     TrainingError,
     backward,
-    forward,
     forward_batch,
     init_head,
     init_model,
@@ -29,12 +28,12 @@ def small_model(rng):
 class TestForward:
     def test_zero_parameters_zero_output(self):
         m = EmbeddingModel(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
-        assert np.all(forward(m, np.array([1.0, -2.0, 3.0])) == 0.0)
+        assert np.all(forward_batch(m, np.array([[1.0, -2.0, 3.0]])) == 0.0)
 
     def test_identity_passthrough_on_nonnegatives(self):
         m = EmbeddingModel(np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         x = np.array([0.5, 0.0, 2.0])
-        assert np.allclose(forward(m, x), x)
+        assert np.allclose(forward_batch(m, x[None])[0], x)
 
     def test_matches_straight_line_evaluation(self, rng):
         m = small_model(rng)
@@ -42,19 +41,19 @@ class TestForward:
         # Independent element-by-element evaluation of the two layers.
         hidden = [max(0.0, sum(m.W1[i, j] * x[j] for j in range(5)) + m.b1[i]) for i in range(7)]
         expected = [sum(m.W2[o, i] * hidden[i] for i in range(7)) + m.b2[o] for o in range(3)]
-        np.testing.assert_allclose(forward(m, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(forward_batch(m, x[None])[0], expected, rtol=1e-12)
 
     def test_forward_is_pure(self, rng):
         m = small_model(rng)
         x = rng.standard_normal(5)
-        a = forward(m, x)
-        b = forward(m, x)
+        a = forward_batch(m, x[None])
+        b = forward_batch(m, x[None])
         assert np.array_equal(a, b)
 
     def test_dimension_mismatch_rejected(self, rng):
         m = small_model(rng)
         with pytest.raises(ContractError):
-            forward(m, np.zeros(4))
+            forward_batch(m, np.zeros((1, 4)))
         with pytest.raises(ContractError):
             forward_batch(m, np.zeros((2, 6)))
 
@@ -77,7 +76,7 @@ class TestBackward:
         x = rng.standard_normal(5)
 
         for name in ("W1", "b1", "W2", "b2"):
-            v = forward(m, x)
+            v = forward_batch(m, x[None])[0]
             grads = backward(m, x[None, :], v[None, :])
 
             def loss_at(theta_flat, name=name):
@@ -85,7 +84,7 @@ class TestBackward:
                     m.W1.copy(), m.b1.copy(), m.W2.copy(), m.b2.copy()
                 )
                 getattr(trial, name).flat[:] = theta_flat
-                out = forward(trial, x)
+                out = forward_batch(trial, x[None])[0]
                 return 0.5 * float(out @ out)
 
             numeric = finite_difference(loss_at, getattr(m, name).ravel(), eps=1e-5)
@@ -114,11 +113,11 @@ class TestBackward:
     def test_input_gradients(self, rng):
         m = small_model(rng)
         x = rng.standard_normal(5)
-        v = forward(m, x)
+        v = forward_batch(m, x[None])[0]
         _, dX = backward(m, x[None, :], v[None, :], want_input_grads=True)
 
         def loss_at(x_flat):
-            out = forward(m, x_flat)
+            out = forward_batch(m, x_flat[None])[0]
             return 0.5 * float(out @ out)
 
         numeric = finite_difference(loss_at, x, eps=1e-5)
