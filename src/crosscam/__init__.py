@@ -14,9 +14,7 @@ from .buffer import PersonBuffer, new_buffer, update_person
 from .data import (
     Dataset,
     PersonIndex,
-    Sample,
     SynthSpec,
-    dataset_from_samples,
     generate_synthetic,
     load_dataset,
     save_dataset,

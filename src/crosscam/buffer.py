@@ -39,19 +39,15 @@ def new_buffer(d: int, n_classes: int) -> PersonBuffer:
     return PersonBuffer(P=np.zeros((d, n_classes)), initialized=np.zeros(n_classes, dtype=bool))
 
 
-def update_person(buf: PersonBuffer, class_index: int | np.ndarray, batch_features: np.ndarray) -> None:
-    """Pull persons' columns toward the means of their batch features.
+def update_person(buf: PersonBuffer, classes: np.ndarray, batch_features: np.ndarray) -> None:
+    """Pull R distinct persons' columns toward the means of their batch features.
 
-    One person: a class index and (m, d) or (d,) features.  A batch of
-    R distinct persons: (R,) class indices and (R, m, d) features, which
-    gives the bits of R one-person calls (each mean sums its m rows in
-    order).  First touch sets a column to the batch mean outright;
+    classes is (R,) and batch_features (R, m, d); each mean sums its m
+    rows in order.  First touch sets a column to the batch mean outright;
     afterwards p <- (p + mean) / 2.
     """
-    classes = np.atleast_1d(np.asarray(class_index))
+    classes = np.asarray(classes)
     feats = np.asarray(batch_features, dtype=np.float64)
-    if np.ndim(class_index) == 0:
-        feats = feats.reshape((1,) * (3 - feats.ndim) + feats.shape)
     if classes.ndim != 1 or feats.ndim != 3 or feats.shape[0] != classes.size:
         raise ContractError(f"{classes.size} class indices for features of shape {feats.shape}")
     bad = (classes < 0) | (classes >= buf.n_classes)

@@ -29,32 +29,6 @@ SPLITS = ("train", "query", "gallery")
 MAX_CAMERAS = 1024
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One observation: a feature vector from one camera.
-
-    truth_identity is the hidden global identity (None when unknown); it
-    exists so synthetic experiments can be scored, and is never used as a
-    training signal.
-    """
-
-    raw_feature: np.ndarray
-    camera_id: int
-    local_person_id: int
-    truth_identity: int | None = None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sample):
-            return NotImplemented
-        return (
-            self.camera_id == other.camera_id
-            and self.local_person_id == other.local_person_id
-            and self.truth_identity == other.truth_identity
-            and self.raw_feature.shape == other.raw_feature.shape
-            and bool(np.all(self.raw_feature == other.raw_feature))
-        )
-
-
 def first_non_finite(features: np.ndarray) -> int | None:
     """Index of the first row holding NaN or infinity, or None."""
     bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
@@ -80,25 +54,6 @@ class PersonIndex:
     def n_cameras(self) -> int:
         return len(self.counts)
 
-    def class_of(self, camera_id: int, local_person_id: int) -> int:
-        if not (0 <= camera_id < len(self.counts)):
-            raise ContractError(f"camera_id {camera_id} out of range [0, {len(self.counts)})")
-        if not (0 <= local_person_id < self.counts[camera_id]):
-            raise ContractError(
-                f"local_person_id {local_person_id} out of range for camera "
-                f"{camera_id} with {self.counts[camera_id]} persons"
-            )
-        return self.offsets[camera_id] + local_person_id
-
-    def camera_of(self, class_index: int) -> int:
-        if not (0 <= class_index < self.total):
-            raise ContractError(f"class index {class_index} out of range [0, {self.total})")
-        return int(np.searchsorted(self.offsets, class_index, side="right") - 1)
-
-    def local_of(self, class_index: int) -> tuple[int, int]:
-        cam = self.camera_of(class_index)
-        return cam, class_index - self.offsets[cam]
-
     def camera_of_class_array(self) -> np.ndarray:
         """Camera id of every class index, shape (total,)."""
         return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
@@ -115,8 +70,7 @@ class PersonIndex:
 class Dataset:
     """Immutable container of samples plus the person index resolving them.
 
-    Storage is columnar (one array per field) for fast batched access;
-    the `samples` property materializes per-sample views on demand.
+    Storage is columnar: one array per field, one entry per sample.
     """
 
     def __init__(
@@ -156,9 +110,9 @@ class Dataset:
         self.d_in = int(features.shape[1])
         self.split = split
         self.index = self._build_index()
-        self._check_truth_purity()
         self.class_ids = self._resolve_classes()
         self._by_class: tuple[np.ndarray, np.ndarray] | None = None
+        self._check_truth_purity()
         self.features.setflags(write=False)
         self.camera_ids.setflags(write=False)
         self.local_ids.setflags(write=False)
@@ -181,36 +135,26 @@ class Dataset:
         return PersonIndex(tuple(counts.tolist()))
 
     def _check_truth_purity(self) -> None:
-        seen: dict[tuple[int, int], int] = {}
-        for i, (cam, loc, t) in enumerate(zip(self.camera_ids, self.local_ids, self.truth)):
-            key = (int(cam), int(loc))
-            if t == -1:
-                continue
-            if key in seen and seen[key] != int(t):
-                raise ContractError(
-                    f"person {key} has inconsistent truth identities {seen[key]} and {int(t)}",
-                    sample=i,
-                )
-            seen.setdefault(key, int(t))
+        # Known truths grouped by person, in file order within a person: each
+        # must equal its person's first.
+        order = self.class_members()[0]
+        order = order[self.truth[order] != -1]
+        truth = self.truth[order]
+        head = np.flatnonzero(np.diff(self.class_ids[order], prepend=-1))
+        lead = np.repeat(truth[head], np.diff(head, append=order.size))
+        bad = np.flatnonzero(truth != lead)
+        if bad.size:  # the first such sample in file order
+            at = bad[np.argmin(order[bad])]
+            i = int(order[at])
+            raise ContractError(
+                f"person {(int(self.camera_ids[i]), int(self.local_ids[i]))} has inconsistent "
+                f"truth identities {int(lead[at])} and {int(truth[at])}", sample=i)
 
     def _resolve_classes(self) -> np.ndarray:
         return np.asarray(self.index.offsets[:-1], dtype=np.int64)[self.camera_ids] + self.local_ids
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def sample(self, i: int) -> Sample:
-        t = int(self.truth[i])
-        return Sample(
-            raw_feature=self.features[i],
-            camera_id=int(self.camera_ids[i]),
-            local_person_id=int(self.local_ids[i]),
-            truth_identity=None if t == -1 else t,
-        )
-
-    @property
-    def samples(self) -> list[Sample]:
-        return [self.sample(i) for i in range(len(self))]
 
     def class_members(self) -> tuple[np.ndarray, np.ndarray]:
         """Sample indices grouped by class, in file order within a class,
@@ -221,11 +165,6 @@ class Dataset:
             order.setflags(write=False)
             self._by_class = (order, starts)
         return self._by_class
-
-    def indices_of_class(self, class_index: int) -> np.ndarray:
-        """Sample indices of one person, in file order."""
-        order, starts = self.class_members()
-        return order[starts[class_index]:starts[class_index + 1]]
 
     def indices_of_camera(self, camera_id: int) -> np.ndarray:
         return np.flatnonzero(self.camera_ids == camera_id)
@@ -260,23 +199,6 @@ class Dataset:
         )
 
 
-def dataset_from_samples(samples: list[Sample], n_cameras: int, d_in: int, split: str) -> Dataset:
-    n = len(samples)
-    features = np.zeros((n, d_in), dtype=np.float64)
-    cams = np.zeros(n, dtype=np.int64)
-    locs = np.zeros(n, dtype=np.int64)
-    truth = np.full(n, -1, dtype=np.int64)
-    for i, s in enumerate(samples):
-        f = np.asarray(s.raw_feature, dtype=np.float64)
-        if f.shape != (d_in,):
-            raise ContractError(f"sample {i}: feature length {f.shape} != declared d_in {d_in}")
-        features[i] = f
-        cams[i] = s.camera_id
-        locs[i] = s.local_person_id
-        truth[i] = -1 if s.truth_identity is None else s.truth_identity
-    return Dataset(features, cams, locs, truth, n_cameras, split)
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Knobs of the synthetic corpus generator.
@@ -303,6 +225,8 @@ class SynthSpec:
             raise ContractError("n_identities must be >= 1")
         if self.n_cameras < 2:
             raise ContractError("n_cameras must be >= 2: cross-camera learning is undefined")
+        if self.n_cameras > MAX_CAMERAS:
+            raise ContractError(f"n_cameras {self.n_cameras} is above MAX_CAMERAS = {MAX_CAMERAS}")
         if self.images_per_person < 2:
             raise ContractError("images_per_person must be >= 2: no positive pairs otherwise")
         if self.d_latent < 1 or self.d_in < 1:
@@ -388,46 +312,41 @@ def generate_synthetic(spec: SynthSpec) -> dict[str, Dataset]:
         noise = rng.standard_normal((spec.images_per_person, spec.d_in))
         return mean[None, :] + spec.noise_sigma * noise
 
+    # Each (identity, camera) appearance is one block of rows: (rows, camera, identity).
     # Train identities: 0..G-1, each under >= 1 camera.
-    train_samples: list[Sample] = []
-    next_local = [0] * spec.n_cameras
+    train = []
     for g in range(spec.n_identities):
         mask = _draw_cameras(rng, spec.n_cameras, spec.camera_appearance_prob, minimum=1)
-        for cam in np.flatnonzero(mask):
-            cam = int(cam)
-            local = next_local[cam]
-            next_local[cam] += 1
-            for row in emit(g, cam):
-                train_samples.append(Sample(row, cam, local, g))
+        train.extend((emit(g, cam), cam, g) for cam in np.flatnonzero(mask).tolist())
 
     # Held-out identities: G..G+n_eval-1, each under >= 2 cameras so that
     # one query per (identity, camera) always has a cross-camera match in
     # the gallery remainder.
-    query_samples: list[Sample] = []
-    gallery_samples: list[Sample] = []
-    q_local = [0] * spec.n_cameras
-    g_local = [0] * spec.n_cameras
+    held_out = []
     for g in range(spec.n_identities, spec.n_identities + n_eval):
         mask = _draw_cameras(rng, spec.n_cameras, spec.camera_appearance_prob, minimum=2)
-        for cam in np.flatnonzero(mask):
-            cam = int(cam)
-            rows = emit(g, cam)
-            query_samples.append(Sample(rows[0], cam, q_local[cam], g))
-            q_local[cam] += 1
-            gl = g_local[cam]
-            g_local[cam] += 1
-            for row in rows[1:]:
-                gallery_samples.append(Sample(row, cam, gl, g))
+        held_out.extend((emit(g, cam), cam, g) for cam in np.flatnonzero(mask).tolist())
 
     return {
-        "train": dataset_from_samples(train_samples, spec.n_cameras, spec.d_in, "train"),
-        "query": dataset_from_samples(query_samples, spec.n_cameras, spec.d_in, "query"),
-        "gallery": dataset_from_samples(gallery_samples, spec.n_cameras, spec.d_in, "gallery"),
+        "train": _dataset_of_blocks(train, spec.n_cameras, "train"),
+        "query": _dataset_of_blocks([(rows[:1], c, g) for rows, c, g in held_out],
+                                    spec.n_cameras, "query"),
+        "gallery": _dataset_of_blocks([(rows[1:], c, g) for rows, c, g in held_out],
+                                      spec.n_cameras, "gallery"),
     }
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _dataset_of_blocks(blocks: list, n_cameras: int, split: str) -> Dataset:
+    """A Dataset of (rows, camera, identity) blocks, one person each: each
+    camera's local ids count its blocks in order."""
+    rows, cams, ids = zip(*blocks)
+    cams = np.array(cams, dtype=np.int64)
+    order = np.argsort(cams, kind="stable")
+    local = np.empty_like(cams)
+    local[order] = np.arange(cams.size) - np.searchsorted(cams[order], cams[order])
+    sizes = [len(r) for r in rows]
+    return Dataset(np.concatenate(rows), np.repeat(cams, sizes), np.repeat(local, sizes),
+                   np.repeat(np.array(ids, dtype=np.int64), sizes), n_cameras, split)
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
@@ -439,15 +358,9 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
         f"d_in {ds.d_in}",
         f"n_samples {len(ds)}",
     ]
-    for i in range(len(ds)):
-        t = int(ds.truth[i])
-        fields = [
-            str(int(ds.camera_ids[i])),
-            str(int(ds.local_ids[i])),
-            "-" if t == -1 else str(t),
-        ]
-        fields.extend(_format_float(v) for v in ds.features[i])
-        lines.append(" ".join(fields))
+    columns = zip(ds.camera_ids.tolist(), ds.local_ids.tolist(), ds.truth.tolist(), ds.features)
+    lines.extend(" ".join([str(cam), str(loc), "-" if t == -1 else str(t), *map(repr, row.tolist())])
+                 for cam, loc, t, row in columns)
     lines.append("end")
     write_text_atomic(path, "\n".join(lines) + "\n")
 

@@ -130,12 +130,7 @@ def forward_batch(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
     return hidden @ model.W2.T + model.b2
 
 
-def backward(
-    model: EmbeddingModel,
-    X: np.ndarray,
-    dV: np.ndarray,
-    want_input_grads: bool = False,
-) -> dict[str, np.ndarray] | tuple[dict[str, np.ndarray], np.ndarray]:
+def backward(model: EmbeddingModel, X: np.ndarray, dV: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of sum_i <dV[i], v_i> with respect to the parameters.
 
     dV holds the upstream gradient of the loss with respect to each output
@@ -155,10 +150,7 @@ def backward(
     dhidden = np.where(pre > 0.0, dhidden, 0.0)
     dW1 = dhidden.T @ X
     db1 = dhidden.sum(axis=0)
-    grads = {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
-    if want_input_grads:
-        return grads, dhidden @ model.W1
-    return grads
+    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
 
 
 def head_forward(head: ClassifierHead, V: np.ndarray) -> np.ndarray:

@@ -8,8 +8,9 @@ an affinity's positive entries were packed in one pass, before the
 per-row generator draws were replayed in one batch and the buffer was
 updated once per batch, before the soft-label rows were normalized as
 one block, before retrieval ranks were searched in sorted rows
-instead of counted by one scan of the row per relevant item, and before
-the person index grouped a dataset's records by camera in one sort.  The
+instead of counted by one scan of the row per relevant item, before
+the person index grouped a dataset's records by camera in one sort, and
+before a dataset checked the truth of each person in one sort.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
@@ -137,8 +138,9 @@ def select_positives(anchor_class, aff, dataset, n_k, rng, weighting_mode="AW",
         weights = a_vals / a_vals.sum()
 
     out = []
+    order, starts = dataset.class_members()
     for person, w in zip(drawn, weights):
-        candidates = dataset.indices_of_class(int(person))
+        candidates = order[starts[person]:starts[person + 1]]
         pick = int(candidates[rng.integers(candidates.size)])
         out.append((pick, float(w)))
     return out
@@ -343,8 +345,9 @@ def pk_sampler(dataset, camera_id, n_p, n_k, rng):
         extra = rng.choice(persons, size=n_p - persons.size, replace=True)
         chosen = np.concatenate([rng.permutation(persons), extra])
     picks = np.zeros((n_p, n_k), dtype=np.int64)
+    order, starts = dataset.class_members()
     for r, cls in enumerate(chosen):
-        idxs = dataset.indices_of_class(int(cls))
+        idxs = order[starts[cls]:starts[cls + 1]]
         picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
     return picks, chosen
 
@@ -365,14 +368,31 @@ def person_counts(camera_ids, local_ids, n_cameras):
     return tuple(counts)
 
 
+def truth_purity(camera_ids, local_ids, truth):
+    """One scan of the samples in file order; a ContractError names the
+    first sample whose known truth differs from the first known truth of
+    its (camera, local id) person."""
+    seen = {}
+    for i, (cam, loc, t) in enumerate(zip(camera_ids, local_ids, truth)):
+        key = (int(cam), int(loc))
+        if t == -1:
+            continue
+        if key in seen and seen[key] != int(t):
+            raise ContractError(
+                f"person {key} has inconsistent truth identities {seen[key]} and {int(t)}",
+                sample=i,
+            )
+        seen.setdefault(key, int(t))
+
+
 def update_buffer(buf, embeddings, classes):
-    """One update_person call per distinct person, in order of first
-    appearance, over that person's rows in batch order."""
+    """One update_person call (a batch of one) per distinct person, in order
+    of first appearance, over that person's rows in batch order."""
     groups = {}
     for r, cls in enumerate(np.asarray(classes).tolist()):
         groups.setdefault(cls, []).append(r)
     for cls, rows_of in groups.items():
-        update_person(buf, cls, embeddings[rows_of].reshape(-1, embeddings.shape[2]))
+        update_person(buf, [cls], embeddings[rows_of].reshape(1, -1, embeddings.shape[2]))
 
 
 def random_triplet_picks(labels, rng):

@@ -31,11 +31,10 @@ import pytest
 import slow_references as slow
 from crosscam import (
     AffinityError,
+    Dataset,
     PersonIndex,
-    Sample,
     SynthSpec,
     TripletBatch,
-    dataset_from_samples,
     evaluate,
     generate_synthetic,
     intra_triplet_loss,
@@ -207,8 +206,7 @@ def _identity_model(d):
 
 def _buffer_of(columns):
     buf = new_buffer(columns.shape[1], columns.shape[0])
-    for i, col in enumerate(columns):
-        update_person(buf, i, col[None, :])
+    update_person(buf, np.arange(columns.shape[0]), columns[:, None, :])
     return buf
 
 
@@ -275,14 +273,9 @@ def test_criterion_2_oracle_suite():
             g_cam[qi] = (q_cam[qi] + 1) % 3
 
         def _split(feats, cams, truths, split):
-            counters = {}
-            samples = []
-            for i in range(len(feats)):
-                cam = int(cams[i])
-                local = counters.get(cam, 0)
-                counters[cam] = local + 1
-                samples.append(Sample(feats[i], cam, local, int(truths[i])))
-            return dataset_from_samples(samples, 3, d, split)
+            # Each item its own person: a camera's local ids count its items.
+            local = [int(np.sum(cams[:i] == cams[i])) for i in range(len(cams))]
+            return Dataset(feats, cams, local, truths, 3, split)
 
         query = _split(q_feat, q_cam, q_truth, "query")
         gallery = _split(g_feat, g_cam, g_truth, "gallery")
@@ -402,13 +395,9 @@ def test_criterion_7_degenerate_case_conformance(bench_corpus, tmp_path):
     with pytest.raises(AffinityError):
         build_affinity(_buffer_of(cols), PersonIndex((4,)), k=2)
 
-    one_cam = dataset_from_samples(
-        [
-            Sample(rng.standard_normal(4), 0, p, p)
-            for p in range(4) for _ in range(2)
-        ],
-        1, 4, "train",
-    )
+    persons = np.repeat(np.arange(4), 2)
+    one_cam = Dataset(rng.standard_normal((8, 4)), np.zeros(8, dtype=int), persons, persons,
+                      1, "train")
     joint_cfg = dataclasses.replace(
         benchmark_config(epochs=2, warmup_epochs=1, decay_epoch=2, inter_mode="D"),
         n_p=4, n_k=2, k=2, hidden_dim=8, embed_dim=4,

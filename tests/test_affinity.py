@@ -19,8 +19,7 @@ from oracles import oracle_affinity, oracle_average_precision
 def make_buffer(columns):
     columns = np.asarray(columns, dtype=np.float64)
     buf = new_buffer(columns.shape[1], columns.shape[0])
-    for i, col in enumerate(columns):
-        update_person(buf, i, col[None, :])
+    update_person(buf, np.arange(columns.shape[0]), columns[:, None, :])
     return buf
 
 
@@ -62,7 +61,7 @@ class TestBuildAffinity:
 
     def test_uninitialized_columns_listed(self):
         buf = new_buffer(2, 3)
-        update_person(buf, 0, np.ones((1, 2)))
+        update_person(buf, [0], np.ones((1, 1, 2)))
         with pytest.raises(AffinityError, match=r"\[1, 2\]"):
             build_affinity(buf, PersonIndex((2, 1)), k=1)
 

@@ -214,7 +214,7 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
     C = ds.index.total
     buf = new_buffer(4, C)
     for c in range(C):
-        update_person(buf, c, points(rng, (1, 4)))
+        update_person(buf, [c], points(rng, (1, 1, 4)))
     aff = build_affinity(buf, ds.index, int(rng.integers(1, 8)), mask_same_camera=mask)
     A = aff.A
     A[rng.random(C) < 0.2] = 0.0  # degenerate rows
@@ -247,7 +247,7 @@ def test_soft_label_table_holds_each_rows_nonzeros(tiny_train):
     buf = new_buffer(3, tiny_train.index.total)
     rng = np.random.default_rng(4)
     for c in range(tiny_train.index.total):
-        update_person(buf, c, rng.standard_normal((1, 3)))
+        update_person(buf, [c], rng.standard_normal((1, 1, 3)))
     aff = build_affinity(buf, tiny_train.index, 4)
     rows = soft_label_rows(aff)
     table = aff.soft_labels

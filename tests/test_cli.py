@@ -308,6 +308,13 @@ class TestErrorReporting:
         assert code == 1
         assert capsys.readouterr().err.startswith("error ")
 
+    def test_camera_count_above_the_limit_refused_before_generating(self, tmp_path, capsys):
+        code = main(["gen", "--out", str(tmp_path / "g"), "--n-cameras", "100000000000"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error ContractError: n_cameras 100000000000 "
+                                                  "is above MAX_CAMERAS = 1024")
+        assert not (tmp_path / "g").exists()
+
     def _export_error(self, tmp_path, capsys, payload, fmt):
         """stderr of export-metrics on a log holding this payload; it must fail cleanly."""
         bad = tmp_path / "log.json"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +10,13 @@ from crosscam import (
     FormatError,
     NonFiniteFeatureError,
     PersonIndex,
-    Sample,
     SynthSpec,
     VersionError,
-    dataset_from_samples,
     generate_synthetic,
     load_dataset,
     save_dataset,
 )
+from crosscam.benchmark import BENCHMARK_SPEC
 from crosscam.data import MAX_CAMERAS
 import slow_references as slow
 
@@ -24,29 +25,25 @@ class TestPersonIndex:
     def test_contiguous_blocks(self):
         idx = PersonIndex((3, 2, 4))
         assert idx.total == 9
-        assert idx.class_of(0, 0) == 0
-        assert idx.class_of(1, 0) == 3
-        assert idx.class_of(2, 3) == 8
+        assert idx.offsets == (0, 3, 5, 9)
 
     def test_bijective(self):
+        # Class c is local id c - offsets[camera] of its camera: every
+        # (camera, local id) pair below each camera's count, once.
         idx = PersonIndex((3, 2, 4))
-        seen = set()
-        for c in range(idx.total):
-            cam, local = idx.local_of(c)
-            assert idx.class_of(cam, local) == c
-            seen.add((cam, local))
-        assert len(seen) == idx.total
+        cams = idx.camera_of_class_array()
+        local = np.arange(idx.total) - np.asarray(idx.offsets)[cams]
+        pairs = set(zip(cams.tolist(), local.tolist()))
+        assert pairs == {(cam, l) for cam, n in enumerate(idx.counts) for l in range(n)}
+        assert len(pairs) == idx.total
 
     def test_camera_of_class_array(self):
         idx = PersonIndex((2, 0, 3))
         assert idx.camera_of_class_array().tolist() == [0, 0, 2, 2, 2]
 
-    def test_rejects_bad_keys(self):
-        idx = PersonIndex((2, 2))
+    def test_rejects_negative_counts(self):
         with pytest.raises(ContractError):
-            idx.class_of(0, 2)
-        with pytest.raises(ContractError):
-            idx.class_of(2, 0)
+            PersonIndex((2, -1))
 
 
 class TestGenerate:
@@ -94,8 +91,28 @@ class TestGenerate:
             generate_synthetic(SynthSpec(images_per_person=1))
 
     def test_train_persons_have_enough_samples(self, tiny_train):
-        for c in range(tiny_train.index.total):
-            assert tiny_train.indices_of_class(c).size >= 4
+        _, starts = tiny_train.class_members()
+        assert np.diff(starts).min() >= 4
+
+    def test_camera_limit(self):
+        SynthSpec(n_cameras=MAX_CAMERAS).validate()
+        with pytest.raises(ContractError, match="MAX_CAMERAS"):
+            SynthSpec(n_cameras=MAX_CAMERAS + 1).validate()
+
+    def test_benchmark_corpus_bytes(self, tmp_path):
+        # save_dataset's bytes of the benchmark corpus, seed 0: the corpus
+        # every benchmark run trains and scores on.
+        want = {
+            "train": "db80922d609dac597e317417dfdfbddd0d7b31b81da1bb7f875b8b80d7a4a8b7",
+            "query": "1dfb5073bb642a80ef994f076c8fcfdd32de4309bf82631603ef30bab1521873",
+            "gallery": "f6562527f84d4cc33dab38ef4b5fc0701223ebe6514206e4ec8f556b94de2fd1",
+        }
+        corpus = generate_synthetic(BENCHMARK_SPEC)
+        assert BENCHMARK_SPEC.seed == 0
+        assert [len(corpus[s]) for s in want] == [2940, 139, 695]
+        for split, digest in want.items():
+            save_dataset(corpus[split], tmp_path / split)
+            assert hashlib.sha256((tmp_path / split).read_bytes()).hexdigest() == digest
 
     def test_eval_identities_disjoint_and_matchable(self, tiny_corpus):
         train, query, gallery = (tiny_corpus[s] for s in ("train", "query", "gallery"))
@@ -120,25 +137,20 @@ class TestGenerate:
 
 class TestDatasetContainer:
     def test_rejects_inconsistent_truth(self):
-        samples = [
-            Sample(np.zeros(2), 0, 0, truth_identity=1),
-            Sample(np.zeros(2), 0, 0, truth_identity=2),
-            Sample(np.zeros(2), 1, 0, truth_identity=1),
-        ]
-        with pytest.raises(ContractError):
-            dataset_from_samples(samples, 2, 2, "train")
+        with pytest.raises(ContractError) as err:
+            Dataset(np.zeros((3, 2)), [0, 0, 1], [0, 0, 0], [1, 2, 1], 2, "train")
+        assert str(err.value) == "person (0, 0) has inconsistent truth identities 1 and 2"
+        assert err.value.sample == 1
 
     def test_rejects_sparse_local_ids(self):
-        samples = [
-            Sample(np.zeros(2), 0, 0),
-            Sample(np.zeros(2), 0, 2),
-        ]
         with pytest.raises(ContractError):
-            dataset_from_samples(samples, 1, 2, "train")
+            Dataset(np.zeros((2, 2)), [0, 0], [0, 2], [-1, -1], 1, "train")
 
-    def test_rejects_wrong_feature_length(self):
-        with pytest.raises(ContractError):
-            dataset_from_samples([Sample(np.zeros(3), 0, 0)], 1, 2, "train")
+    def test_rejects_misshapen_columns(self):
+        with pytest.raises(ContractError, match="2-d"):
+            Dataset(np.zeros(3), [0], [0], [-1], 1, "train")
+        with pytest.raises(ContractError, match="one entry per sample"):
+            Dataset(np.zeros((1, 2)), [0, 0], [0, 0], [-1, -1], 1, "train")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_feature_naming_the_sample(self, bad):
@@ -176,11 +188,29 @@ class TestDatasetContainer:
         got = Dataset(np.zeros((n, 1)), cams, local, np.full(n, -1), n_cameras, "train")
         assert got.index.counts == want
 
-    def test_sample_view(self, tiny_train):
-        s = tiny_train.sample(0)
-        assert isinstance(s, Sample)
-        assert s.raw_feature.shape == (tiny_train.d_in,)
-        assert tiny_train.samples[0] == s
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_truth_purity_matches_per_sample_scan(self, seed):
+        # Valid local ids (0..k-1 on each camera) and truths from a few
+        # values, unknown (-1) among them, so pure and impure persons are
+        # both common.
+        rng = np.random.default_rng(seed)
+        n_cameras, n = int(rng.integers(1, 5)), int(rng.integers(0, 30))
+        cams = rng.integers(0, n_cameras, size=n)
+        local = np.zeros(n, dtype=np.int64)
+        for cam in range(n_cameras):
+            here = np.flatnonzero(cams == cam)
+            k = max(1, min(int(rng.integers(1, 4)), here.size))
+            local[here] = rng.permutation(np.arange(here.size) % k)
+        truth = rng.integers(-1, 3, size=n)
+        try:
+            slow.truth_purity(cams, local, truth)
+        except ContractError as e:
+            with pytest.raises(ContractError) as err:
+                Dataset(np.zeros((n, 1)), cams, local, truth, n_cameras, "train")
+            assert (str(err.value), err.value.sample) == (str(e), e.sample)
+            return
+        Dataset(np.zeros((n, 1)), cams, local, truth, n_cameras, "train")
 
 
 class TestRoundTrip:

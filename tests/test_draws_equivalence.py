@@ -146,8 +146,8 @@ def test_update_buffer_matches_per_person_calls(seed):
     want, got = new_buffer(d, C), new_buffer(d, C)
     for c in np.flatnonzero(rng.random(C) < 0.5):  # some columns already seen
         f = points(rng, (2, d))
-        update_person(want, int(c), f)
-        update_person(got, int(c), f)
+        update_person(want, [c], f[None])
+        update_person(got, [c], f[None])
     slow.update_buffer(want, embeddings, classes)
     _update_buffer(got, TripletBatch(embeddings, classes, 0))
     assert same_bits(got.P, want.P)
@@ -155,7 +155,7 @@ def test_update_buffer_matches_per_person_calls(seed):
     assert got.t == 1
 
 
-def test_batched_update_person_matches_scalar_calls():
+def test_batched_update_person_matches_one_person_calls():
     rng = np.random.default_rng(3)
     for _ in range(500):
         R, m, d = (int(x) for x in rng.integers(1, [9, 30, 70]))
@@ -167,7 +167,7 @@ def test_batched_update_person_matches_scalar_calls():
         for buf in (want, got):
             update_person(buf, seen, np.ones((seen.size, 1, d)))
         for r in range(R):
-            update_person(want, int(classes[r]), feats[r])
+            update_person(want, classes[r:r + 1], feats[r:r + 1])
         update_person(got, classes, feats)
         assert same_bits(got.P, want.P)
         assert got.initialized.tolist() == want.initialized.tolist()

@@ -4,12 +4,11 @@ import pytest
 from crosscam import (
     ConfigError,
     ContractError,
+    Dataset,
     EvaluationError,
     EmbeddingModel,
-    Sample,
     SynthSpec,
     TrainConfig,
-    dataset_from_samples,
     evaluate,
     generate_synthetic,
     init_model,
@@ -35,8 +34,10 @@ def identity_model(d):
     )
 
 
-def eval_sample(feature, cam, local, truth):
-    return Sample(np.asarray(feature, dtype=np.float64), cam, local, truth)
+def eval_split(split, *items):
+    """A two-camera Dataset of (feature, camera, local id, truth) items."""
+    features, cams, local, truth = zip(*items)
+    return Dataset(np.array(features, dtype=np.float64), cams, local, truth, 2, split)
 
 
 class TestAveragePrecision:
@@ -82,14 +83,12 @@ class TestEvaluate:
         assert res.n_skipped == 0
 
     def test_junk_rule_excludes_same_person_same_camera(self):
-        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 0)], 2, 2, "query")
-        gallery = dataset_from_samples(
-            [
-                eval_sample([0.0, 0.0], 0, 0, 0),   # junk: same person, same camera
-                eval_sample([0.5, 0.0], 1, 0, 1),   # distractor, nearer
-                eval_sample([1.0, 0.0], 1, 1, 0),   # true cross-camera match
-            ],
-            2, 2, "gallery",
+        query = eval_split("query", ([0.0, 0.0], 0, 0, 0))
+        gallery = eval_split(
+            "gallery",
+            ([0.0, 0.0], 0, 0, 0),   # junk: same person, same camera
+            ([0.5, 0.0], 1, 0, 1),   # distractor, nearer
+            ([1.0, 0.0], 1, 1, 0),   # true cross-camera match
         )
         res = evaluate(identity_model(2), query, gallery)
         # The distance-zero junk copy must not count as the top hit.
@@ -98,19 +97,15 @@ class TestEvaluate:
         assert res.n_evaluated == 1
 
     def test_query_without_cross_camera_match_is_skipped(self):
-        query = dataset_from_samples(
-            [
-                eval_sample([0.0, 0.0], 0, 0, 0),
-                eval_sample([5.0, 0.0], 0, 1, 7),  # person 7 only exists on camera 0
-            ],
-            2, 2, "query",
+        query = eval_split(
+            "query",
+            ([0.0, 0.0], 0, 0, 0),
+            ([5.0, 0.0], 0, 1, 7),  # person 7 only exists on camera 0
         )
-        gallery = dataset_from_samples(
-            [
-                eval_sample([5.1, 0.0], 0, 0, 7),  # junk for the second query
-                eval_sample([0.2, 0.0], 1, 0, 0),
-            ],
-            2, 2, "gallery",
+        gallery = eval_split(
+            "gallery",
+            ([5.1, 0.0], 0, 0, 7),  # junk for the second query
+            ([0.2, 0.0], 1, 0, 0),
         )
         res = evaluate(identity_model(2), query, gallery)
         assert res.n_evaluated == 1
@@ -118,8 +113,8 @@ class TestEvaluate:
         assert res.map == pytest.approx(1.0, abs=1e-12)
 
     def test_all_queries_skipped_is_an_error(self):
-        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 3)], 2, 2, "query")
-        gallery = dataset_from_samples([eval_sample([0.1, 0.0], 0, 0, 3)], 2, 2, "gallery")
+        query = eval_split("query", ([0.0, 0.0], 0, 0, 3))
+        gallery = eval_split("gallery", ([0.1, 0.0], 0, 0, 3))
         with pytest.raises(EvaluationError):
             evaluate(identity_model(2), query, gallery)
 
@@ -147,9 +142,8 @@ class TestEvaluate:
         model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)
         g = tiny_corpus["gallery"]
         perm = np.random.default_rng(0).permutation(len(g))
-        shuffled = dataset_from_samples(
-            [g.sample(int(i)) for i in perm], g.n_cameras, g.d_in, "gallery"
-        )
+        shuffled = Dataset(g.features[perm], g.camera_ids[perm], g.local_ids[perm], g.truth[perm],
+                           g.n_cameras, "gallery")
         a = evaluate(model, tiny_corpus["query"], g)
         b = evaluate(model, tiny_corpus["query"], shuffled)
         assert a.map == pytest.approx(b.map, abs=1e-9)
@@ -173,9 +167,8 @@ class TestEvaluate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the refusal
     def test_one_overflowing_gallery_embedding_refused(self):
-        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 3)], 2, 2, "query")
-        gallery = dataset_from_samples([eval_sample([0.1, 0.0], 1, 0, 3),
-                                        eval_sample([1e300, 0.0], 1, 1, 4)], 2, 2, "gallery")
+        query = eval_split("query", ([0.0, 0.0], 0, 0, 3))
+        gallery = eval_split("gallery", ([0.1, 0.0], 1, 0, 3), ([1e300, 0.0], 1, 1, 4))
         model = identity_model(2)
         model.W1 *= 1e10  # finite parameters, an infinite hidden unit for the second item
         with pytest.raises(EvaluationError, match=r"^0 of 1 query and 1 of 2 gallery embeddings"):
@@ -183,21 +176,18 @@ class TestEvaluate:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the refusal
     def test_overflowing_distances_refused_with_their_count(self):
-        query = dataset_from_samples([eval_sample([0.0, 0.0], 0, 0, 3)], 2, 2, "query")
-        gallery = dataset_from_samples([eval_sample([0.1, 0.0], 1, 0, 3),
-                                        eval_sample([1e200, 0.0], 1, 1, 4)], 2, 2, "gallery")
+        query = eval_split("query", ([0.0, 0.0], 0, 0, 3))
+        gallery = eval_split("gallery", ([0.1, 0.0], 1, 0, 3), ([1e200, 0.0], 1, 1, 4))
         with pytest.raises(EvaluationError, match=r"^1 query-gallery squared distances overflow"):
             evaluate(identity_model(2), query, gallery)
 
     def test_contract_violations(self, tiny_corpus, rng):
         model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)
-        other = dataset_from_samples([eval_sample([0.0], 0, 0, 0)], 2, 1, "gallery")
+        other = eval_split("gallery", ([0.0], 0, 0, 0))
         with pytest.raises(ContractError):
             evaluate(model, tiny_corpus["query"], other)
-        unlabeled = dataset_from_samples(
-            [Sample(np.zeros(tiny_corpus["query"].d_in), 0, 0, None)],
-            tiny_corpus["query"].n_cameras, tiny_corpus["query"].d_in, "gallery",
-        )
+        unlabeled = Dataset(np.zeros((1, tiny_corpus["query"].d_in)), [0], [0], [-1],
+                            tiny_corpus["query"].n_cameras, "gallery")
         with pytest.raises(ContractError):
             evaluate(model, tiny_corpus["query"], unlabeled)
 

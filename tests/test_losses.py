@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 import slow_references as slow
 from crosscam import (
     ContractError,
-    Sample,
+    Dataset,
     SelectionError,
     TripletBatch,
-    dataset_from_samples,
     intra_triplet_loss,
     random_triplet_loss,
     select_hardest_negative,
@@ -212,14 +211,10 @@ class TestWeightedCrossEntropy:
 
 def selection_fixture():
     """Two cameras, two persons each; anchor class 0 lives on camera 0."""
-    samples = []
-    for cam in range(2):
-        for local in range(2):
-            for i in range(3):
-                samples.append(
-                    Sample(np.array([cam * 10.0, local * 1.0 + i * 0.1]), cam, local, cam * 2 + local)
-                )
-    ds = dataset_from_samples(samples, 2, 2, "train")
+    cam, local, i = np.array([(cam, local, i) for cam in range(2) for local in range(2)
+                              for i in range(3)]).T
+    features = np.stack([cam * 10.0, local * 1.0 + i * 0.1], axis=1)
+    ds = Dataset(features, cam, local, cam * 2 + local, 2, "train")
     A = np.zeros((4, 4))
     A[0, 2] = np.exp(-1.0 / 1.5)
     A[0, 3] = np.exp(-2.0 / 1.5)

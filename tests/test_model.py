@@ -110,20 +110,6 @@ class TestBackward:
         for name in base:
             np.testing.assert_allclose(doubled[name], 2.0 * base[name], rtol=1e-12)
 
-    def test_input_gradients(self, rng):
-        m = small_model(rng)
-        x = rng.standard_normal(5)
-        v = forward_batch(m, x[None])[0]
-        _, dX = backward(m, x[None, :], v[None, :], want_input_grads=True)
-
-        def loss_at(x_flat):
-            out = forward_batch(m, x_flat[None])[0]
-            return 0.5 * float(out @ out)
-
-        numeric = finite_difference(loss_at, x, eps=1e-5)
-        for a, n in zip(dX.ravel(), numeric):
-            assert relative_error(a, n) <= 1e-4
-
 
 class TestSgdStep:
     def test_vanilla_step(self, rng):

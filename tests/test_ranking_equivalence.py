@@ -202,8 +202,7 @@ def test_squared_distances_keep_their_bits_in_row_blocks(block):
 
 def buffer_of(columns):
     buf = new_buffer(columns.shape[1], columns.shape[0])
-    for c, col in enumerate(columns):
-        update_person(buf, c, col[None, :])
+    update_person(buf, np.arange(columns.shape[0]), columns[:, None, :])
     return buf
 
 

@@ -10,7 +10,6 @@ from crosscam import (
     ConfigError,
     ContractError,
     Dataset,
-    Sample,
     SynthSpec,
     TrainConfig,
     TrainLog,
@@ -18,7 +17,6 @@ from crosscam import (
     classification_sampler,
     config_from_dict,
     config_to_dict,
-    dataset_from_samples,
     generate_synthetic,
     new_buffer,
     pk_sampler,
@@ -48,17 +46,11 @@ def fast_config(**overrides):
 
 def thin_camera_dataset():
     """Two cameras of 4 persons, and camera 2 with a single person (2 images each)."""
-    rng_data = np.random.default_rng(31)
-    samples = []
-    for cam in range(2):
-        for local in range(4):
-            for _ in range(2):
-                samples.append(
-                    Sample(rng_data.standard_normal(4), cam, local, cam * 4 + local)
-                )
-    samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
-    samples.append(Sample(rng_data.standard_normal(4), 2, 0, 99))
-    return dataset_from_samples(samples, 3, 4, "train")
+    features = np.random.default_rng(31).standard_normal((18, 4))
+    cams = np.repeat([0, 1, 2], [8, 8, 2])
+    local = np.r_[np.tile(np.repeat(np.arange(4), 2), 2), 0, 0]
+    truth = np.where(cams < 2, cams * 4 + local, 99)
+    return Dataset(features, cams, local, truth, 3, "train")
 
 
 def params_of(model, head):
@@ -79,7 +71,7 @@ class TestPKSampler:
         assert batch.camera_id == 0
         for r in range(4):
             cls = int(batch.classes[r])
-            assert tiny_train.index.camera_of(cls) == 0
+            assert tiny_train.index.camera_of_class_array()[cls] == 0
             for idx in batch.sample_indices[r]:
                 assert int(tiny_train.class_ids[idx]) == cls
 
@@ -95,12 +87,7 @@ class TestPKSampler:
         assert set(batch.classes.tolist()) == set(range(lo, lo + n_persons))
 
     def test_single_image_person_repeats(self, rng):
-        samples = [
-            Sample(np.array([0.0]), 0, 0, 0),
-            Sample(np.array([1.0]), 0, 1, 1),
-            Sample(np.array([2.0]), 0, 1, 1),
-        ]
-        ds = dataset_from_samples(samples, 1, 1, "train")
+        ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 0], [0, 1, 1], [0, 1, 1], 1, "train")
         batch = pk_sampler(ds, 0, 2, 3, rng)
         row = batch.sample_indices[batch.classes.tolist().index(0)]
         assert np.all(row == 0)
@@ -112,8 +99,7 @@ class TestPKSampler:
         assert np.array_equal(a.classes, b.classes)
 
     def test_too_few_persons_refused(self, rng):
-        samples = [Sample(np.array([0.0]), 0, 0, 0), Sample(np.array([1.0]), 0, 0, 0)]
-        ds = dataset_from_samples(samples, 1, 1, "train")
+        ds = Dataset([[0.0], [1.0]], [0, 0], [0, 0], [0, 0], 1, "train")
         with pytest.raises(ContractError):
             pk_sampler(ds, 0, 2, 2, rng)
 
@@ -139,12 +125,7 @@ class TestClassificationSampler:
             classification_sampler(tiny_train, rng, batch_total=2)
 
     def test_empty_camera_refused(self, rng):
-        samples = [
-            Sample(np.array([0.0]), 0, 0, 0),
-            Sample(np.array([1.0]), 0, 1, 1),
-            Sample(np.array([2.0]), 1, 0, 0),
-        ]
-        ds = dataset_from_samples(samples, 3, 1, "train")
+        ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 1], [0, 1, 0], [0, 1, 0], 3, "train")
         with pytest.raises(ContractError):
             classification_sampler(ds, rng, batch_total=3)
 
@@ -317,7 +298,7 @@ class TestTrainingRuns:
         assert result.excluded_cameras == (2,)
         # Camera 2's lone person never enters an intra batch, so its buffer
         # column stays untouched.
-        lone_class = ds.index.class_of(2, 0)
+        lone_class = ds.index.offsets[2]  # local id 0 of camera 2
         assert lone_class in result.buffer.uninitialized_classes()
 
     @pytest.mark.parametrize("lam", [1.0, 0.0])
@@ -375,9 +356,9 @@ class TestTrainingRuns:
         spec = SynthSpec(n_identities=8, n_cameras=2, images_per_person=3, seed=5)
         ds = generate_synthetic(spec)["train"]
         # Restrict to camera 0 only.
-        keep = [i for i in range(len(ds)) if ds.camera_ids[i] == 0]
-        samples = [ds.sample(i) for i in keep]
-        one_cam = dataset_from_samples(samples, 1, ds.d_in, "train")
+        keep = ds.camera_ids == 0
+        one_cam = Dataset(ds.features[keep], ds.camera_ids[keep], ds.local_ids[keep],
+                          ds.truth[keep], 1, "train")
         cfg = fast_config(epochs=2, warmup_epochs=1, inter_mode="D")
         with pytest.raises(Exception) as exc_info:
             train(one_cam, cfg)
