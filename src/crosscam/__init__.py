@@ -62,8 +62,6 @@ from .trainer import (
     TrainLog,
     TrainState,
     classification_sampler,
-    config_from_dict,
-    config_to_dict,
     pk_sampler,
     train,
 )

@@ -54,8 +54,6 @@ class AffinityMatrix:
     candidates: SoftLabelTable
     soft_labels: SoftLabelTable
     sigma_sq: float
-    k: int
-    epoch_built: int
     camera_of_class: np.ndarray  # (C,), camera id per class index
     masked: bool  # whether same-camera pairs were excluded
 
@@ -144,7 +142,6 @@ def build_affinity(
     buf: PersonBuffer,
     index: PersonIndex,
     k: int,
-    epoch: int = 0,
     mask_same_camera: bool = True,
 ) -> AffinityMatrix:
     """Masked k-NN Gaussian affinity over buffer columns.
@@ -229,8 +226,8 @@ def build_affinity(
     nonzero = values != 0.0
     entries = _pack(np.arange(C), rows[nonzero], cols[nonzero], values[nonzero], C)
     return AffinityMatrix(
-        candidates=entries, soft_labels=_soft_labels(entries), sigma_sq=sigma_sq, k=int(k),
-        epoch_built=int(epoch), camera_of_class=cameras, masked=bool(mask_same_camera),
+        candidates=entries, soft_labels=_soft_labels(entries), sigma_sq=sigma_sq,
+        camera_of_class=cameras, masked=bool(mask_same_camera),
     )
 
 

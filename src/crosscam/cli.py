@@ -32,7 +32,7 @@ from .data import (
 from .errors import ConfigError, ContractError, CrosscamError
 from .evaluation import evaluate
 from .model import load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, TrainLog, config_to_dict, train
+from .trainer import TrainConfig, TrainLog, train
 
 
 def _bool_flag(value: str) -> bool:
@@ -162,7 +162,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     result = train(dataset, config, query=query, gallery=gallery, epoch_callback=callback)
 
-    _write_json(os.path.join(args.out, "effective_config.json"), config_to_dict(config))
+    _write_json(os.path.join(args.out, "effective_config.json"), dataclasses.asdict(config))
     if not result.log.records:  # no epoch ran, so the callback wrote no logs
         write_logs(result.log)
     _save_full_checkpoint(os.path.join(args.out, "checkpoint_final.txt"), result)
@@ -208,7 +208,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
                           seeds=parse_seeds(args.seeds))
 
     _ensure_out_dir(args.out)
-    _write_json(os.path.join(args.out, "effective_config.json"), config_to_dict(config))
+    _write_json(os.path.join(args.out, "effective_config.json"), dataclasses.asdict(config))
     write_text_atomic(os.path.join(args.out, "table.txt"), result.table_text())
     _write_json(os.path.join(args.out, "table.json"), result.to_jsonable())
     for label, run in result.runs():

@@ -58,11 +58,6 @@ class PersonIndex:
         """Camera id of every class index, shape (total,)."""
         return np.repeat(np.arange(len(self.counts), dtype=np.int64), self.counts)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PersonIndex):
-            return NotImplemented
-        return self.counts == other.counts
-
     def __repr__(self) -> str:
         return f"PersonIndex(counts={self.counts})"
 
@@ -235,6 +230,8 @@ class SynthSpec:
             raise ContractError("camera_appearance_prob must be in [0, 1]")
         if self.camera_transform_scale < 0 or self.noise_sigma < 0:
             raise ContractError("camera_transform_scale and noise_sigma must be >= 0")
+        if self.seed < 0:
+            raise ContractError(f"seed must be >= 0, got {self.seed}")
 
 
 # The JSON values each annotated field type accepts.

@@ -32,7 +32,6 @@ class TripletBatch:
 
     embeddings: np.ndarray  # (n_persons, n_images, d)
     classes: np.ndarray  # (n_persons,) class index per row
-    camera_id: int
 
     def __post_init__(self) -> None:
         if self.embeddings.ndim != 3:

@@ -35,10 +35,6 @@ class EmbeddingModel:
         return self.W1.shape[1]
 
     @property
-    def hidden(self) -> int:
-        return self.W1.shape[0]
-
-    @property
     def d(self) -> int:
         return self.W2.shape[0]
 
@@ -93,9 +89,8 @@ class Optimizer:
         return self.learning_rate_pretrained * f, self.learning_rate_new * f
 
 
-# Parameters that belong to the embedding body vs the classifier head.
+# Parameters that belong to the embedding body; the rest are the classifier head's.
 BODY_PARAMS = ("W1", "b1", "W2", "b2")
-HEAD_PARAMS = ("Wc", "bc")
 
 
 @dataclass
@@ -173,7 +168,7 @@ def head_backward(head: ClassifierHead, V: np.ndarray, dS: np.ndarray) -> tuple[
 
 def sgd_step(
     model: EmbeddingModel,
-    head: ClassifierHead | None,
+    head: ClassifierHead,
     grads: dict[str, np.ndarray],
     optimizer: Optimizer,
     state: OptimizerState,
@@ -184,9 +179,7 @@ def sgd_step(
     Only parameters named in `grads` are touched.  Refuses non-finite
     gradients before mutating anything.
     """
-    params: dict[str, np.ndarray] = dict(model.params())
-    if head is not None:
-        params.update(head.params())
+    params: dict[str, np.ndarray] = {**model.params(), **head.params()}
     for name, g in grads.items():
         if name not in params:
             raise ContractError(f"unknown parameter {name!r} in gradient dict")
@@ -220,7 +213,7 @@ def _emit_array(lines: list[str], name: str, a: np.ndarray) -> None:
 def save_checkpoint(
     path: str | os.PathLike,
     model: EmbeddingModel,
-    head: ClassifierHead | None,
+    head: ClassifierHead,
     optimizer: Optimizer,
     state: OptimizerState,
     extra_arrays: dict[str, np.ndarray] | None = None,
@@ -234,9 +227,8 @@ def save_checkpoint(
     lines = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}"]
     for name, a in model.params().items():
         _emit_array(lines, f"model.{name}", a)
-    if head is not None:
-        for name, a in head.params().items():
-            _emit_array(lines, f"head.{name}", a)
+    for name, a in head.params().items():
+        _emit_array(lines, f"head.{name}", a)
     for name, a in state.velocities.items():
         _emit_array(lines, f"velocity.{name}", a)
     for f in fields(optimizer):
@@ -252,7 +244,7 @@ def save_checkpoint(
 @dataclass
 class Checkpoint:
     model: EmbeddingModel
-    head: ClassifierHead | None
+    head: ClassifierHead
     optimizer: Optimizer
     state: OptimizerState
     arrays: dict[str, np.ndarray]
@@ -284,8 +276,10 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             end_line = i + 1
             break
         parts = line.split()
+        name = parts[1] if len(parts) > 1 and parts[0] in ("array", "scalar") else None
+        if name in where:
+            raise FormatError(path, i + 1, f"repeated name {name!r}, first on line {where[name]}")
         if len(parts) == 4 and parts[0] == "array":
-            name = parts[1]
             try:
                 rows, cols = int(parts[2]), int(parts[3])
             except ValueError as e:
@@ -311,10 +305,10 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
             i += 1 + rows
         elif len(parts) == 3 and parts[0] == "scalar":
             try:
-                scalars[parts[1]] = float(parts[2])
+                scalars[name] = float(parts[2])
             except ValueError as e:
                 raise FormatError(path, i + 1, f"bad scalar: {e}") from e
-            where[parts[1]] = i + 1
+            where[name] = i + 1
             i += 1
         else:
             raise FormatError(path, i + 1, f"unrecognized line: {line!r}")
@@ -336,10 +330,8 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     W1 = take("model.W1", None, None)
     W2 = take("model.W2", None, W1.shape[0])
     model = EmbeddingModel(W1, take("model.b1", W1.shape[0]), W2, take("model.b2", W2.shape[0]))
-    head = None
-    if "head.Wc" in arrays:
-        Wc = take("head.Wc", None, W2.shape[0])
-        head = ClassifierHead(Wc, take("head.bc", Wc.shape[0]))
+    Wc = take("head.Wc", None, W2.shape[0])
+    head = ClassifierHead(Wc, take("head.bc", Wc.shape[0]))
 
     decay_epoch = scalars.get("optimizer.decay_epoch", 0.0)
     if not decay_epoch.is_integer():
@@ -355,7 +347,7 @@ def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
         raise FormatError(path, where[f"optimizer.{bad[0]}"], f"optimizer.{bad[1]}")
 
     state = OptimizerState()
-    params = {**model.params(), **(head.params() if head is not None else {})}
+    params = {**model.params(), **head.params()}
     for name in [n for n in arrays if n.startswith("velocity.")]:
         pname = name[len("velocity."):]
         if pname not in params:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -28,7 +28,7 @@ from .affinity import (  # noqa: F401
     AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity, soft_label_rows,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
-from .data import Dataset, dataclass_from_dict, field_accepts
+from .data import Dataset, field_accepts
 from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
@@ -139,6 +139,8 @@ class TrainConfig:
             raise ConfigError("class_batch_total must be >= 1")
         if min(self.hidden_dim, self.embed_dim) < 1:
             raise ConfigError("model dimensions must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         bad = self.optimizer().invalid()
         if bad:
             raise ConfigError(bad[1])
@@ -219,7 +221,6 @@ class PKBatch:
 
     sample_indices: np.ndarray  # (n_p, n_k) into the dataset
     classes: np.ndarray  # (n_p,)
-    camera_id: int
 
 
 def pk_sampler(
@@ -248,7 +249,7 @@ def pk_sampler(
     members, starts = dataset.class_members()
     slots, _ = choice_rows(rng, np.diff(starts)[chosen], n_k)
     picks = members[starts[chosen][:, None] + slots]
-    return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64), camera_id=camera_id)
+    return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64))
 
 
 def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, list[np.ndarray]]:
@@ -296,9 +297,7 @@ class TrainState:
     buffer: PersonBuffer
     rng: np.random.Generator
     log: TrainLog = field(default_factory=TrainLog)
-    affinity_builds: int = 0
     final_affinity: AffinityMatrix | None = None
-    excluded_cameras: tuple[int, ...] = ()  # cameras with < 2 persons, skipped by intra sampling
 
 
 def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
@@ -320,11 +319,8 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
             f"count ({max(index.counts[c] for c in cams)})"
         )
     state.final_affinity = None
-    state.final_affinity = aff = build_affinity(
-        state.buffer, index, config.k,
-        epoch=len(state.log.records) + 1, mask_same_camera=config.mask_same_camera,
-    )
-    state.affinity_builds += 1
+    state.final_affinity = aff = build_affinity(state.buffer, index, config.k,
+                                                mask_same_camera=config.mask_same_camera)
     table = aff.soft_labels
     truth = dataset.truth_of_class_array() if dataset.has_full_truth() else None
     quality = affinity_quality_map(aff, truth) if truth is not None else None
@@ -339,7 +335,7 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: i
     pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
     X = dataset.features[pk.sample_indices.reshape(-1)]
     E = forward_batch(state.model, X)
-    tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes, cam)
+    tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes)
     if config.mining_mode == "hard":
         lv = intra_triplet_loss(tb, config.margin)
     else:
@@ -462,11 +458,10 @@ def train(
 
     counts = dataset.index.counts
     eligible_cams = [c for c in range(dataset.n_cameras) if counts[c] >= 2]
-    excluded_cams = tuple(c for c in range(dataset.n_cameras) if c not in eligible_cams)
     if not eligible_cams:
         raise ContractError("no camera has >= 2 persons; intra-camera triplets impossible")
     iters_per_epoch = math.ceil(len(dataset) / (config.n_p * config.n_k))
-    lone = [c for c in excluded_cams if counts[c] == 1]
+    lone = [c for c in range(dataset.n_cameras) if counts[c] == 1]
     if joint_epochs and lone:
         raise ConfigError(
             f"camera {lone[0]} has a single person, whom intra-camera batches never draw, so the "
@@ -487,7 +482,7 @@ def train(
         head=init_head(config.embed_dim, dataset.index.total, rng_init),
         optimizer=config.optimizer(), opt_state=OptimizerState(),
         buffer=new_buffer(config.embed_dim, dataset.index.total),
-        rng=np.random.default_rng(train_seed), excluded_cameras=excluded_cams,
+        rng=np.random.default_rng(train_seed),
     )
 
     for epoch in range(1, config.epochs + 1):
@@ -535,12 +530,3 @@ def train(
         if epoch_callback is not None:
             epoch_callback(epoch, state)
     return state
-
-
-def config_to_dict(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
-def config_from_dict(values: dict, base: TrainConfig | None = None) -> TrainConfig:
-    """Build a validated config from a plain dict; see data.dataclass_from_dict."""
-    return dataclass_from_dict(TrainConfig, values, base)

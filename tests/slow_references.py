@@ -63,11 +63,11 @@ def label_table(W, class_index=None):
     return _pack(class_index, rows, cols, W[rows, cols], W.shape[1])
 
 
-def affinity_from_dense(A, sigma_sq, k, epoch_built, camera_of_class, masked):
+def affinity_from_dense(A, sigma_sq, camera_of_class, masked):
     """The AffinityMatrix whose dense matrix is A."""
     entries = label_table(A)
-    return AffinityMatrix(entries, _soft_labels(entries), float(sigma_sq), int(k),
-                          int(epoch_built), np.asarray(camera_of_class), bool(masked))
+    return AffinityMatrix(entries, _soft_labels(entries), float(sigma_sq),
+                          np.asarray(camera_of_class), bool(masked))
 
 
 def row_nonzeros(row):

@@ -150,7 +150,7 @@ def test_criterion_1_gradient_suite():
             model, _ = _from_flat(flat, with_head=False)
             E = forward_batch(model, X_tri)
             lv = intra_triplet_loss(
-                TripletBatch(E.reshape(3, 2, EMBED), tri_classes, 0), margin=0.5
+                TripletBatch(E.reshape(3, 2, EMBED), tri_classes), margin=0.5
             )
             grads = backward(model, X_tri, lv.grads["embeddings"].reshape(6, EMBED))
             return lv.loss, _grads_to_flat(grads, with_head=False)
@@ -218,7 +218,7 @@ def test_criterion_2_oracle_suite():
         E = rng.standard_normal((n_p, n_k, int(rng.integers(2, 5))))
         classes = rng.permutation(12)[:n_p]
         margin = float(rng.uniform(0.0, 1.0))
-        got = intra_triplet_loss(TripletBatch(E, classes, 0), margin).loss
+        got = intra_triplet_loss(TripletBatch(E, classes), margin).loss
         want = oracle_triplet_loss(
             E.reshape(n_p * n_k, -1), np.repeat(classes, n_k), margin
         )

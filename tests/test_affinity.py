@@ -109,7 +109,7 @@ class TestSoftLabelRows:
 
     def test_singleton_row_gets_weight_one(self):
         aff = slow.affinity_from_dense(
-            A=np.array([[0.0, 0.7], [0.0, 0.0]]), sigma_sq=1.0, k=1, epoch_built=0,
+            A=np.array([[0.0, 0.7], [0.0, 0.0]]), sigma_sq=1.0,
             camera_of_class=np.array([0, 1]), masked=True,
         )
         rows = soft_label_rows(aff)
@@ -117,7 +117,7 @@ class TestSoftLabelRows:
 
     def test_zero_row_marked_degenerate(self):
         aff = slow.affinity_from_dense(
-            A=np.zeros((2, 2)), sigma_sq=1.0, k=1, epoch_built=0,
+            A=np.zeros((2, 2)), sigma_sq=1.0,
             camera_of_class=np.array([0, 1]), masked=True,
         )
         rows = soft_label_rows(aff)
@@ -146,7 +146,7 @@ class TestAffinityQuality:
         A[0, 2] = 0.5
         A[0, 3] = 0.3
         aff = slow.affinity_from_dense(
-            A=A, sigma_sq=1.0, k=3, epoch_built=0,
+            A=A, sigma_sq=1.0,
             camera_of_class=np.array([0, 1, 1, 1]), masked=True,
         )
         truth = np.array([7, 7, 8, 7])
@@ -171,7 +171,7 @@ class TestAffinityQuality:
             j = (i + 5) % 10
             A[i, j] = 1.0 + A[i].max()
         best = slow.affinity_from_dense(
-            A=A, sigma_sq=aff.sigma_sq, k=aff.k, epoch_built=0,
+            A=A, sigma_sq=aff.sigma_sq,
             camera_of_class=aff.camera_of_class, masked=True,
         )
         assert affinity_quality_map(best, truth) >= base

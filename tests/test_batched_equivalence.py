@@ -73,7 +73,7 @@ def sparse_affinity(rng, ds, k):
         m = int(rng.integers(0, min(k, C - 1) + 1)) if rng.random() < 0.8 else 0
         cols = rng.choice(np.delete(np.arange(C), i), size=m, replace=False)
         A[i, cols] = rng.choice([0.25, 0.5, 1.0, rng.random()], size=m)
-    return slow.affinity_from_dense(A=A, sigma_sq=1.0, k=k, epoch_built=0,
+    return slow.affinity_from_dense(A=A, sigma_sq=1.0,
                                     camera_of_class=ds.index.camera_of_class_array(), masked=False)
 
 
@@ -218,8 +218,7 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
     aff = build_affinity(buf, ds.index, int(rng.integers(1, 8)), mask_same_camera=mask)
     A = aff.A
     A[rng.random(C) < 0.2] = 0.0  # degenerate rows
-    aff = slow.affinity_from_dense(A, aff.sigma_sq, aff.k, aff.epoch_built, aff.camera_of_class,
-                                   aff.masked)
+    aff = slow.affinity_from_dense(A, aff.sigma_sq, aff.camera_of_class, aff.masked)
     config = dataclasses.replace(
         TrainConfig(), n_k=int(rng.integers(2, 6)), embed_dim=4, hidden_dim=5,
         margin=float(rng.choice([0.0, 0.3, 2.0])),
@@ -275,7 +274,7 @@ def test_soft_label_rows_match_per_row_normalization(seed, transposed):
         A[rng.integers(C)] = 5e-324  # a row of subnormals, its total subnormal too
     if transposed:
         A = A.T  # a row that is not contiguous
-    aff = slow.affinity_from_dense(A=A, sigma_sq=1.0, k=C, epoch_built=0,
+    aff = slow.affinity_from_dense(A=A, sigma_sq=1.0,
                                    camera_of_class=np.zeros(C, dtype=np.int64), masked=False)
     got = soft_label_rows(aff)
     want = slow.soft_label_rows(A)

@@ -3,12 +3,14 @@ and the dense views its checks read keep their bits.
 
 perfbench/tracer.py replaces each name in TRACED_NAMES on its module and
 reports it under layer_name; BENCHMARK.json lists the per-layer metrics
-by those names.  perfbench/job.py imports names from the package and
+by those names.  perfbench/job.py imports names from the package,
 checks the final affinity through its dense views (AffinityMatrix.A and
-soft_label_rows) and its masked, camera_of_class and sigma_sq fields.
-A function renamed or no longer bound, or a view or field that changed,
-would break the benchmark, which the tests under perfbench/ only catch
-when run on their own.  This reads perfbench without changing it.
+soft_label_rows) and its masked, camera_of_class and sigma_sq fields,
+and reads fields of the state train returns, of its log records and of
+the checkpoint load_checkpoint returns.  A function renamed or no longer
+bound, or a view or field that changed, would break the benchmark, which
+the tests under perfbench/ only catch when run on their own.  This reads
+perfbench without changing it.
 """
 
 import ast
@@ -21,7 +23,10 @@ import numpy as np
 import pytest
 
 import slow_references as slow
-from crosscam import PersonIndex, build_affinity, new_buffer, soft_label_rows
+from crosscam import (
+    PersonIndex, TrainConfig, build_affinity, load_checkpoint, new_buffer, save_checkpoint,
+    soft_label_rows, train,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -101,3 +106,51 @@ def test_dense_views_keep_the_bits_of_the_dense_build(mask):
     assert [r.degenerate for r in rows] == [d for _, d in want_rows]
     for row, (weights, _) in zip(rows, want_rows):
         assert row.weights.tobytes() == weights.tobytes()
+
+
+# What perfbench/job.py run_job reads of the state train returns (and of
+# its buffer), of each log record, and of what load_checkpoint returns.
+STATE_READS = {"model", "head", "optimizer", "opt_state", "buffer", "final_affinity", "log"}
+BUFFER_READS = {"P", "initialized", "t"}
+RECORD_READS = {"epoch", "intra_loss", "inter_loss", "skipped_anchors"}
+CHECKPOINT_READS = {"model", "head"}
+
+
+def _job_reads(variable):
+    """The attributes perfbench/job.py reads directly off a variable of this name."""
+    tree = ast.parse((ROOT / "perfbench" / "job.py").read_text())
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == variable}
+
+
+@pytest.mark.parametrize("variable, pinned", [
+    ("result", STATE_READS), ("r", RECORD_READS), ("loaded", CHECKPOINT_READS),
+])
+def test_pinned_reads_cover_the_job(variable, pinned):
+    assert _job_reads(variable) <= pinned
+
+
+def test_train_and_checkpoint_reads_are_bound(tiny_train, tmp_path):
+    cfg = TrainConfig(n_p=24, n_k=2, epochs=2, warmup_epochs=1, hidden_dim=16, embed_dim=8,
+                      class_batch_total=6, seed=3)
+    result = train(tiny_train, cfg)
+    missing = [name for name in STATE_READS if not hasattr(result, name)]
+    missing += [f"buffer.{name}" for name in BUFFER_READS if not hasattr(result.buffer, name)]
+    missing += [f"record.{name}" for name in RECORD_READS
+                for r in result.log.records if not hasattr(r, name)]
+    assert missing == []
+    assert result.final_affinity is not None
+    # The checkpoint run_job writes and reads back.
+    path = tmp_path / "ck.txt"
+    save_checkpoint(
+        path, result.model, result.head, result.optimizer, result.opt_state,
+        extra_arrays={"buffer.P": result.buffer.P,
+                      "buffer.initialized": result.buffer.initialized.astype(np.float64)},
+        extra_scalars={"buffer.t": float(result.buffer.t)},
+    )
+    loaded = load_checkpoint(path)
+    assert [name for name in CHECKPOINT_READS if not hasattr(loaded, name)] == []
+    saved = {**result.model.params(), **result.head.params()}
+    reloaded = {**loaded.model.params(), **loaded.head.params()}
+    assert saved.keys() == reloaded.keys()
+    assert all(reloaded[n].tobytes() == a.tobytes() for n, a in saved.items())

@@ -225,6 +225,25 @@ class TestErrorReporting:
         assert err.startswith("error ConfigError:")
         assert repr(next(iter(values))) in err
 
+    @pytest.mark.parametrize("command, seed_flags, error", [
+        ("gen", ["--seed", "-1"], "ContractError"),
+        ("train", ["--seed", "-1"], "ConfigError"),
+        ("ablate", ["--seeds", "-1"], "ConfigError"),
+    ])
+    def test_negative_seed_refused_before_any_draw(self, pipeline, tmp_path, capsys, command,
+                                                   seed_flags, error):
+        data = pipeline["data"]
+        inputs = {
+            "gen": [],
+            "train": ["--data", str(data / "train.txt")] + TRAIN_FLAGS,
+            "ablate": ["--data", str(data / "train.txt"), "--query", str(data / "query.txt"),
+                       "--gallery", str(data / "gallery.txt"), "--axis", "mining_mode"]
+                      + TRAIN_FLAGS,
+        }[command]
+        code = main([command, "--out", str(tmp_path / "o")] + inputs + seed_flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"error {error}: seed must be >= 0, got -1\n"
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "o")])
         assert code == 1

@@ -149,7 +149,7 @@ def test_update_buffer_matches_per_person_calls(seed):
         update_person(want, [c], f[None])
         update_person(got, [c], f[None])
     slow.update_buffer(want, embeddings, classes)
-    _update_buffer(got, TripletBatch(embeddings, classes, 0))
+    _update_buffer(got, TripletBatch(embeddings, classes))
     assert same_bits(got.P, want.P)
     assert got.initialized.tolist() == want.initialized.tolist()
     assert got.t == 1
@@ -189,7 +189,7 @@ def test_random_triplet_loss_matches_two_draws_per_anchor(seed):
     n_p, n_k, d = int(rng.integers(2, 9)), int(rng.integers(2, 6)), int(rng.integers(1, 6))
     classes = rng.integers(0, max(2, n_p - 1), size=n_p)
     classes[:2] = [0, 1]  # two persons at least; repeats allowed
-    batch = TripletBatch(points(rng, (n_p, n_k, d)), classes, 0)
+    batch = TripletBatch(points(rng, (n_p, n_k, d)), classes)
     draw_seed = int(rng.integers(2**31))
     ref, got = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
     E, labels = batch.flat()

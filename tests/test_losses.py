@@ -30,7 +30,6 @@ def batch_from_flat(E, classes_per_row, n_images):
     return TripletBatch(
         embeddings=E.reshape(n_persons, n_images, -1),
         classes=np.asarray(classes_per_row),
-        camera_id=0,
     )
 
 
@@ -51,11 +50,11 @@ class TestIntraTriplet:
     def test_precondition_violations(self):
         E = np.zeros((2, 2, 3))
         with pytest.raises(ContractError):
-            intra_triplet_loss(TripletBatch(E[:1], np.array([0]), 0), 0.3)
+            intra_triplet_loss(TripletBatch(E[:1], np.array([0])), 0.3)
         with pytest.raises(ContractError):
-            intra_triplet_loss(TripletBatch(E[:, :1], np.array([0, 1]), 0), 0.3)
+            intra_triplet_loss(TripletBatch(E[:, :1], np.array([0, 1])), 0.3)
         with pytest.raises(ContractError):
-            intra_triplet_loss(TripletBatch(E, np.array([4, 4]), 0), 0.3)
+            intra_triplet_loss(TripletBatch(E, np.array([4, 4])), 0.3)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -67,7 +66,7 @@ class TestIntraTriplet:
         E = rng.standard_normal((n_p, n_k, d))
         classes = rng.permutation(10)[:n_p]
         margin = float(rng.uniform(0.0, 1.0))
-        lv = intra_triplet_loss(TripletBatch(E, classes, 0), margin)
+        lv = intra_triplet_loss(TripletBatch(E, classes), margin)
         flat = E.reshape(n_p * n_k, d)
         labels = np.repeat(classes, n_k)
         assert lv.loss == pytest.approx(oracle_triplet_loss(flat, labels, margin), abs=1e-9)
@@ -89,10 +88,10 @@ class TestIntraTriplet:
         margin = 0.3
 
         def loss_at(flat):
-            b = TripletBatch(flat.reshape(3, 2, 3), classes, 0)
+            b = TripletBatch(flat.reshape(3, 2, 3), classes)
             return intra_triplet_loss(b, margin).loss
 
-        lv = intra_triplet_loss(TripletBatch(E, classes, 0), margin)
+        lv = intra_triplet_loss(TripletBatch(E, classes), margin)
         numeric = finite_difference(loss_at, E.ravel(), eps=1e-6)
         analytic = lv.grads["embeddings"].ravel()
         # Skip seeds that sit on a hinge/selection boundary.
@@ -219,7 +218,7 @@ def selection_fixture():
     A[0, 2] = np.exp(-1.0 / 1.5)
     A[0, 3] = np.exp(-2.0 / 1.5)
     aff = slow.affinity_from_dense(
-        A=A, sigma_sq=1.5, k=2, epoch_built=0,
+        A=A, sigma_sq=1.5,
         camera_of_class=np.array([0, 0, 1, 1]), masked=True,
     )
     return ds, aff

@@ -25,6 +25,11 @@ def small_model(rng):
     return init_model(d_in=5, hidden=7, d_embed=3, rng=rng)
 
 
+def head_for(model):
+    """A 4-class head on the model's embeddings, from its own generator."""
+    return init_head(model.d, 4, np.random.default_rng(0))
+
+
 class TestForward:
     def test_zero_parameters_zero_output(self):
         m = EmbeddingModel(np.zeros((4, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(2))
@@ -117,7 +122,7 @@ class TestSgdStep:
         w_before = m.W1.copy()
         g = rng.standard_normal(m.W1.shape)
         opt = Optimizer(learning_rate_pretrained=0.1, momentum=0.0, decay_epoch=100)
-        sgd_step(m, None, {"W1": g}, opt, OptimizerState(), epoch=1)
+        sgd_step(m, head_for(m), {"W1": g}, opt, OptimizerState(), epoch=1)
         np.testing.assert_allclose(m.W1, w_before - 0.1 * g, rtol=1e-12)
 
     def test_decay_multiplies_learning_rate_once(self):
@@ -134,10 +139,11 @@ class TestSgdStep:
         eta = 0.05
         opt = Optimizer(learning_rate_pretrained=eta, momentum=0.9, decay_epoch=100)
         state = OptimizerState()
+        head = head_for(m)
         before_first = m.b2.copy()
-        sgd_step(m, None, {"b2": g.copy()}, opt, state, epoch=1)
+        sgd_step(m, head, {"b2": g.copy()}, opt, state, epoch=1)
         after_first = m.b2.copy()
-        sgd_step(m, None, {"b2": g.copy()}, opt, state, epoch=1)
+        sgd_step(m, head, {"b2": g.copy()}, opt, state, epoch=1)
         np.testing.assert_allclose(after_first - before_first, -eta * g, rtol=1e-12)
         np.testing.assert_allclose(m.b2 - after_first, -1.9 * eta * g, rtol=1e-12)
 
@@ -145,7 +151,7 @@ class TestSgdStep:
         m = small_model(rng)
         w2 = m.W2.copy()
         opt = Optimizer()
-        sgd_step(m, None, {"W1": np.ones_like(m.W1)}, opt, OptimizerState(), epoch=1)
+        sgd_step(m, head_for(m), {"W1": np.ones_like(m.W1)}, opt, OptimizerState(), epoch=1)
         assert np.array_equal(m.W2, w2)
 
     def test_non_finite_gradient_refused_with_parameter_name(self, rng):
@@ -154,7 +160,7 @@ class TestSgdStep:
         g[0] = np.nan
         before = m.b1.copy()
         with pytest.raises(TrainingError, match="b1"):
-            sgd_step(m, None, {"b1": g}, Optimizer(), OptimizerState(), epoch=1)
+            sgd_step(m, head_for(m), {"b1": g}, Optimizer(), OptimizerState(), epoch=1)
         assert np.array_equal(m.b1, before)
 
     def test_head_uses_new_parameter_rate(self, rng):
@@ -184,17 +190,33 @@ class TestCheckpoint:
 
     def test_fresh_model_roundtrip(self, rng, tmp_path):
         m = small_model(rng)
+        head = head_for(m)
         p = tmp_path / "ck.txt"
-        save_checkpoint(p, m, None, Optimizer(), OptimizerState())
+        save_checkpoint(p, m, head, Optimizer(), OptimizerState())
         loaded = load_checkpoint(p)
-        assert loaded.head is None
         for name, arr in m.params().items():
             assert np.array_equal(loaded.model.params()[name], arr)
+        for name, arr in head.params().items():
+            assert np.array_equal(loaded.head.params()[name], arr)
+
+    def test_checkpoint_without_head_refused_at_end(self, rng, tmp_path):
+        m = small_model(rng)
+        p = tmp_path / "ck.txt"
+        save_checkpoint(p, m, head_for(m), Optimizer(), OptimizerState())
+        lines = p.read_text().splitlines()
+        at = lines.index("array head.Wc 4 3")
+        kept = lines[:at] + lines[at + (1 + 4) + (1 + 1):]  # head.Wc (4 x 3), then head.bc
+        assert not any(line.startswith("array head.") for line in kept)
+        p.write_text("\n".join(kept) + "\n")
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(p)
+        assert info.value.line == kept.index("end") + 1
+        assert info.value.reason == "missing required array 'head.Wc' before 'end'"
 
     def test_truncated_checkpoint_is_a_parse_error(self, rng, tmp_path):
         m = small_model(rng)
         p = tmp_path / "ck.txt"
-        save_checkpoint(p, m, None, Optimizer(), OptimizerState())
+        save_checkpoint(p, m, head_for(m), Optimizer(), OptimizerState())
         text = p.read_text().splitlines()
         p.write_text("\n".join(text[: len(text) // 2]) + "\n")
         with pytest.raises(FormatError):
@@ -217,6 +239,12 @@ class TestCheckpoint:
          "velocity for absent parameter 'Wx'"),
         ("scalar optimizer.decay_epoch ", ["scalar optimizer.decay_epoch 2.5"],
          "optimizer.decay_epoch must be an integer, got 2.5"),
+        # A repeated name is refused at its second line, not kept as the last one read.
+        ("array model.b2 ", ["array model.b1 1 2", "0.0 0.0", "array model.b2 1 4",
+                             "0.0 0.0 0.0 0.0"], "repeated name 'model.b1', first on line 5"),
+        ("scalar optimizer.decay_epoch ", ["scalar optimizer.momentum 0.5",
+                                           "scalar optimizer.decay_epoch 200.0"],
+         "repeated name 'optimizer.momentum', first on line"),
     ])
     def test_inconsistent_checkpoint_names_the_line(self, rng, tmp_path, prefix, new_lines,
                                                     reason):
@@ -239,7 +267,7 @@ class TestCheckpoint:
         m = init_model(3, 2, 4, rng)
         getattr(m, name).flat[-1] = value
         p = tmp_path / "ck.txt"
-        save_checkpoint(p, m, None, Optimizer(), OptimizerState())
+        save_checkpoint(p, m, head_for(m), Optimizer(), OptimizerState())
         lines = p.read_text().splitlines()
         header = next(i for i, line in enumerate(lines) if line.startswith(f"array model.{name} "))
         rows = int(lines[header].split()[2])
@@ -251,8 +279,9 @@ class TestCheckpoint:
     def test_save_twice_is_byte_identical(self, rng, tmp_path):
         m = small_model(rng)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_checkpoint(a, m, None, Optimizer(), OptimizerState())
-        save_checkpoint(b, m, None, Optimizer(), OptimizerState())
+        head = head_for(m)
+        save_checkpoint(a, m, head, Optimizer(), OptimizerState())
+        save_checkpoint(b, m, head, Optimizer(), OptimizerState())
         assert a.read_bytes() == b.read_bytes()
 
 

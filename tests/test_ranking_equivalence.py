@@ -257,10 +257,9 @@ def test_affinity_quality_map_matches_per_row_sort(seed, built):
         values = [0.0, 0.25, 0.5, 1.0, rng.random()]
         A = np.where(rng.random((C, C)) < 0.3, rng.choice(values, size=(C, C)), 0.0)
         A[rng.random(C) < 0.2] = 0.0
-    aff = slow.affinity_from_dense(A=A, sigma_sq=1.0, k=C, epoch_built=0, camera_of_class=cameras,
-                                   masked=True)
+    aff = slow.affinity_from_dense(A=A, sigma_sq=1.0, camera_of_class=cameras, masked=True)
     for M in (A, np.zeros_like(A)):  # an all-zero affinity still gets one padding column
-        table = slow.affinity_from_dense(M, 1.0, C, 0, cameras, True).candidates
+        table = slow.affinity_from_dense(M, 1.0, cameras, True).candidates
         want_index, want_weights, want_count = slow.affinity_candidates(M)
         assert same_bits(table.index, want_index)
         assert same_bits(table.weights, want_weights)

@@ -84,6 +84,12 @@ def test_bad_seed_lists_are_reported_on_one_line(capsys):
         assert err.startswith("error ConfigError: seeds must ") and err.count("\n") == 1
 
 
+def test_negative_seed_is_reported_on_one_line(capsys):
+    assert script.main(["--settings", "baseline_intra", "--seeds", "-1", "--epochs", "1",
+                        "--warmup-epochs", "1", "--decay-epoch", "1"]) == 1
+    assert capsys.readouterr().err == "error ConfigError: seed must be >= 0, got -1\n"
+
+
 def test_unknown_setting_is_reported_on_one_line(capsys):
     assert script.main(["--settings", "nonsense", "--seeds", "1"]) == 1
     assert capsys.readouterr().err.startswith("error ContractError: unknown benchmark setting")

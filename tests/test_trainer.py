@@ -15,15 +15,14 @@ from crosscam import (
     TrainLog,
     TrainingError,
     classification_sampler,
-    config_from_dict,
-    config_to_dict,
     generate_synthetic,
     new_buffer,
     pk_sampler,
     train,
 )
 from crosscam import trainer
-from crosscam.affinity import squared_distances
+from crosscam.affinity import affinity_quality_map, squared_distances
+from crosscam.data import dataclass_from_dict
 from crosscam.model import Optimizer, OptimizerState, init_head, init_model
 from crosscam.ranking import BLOCK_ELEMENTS
 from crosscam.trainer import TRAINLOG_COLUMNS, TrainState
@@ -68,7 +67,6 @@ class TestPKSampler:
     def test_shapes_and_membership(self, tiny_train, rng):
         batch = pk_sampler(tiny_train, 0, 4, 2, rng)
         assert batch.sample_indices.shape == (4, 2)
-        assert batch.camera_id == 0
         for r in range(4):
             cls = int(batch.classes[r])
             assert tiny_train.index.camera_of_class_array()[cls] == 0
@@ -175,24 +173,24 @@ class TestConfig:
 
     def test_dict_round_trip(self):
         cfg = fast_config(lam=0.5, inter_mode="D")
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert dataclass_from_dict(TrainConfig, dataclasses.asdict(cfg)) == cfg
 
     def test_unknown_key_named_in_error(self):
         with pytest.raises(ConfigError, match="n_persons"):
-            config_from_dict({"n_persons": 8})
+            dataclass_from_dict(TrainConfig, {"n_persons": 8})
 
     def test_value_types_checked_against_fields(self):
-        cfg = config_from_dict({"margin": 1, "epochs": 4, "warmup_epochs": 2})
+        cfg = dataclass_from_dict(TrainConfig, {"margin": 1, "epochs": 4, "warmup_epochs": 2})
         assert cfg.margin == 1.0 and type(cfg.margin) is float
         for values in ({"epochs": 3.5}, {"epochs": True}, {"n_p": "x"}, {"lam": None},
                        {"mask_same_camera": "false"}, {"mask_same_camera": 0}):
             key = next(iter(values))
             with pytest.raises(ConfigError, match=f"'{key}'"):
-                config_from_dict(values)
+                dataclass_from_dict(TrainConfig, values)
 
     def test_partial_dict_overrides_base(self):
         base = fast_config()
-        cfg = config_from_dict({"margin": 0.7}, base=base)
+        cfg = dataclass_from_dict(TrainConfig, {"margin": 0.7}, base=base)
         assert cfg.margin == 0.7
         assert cfg.n_p == base.n_p
 
@@ -200,7 +198,6 @@ class TestConfig:
 class TestTrainingRuns:
     def test_warmup_only_never_builds_affinity(self, tiny_train):
         result = train(tiny_train, fast_config())
-        assert result.affinity_builds == 0
         assert result.final_affinity is None
         assert len(result.log.records) == 2
         for r in result.log.records:
@@ -210,15 +207,14 @@ class TestTrainingRuns:
 
     def test_joint_phase_builds_once_per_epoch(self, tiny_train):
         result = train(tiny_train, fast_config(epochs=4, warmup_epochs=2))
-        assert result.affinity_builds == 2
-        assert result.final_affinity is not None
-        assert result.final_affinity.epoch_built == 4
-        warm, joint = result.log.records[:2], result.log.records[2:]
-        for r in warm:
-            assert r.affinity_map is None
-        for r in joint:
-            assert r.affinity_map is not None
+        # Each build logs its affinity mAP, so the mAP is set on exactly the joint epochs.
+        assert [r.affinity_map is not None for r in result.log.records] == [False] * 2 + [True] * 2
+        for r in result.log.records[2:]:
             assert 0.0 <= r.affinity_map <= 1.0
+        # final_affinity is the last epoch's build.
+        truth = tiny_train.truth_of_class_array()
+        got = affinity_quality_map(result.final_affinity, truth)
+        assert np.float64(got).tobytes() == np.float64(result.log.records[-1].affinity_map).tobytes()
 
     def test_buffer_touched_every_epoch(self, tiny_train):
         result = train(tiny_train, fast_config())
@@ -249,7 +245,7 @@ class TestTrainingRuns:
         )
         # The lam=0 run still measures affinity quality, it just never
         # lets the cross-camera losses touch the parameters.
-        assert joint.affinity_builds == 2
+        assert [r.affinity_map is not None for r in joint.log.records] == [False] * 2 + [True] * 2
         assert all(r.inter_loss == 0.0 for r in joint.log.records)
 
     def test_inter_loss_appears_in_joint_phase(self, tiny_train):
@@ -290,16 +286,17 @@ class TestTrainingRuns:
         with pytest.raises(ContractError):
             train(tiny_corpus["query"], fast_config())
 
-    def test_thin_camera_excluded_from_intra_sampling_and_counted(self):
+    def test_thin_camera_excluded_from_intra_sampling(self):
         # Camera 2 holds a single person: unusable for triplets, but the
-        # run proceeds on the remaining cameras and reports the exclusion.
+        # run proceeds on the remaining cameras.
         ds = thin_camera_dataset()
+        assert ds.index.counts == (4, 4, 1)
         result = train(ds, fast_config(n_p=4, epochs=1, warmup_epochs=1))
-        assert result.excluded_cameras == (2,)
         # Camera 2's lone person never enters an intra batch, so its buffer
-        # column stays untouched.
+        # column stays untouched while every other column is filled.
         lone_class = ds.index.offsets[2]  # local id 0 of camera 2
-        assert lone_class in result.buffer.uninitialized_classes()
+        assert result.buffer.uninitialized_classes() == [lone_class]
+        assert not result.buffer.P[:, lone_class].any()
 
     @pytest.mark.parametrize("lam", [1.0, 0.0])
     def test_thin_camera_with_joint_epochs_refused_before_training(self, lam):
@@ -327,7 +324,7 @@ class TestTrainingRuns:
                   epoch_callback=lambda e, state: seen.append(e))
         assert seen == [1]
         result = train(ds, fast_config(n_p=12, epochs=3, warmup_epochs=2))
-        assert result.affinity_builds == 1
+        assert [r.affinity_map is not None for r in result.log.records] == [False, False, True]
 
     def test_epoch_too_short_to_reach_every_camera_refused_before_training(self, tiny_train):
         # One batch per epoch, and the camera rotation restarts every epoch,
@@ -348,9 +345,10 @@ class TestTrainingRuns:
         with pytest.raises(TrainingError, match="non-finite intra loss at epoch 1, iteration 0"):
             train(huge, fast_config(mining_mode=mining_mode))
 
-    def test_all_cameras_eligible_reports_no_exclusions(self, tiny_train):
+    def test_all_cameras_eligible_fill_every_column(self, tiny_train):
+        assert min(tiny_train.index.counts) >= 2
         result = train(tiny_train, fast_config(epochs=1, warmup_epochs=1))
-        assert result.excluded_cameras == ()
+        assert result.buffer.uninitialized_classes() == []
 
     def test_single_camera_joint_schedule_refused(self, rng):
         spec = SynthSpec(n_identities=8, n_cameras=2, images_per_person=3, seed=5)
