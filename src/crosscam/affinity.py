@@ -5,8 +5,9 @@ nearest candidates among the persons of other cameras, weigh them by a
 Gaussian of their squared distance, and normalize rows into soft-label
 weight vectors.  The bandwidth sigma^2 is the mean squared distance over
 the candidate pairs, computed before exponentiation.  The affinity is
-held as k-sparse tables; the one C x C array a build allocates is its
-distance matrix, which it drops before returning.
+held as k-sparse tables.  A build streams its distances in row blocks of
+about PRODUCT_ELEMENTS (squared_distance_blocks), so it never holds a
+C x C array; evaluation streams query x gallery distances the same way.
 """
 
 from __future__ import annotations
@@ -22,16 +23,16 @@ from .errors import AffinityError, ContractError
 from .ranking import BLOCK_ELEMENTS, hit_aps, identity_pairs
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances (|a|^2 + |b|^2) - 2 a.b, clipped at 0.
+# Distances are computed in row blocks of about this many elements (8 MB
+# of float64), one matrix product per block, so no caller holds a whole
+# C x C or query x gallery matrix; each block is finished in sub-blocks
+# of BLOCK_ELEMENTS.
+PRODUCT_ELEMENTS = 1 << 20
 
-    The product is one call, because a row block of it can differ from
-    the same rows of the whole product in the last bit.  It is finished
-    in place in row blocks, each step elementwise in that order, so the
-    result is the only (len(a), len(b)) array allocated.
-    """
-    d2 = a @ b.T
-    na, nb = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+
+def _finish(d2: np.ndarray, na: np.ndarray, nb: np.ndarray) -> np.ndarray:
+    """d2 = x @ b.T, finished in place in row blocks of BLOCK_ELEMENTS into
+    (|x|^2 + |b|^2) - 2 x.b clipped at 0, each step elementwise in that order."""
     step = max(1, BLOCK_ELEMENTS // max(d2.shape[1], 1))
     for lo in range(0, d2.shape[0], step):
         block = d2[lo:lo + step]
@@ -39,6 +40,30 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         np.subtract(na[lo:lo + step, None] + nb, block, out=block)
         np.maximum(block, 0.0, out=block)
     return d2
+
+
+def squared_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Yield (lo, block): rows lo:lo + len(block) of the (len(a), len(b))
+    squared Euclidean distances, in blocks of about PRODUCT_ELEMENTS.
+
+    Each block is one product a[lo:lo + rows] @ b.T.  A row block of a
+    product can differ from the same rows of the whole product in the last
+    bit, so the blocks are part of the result, and a matrix that fits one
+    block has the bits of squared_distances (the slice a[0:len(a)] keeps
+    the buffer, so F @ F.T stays a symmetric update).  The generator keeps
+    no block, so a caller that drops each one before the next holds one.
+    """
+    rows = max(1, PRODUCT_ELEMENTS // max(b.shape[0], 1))
+    nb = np.sum(b * b, axis=1)
+    for lo in range(0, a.shape[0], rows):
+        x = a[lo:lo + rows]
+        yield lo, _finish(x @ b.T, np.sum(x * x, axis=1), nb)
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances as one product block, for
+    batch-sized inputs; the result is the only (len(a), len(b)) array allocated."""
+    return _finish(a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
 
 
 @dataclass
@@ -149,7 +174,9 @@ def build_affinity(
     Candidates of row i are persons from other cameras (with
     mask_same_camera=False: all persons except i itself).  Each row keeps
     its k smallest-distance candidates, ties broken toward the lower
-    class index, and maps them through exp(-dist^2 / sigma^2).
+    class index, and maps them through exp(-dist^2 / sigma^2).  The
+    distances are streamed in product blocks (squared_distance_blocks),
+    so a build holds one block and the O(C k) tables, never a C x C array.
     """
     if k < 1:
         raise ContractError("k must be >= 1")
@@ -171,46 +198,53 @@ def build_affinity(
         )
 
     feats = buf.P.T  # (C, d)
-    d2 = squared_distances(feats, feats)
-    flat = d2.reshape(-1)
-    # One pass over row blocks.  Each row keeps what a stable argsort of its
-    # candidates would put first: every candidate nearer than the row's k-th
-    # smallest candidate distance t, then candidates at exactly t in
-    # class-index order; a row with no candidate keeps nothing.  Once the
-    # block's kept distances are read, its candidate distances are packed
-    # forward into the front of d2, so sigma^2 is the mean of a prefix that
-    # holds d2[candidate] in row-major order.
+    # One pass over the distances in row blocks.  Each row keeps what a
+    # stable argsort of its candidates would put first: every candidate
+    # nearer than the row's k-th smallest candidate distance t, then
+    # candidates at exactly t in class-index order; a row with no candidate
+    # keeps nothing.  Once a block's kept distances are read, its candidate
+    # distances are packed forward into the front of its product block, so
+    # each product block sums a prefix that holds its d2[candidate] in
+    # row-major order, and sigma^2 is those sums, added in block order,
+    # over their count: with one product block, d2[candidate].mean().
     kth = min(k, C) - 1
     step = max(1, BLOCK_ELEMENTS // C)
     kept: list[tuple[np.ndarray, np.ndarray]] = []  # (flat position, distance) per block
-    packed = 0
-    # Each temporary goes once read, so a block holds about one float array.
-    for lo in range(0, C, step):
-        block = d2[lo:lo + step]
-        if mask_same_camera:
-            cand = cameras[lo:lo + step, None] != cameras
-        else:
-            cand = np.arange(lo, lo + block.shape[0])[:, None] != np.arange(C)
-        dist = np.where(cand, block, np.inf)
-        dist.partition(kth, axis=1)
-        t = dist[:, [kth]]
-        del dist
-        sel = (block <= t) & cand
-        at = np.flatnonzero(sel)
-        if (np.bincount(at // C, minlength=block.shape[0]) > k).any():  # too many tied at t
-            nearer = (block < t) & cand
-            tied = sel & ~nearer
-            tied &= np.cumsum(tied, axis=1) <= k - np.count_nonzero(nearer, axis=1)[:, None]
-            at = np.flatnonzero(nearer | tied)
-        del sel
-        kept.append((at + lo * C, block.reshape(-1)[at]))
-        moved = block[cand]
-        flat[packed:packed + moved.size] = moved
-        packed += moved.size
-    if not packed:
+    total, count = 0.0, 0
+    # Each temporary goes once read, so a block holds about one float array
+    # beside its product block, and each product block goes before the next.
+    for lo, d2 in squared_distance_blocks(feats, feats):
+        flat = d2.reshape(-1)
+        packed = 0
+        for s in range(0, d2.shape[0], step):
+            block = d2[s:s + step]
+            first, last = lo + s, lo + s + block.shape[0]
+            if mask_same_camera:
+                cand = cameras[first:last, None] != cameras
+            else:
+                cand = np.arange(first, last)[:, None] != np.arange(C)
+            dist = np.where(cand, block, np.inf)
+            dist.partition(kth, axis=1)
+            t = dist[:, [kth]]
+            del dist
+            sel = (block <= t) & cand
+            at = np.flatnonzero(sel)
+            if (np.bincount(at // C, minlength=block.shape[0]) > k).any():  # too many tied at t
+                nearer = (block < t) & cand
+                tied = sel & ~nearer
+                tied &= np.cumsum(tied, axis=1) <= k - np.count_nonzero(nearer, axis=1)[:, None]
+                at = np.flatnonzero(nearer | tied)
+            del sel
+            kept.append((at + first * C, block.reshape(-1)[at]))
+            moved = block[cand]
+            flat[packed:packed + moved.size] = moved
+            packed += moved.size
+        total += flat[:packed].sum()
+        count += packed
+        del d2, flat, block
+    if not count:
         raise AffinityError("no candidate pairs: every person shares a camera with every other")
-    sigma_sq = float(flat[:packed].mean())
-    del d2, flat, block  # before the tables' dense blocks of rows
+    sigma_sq = float(total / count)
 
     rows, cols = np.divmod(np.concatenate([at for at, _ in kept]), C)
     near = np.concatenate([d for _, d in kept])

@@ -11,7 +11,9 @@ Ranks are found without a full-row sort: relevant items come from the
 gallery grouped by identity, and only each row's items up to its farthest
 relevant item are sorted and binary-searched; items whose distance ties
 another item's get their earlier ties counted from the unsorted row.
-Non-finite embeddings or distances are refused.
+The distances come in blocks of query rows (squared_distance_blocks),
+each ranked and dropped before the next, so no query x gallery matrix
+is held.  Non-finite embeddings or distances are refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import squared_distances
+from .affinity import squared_distance_blocks
 from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
@@ -109,16 +111,25 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
             f"{bad_q} of {len(query)} query and {bad_g} of {len(gallery)} gallery embeddings "
             "are not finite; the model's parameters are non-finite or too large"
         )
-    d2 = squared_distances(Vq, Vg)
-    overflow = int(np.count_nonzero(~np.isfinite(d2)))
+    # Each product block of query rows is ranked against the whole gallery
+    # with its slice of the pairs (q ascends), and dropped before the next.
+    q, g = identity_pairs(query.truth, gallery.truth)
+    overflow, ranked = 0, []
+    for lo, d2 in squared_distance_blocks(Vq, Vg):
+        overflow += int(np.count_nonzero(~np.isfinite(d2)))
+        if not overflow:  # after the first overflow, the rest is only counted
+            a, b = np.searchsorted(q, (lo, lo + d2.shape[0]))
+            qb, gb = q[a:b], g[a:b]
+            junk = query.camera_ids[qb] == gallery.camera_ids[gb]
+            # Junk is unranked: never before a relevant item at a finite distance.
+            d2[qb[junk] - lo, gb[junk]] = np.inf
+            qb, gb = qb[~junk], gb[~junk]
+            ranked.append((qb, rank_positions(d2, qb - lo, gb)))
+        del d2
     if overflow:
         raise EvaluationError(f"{overflow} query-gallery squared distances overflow")
-
-    q, g = identity_pairs(query.truth, gallery.truth)
-    junk = query.camera_ids[q] == gallery.camera_ids[g]
-    d2[q[junk], g[junk]] = np.inf  # unranked: never before a relevant item at a finite distance
-    q, g = q[~junk], g[~junk]
-    pos = rank_positions(d2, q, g)
+    q = np.concatenate([qb for qb, _ in ranked])
+    pos = np.concatenate([p for _, p in ranked])
     order = np.lexsort((pos, q))
     q, pos = q[order], pos[order]
     hit_rows, aps = hit_aps(q, pos)

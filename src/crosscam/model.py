@@ -19,6 +19,8 @@ from .errors import ContractError, FormatError, TrainingError, VersionError
 
 CHECKPOINT_FORMAT = "crosscam-checkpoint"
 CHECKPOINT_VERSION = "v1"
+# Prefixes of the names a checkpoint always writes; extra names may not use them.
+RESERVED_PREFIXES = ("model.", "head.", "velocity.", "optimizer.")
 
 
 @dataclass
@@ -222,8 +224,18 @@ def save_checkpoint(
     """Serialize model, head and optimizer state as versioned decimal text.
 
     repr() of a Python float round-trips exactly, so a load after save
-    reproduces every parameter bitwise.
+    reproduces every parameter bitwise.  Extra names are refused before
+    anything is written unless load_checkpoint would read them back: each
+    must be one nonempty token, not repeated, without a reserved prefix.
     """
+    names = [*(extra_arrays or {}), *(extra_scalars or {})]
+    for name in names:
+        if (not isinstance(name, str) or name.split() != [name]
+                or name.startswith(RESERVED_PREFIXES) or names.count(name) > 1):
+            raise ContractError(
+                f"extra checkpoint name {name!r}: names must be nonempty, without whitespace, "
+                f"not repeated, and not start with {', '.join(RESERVED_PREFIXES)}"
+            )
     lines = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}"]
     for name, a in model.params().items():
         _emit_array(lines, f"model.{name}", a)

@@ -305,9 +305,9 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
     filled: (soft-label table, degenerate row count, affinity-quality mAP
     or None without full truth).
 
-    The last epoch's affinity goes before the build, so the only C x C
-    array alive is the build's distance matrix; what stays is the new
-    affinity's k-sparse tables."""
+    The last epoch's affinity goes before the build, and the build streams
+    its distances one product block at a time, so no C x C array is ever
+    alive; what stays is the new affinity's k-sparse tables."""
     index = dataset.index
     cams, missed = np.unique(index.camera_of_class_array()[~state.buffer.initialized],
                              return_counts=True)

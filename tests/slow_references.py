@@ -12,7 +12,8 @@ instead of counted by one scan of the row per relevant item, before
 the person index grouped a dataset's records by camera in one sort, and
 before a dataset checked the truth of each person in one sort.  The
 distance kernel both slow scorers use is a frozen copy of the package's
-one-expression form.
+one-expression form, applied to the package's product blocks of rows
+(squared_distance_blocks); with one block it is the one-call kernel.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
 tests/test_draws_equivalence.py and tests/test_data.py check that the
 package gives the same bits (or errors), generator state included.
@@ -45,6 +46,13 @@ def squared_distances(a, b):
     check."""
     d2 = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * (a @ b.T)
     return np.maximum(d2, 0.0, out=d2)
+
+
+def squared_distance_blocks(a, b, rows=None):
+    """[(lo, block)]: the frozen kernel applied to each block of `rows` rows
+    of a (by default one block of all of them)."""
+    rows = rows or max(a.shape[0], 1)
+    return [(lo, squared_distances(a[lo:lo + rows], b)) for lo in range(0, a.shape[0], rows)]
 
 
 def _unit_difference(a, b, dist):
@@ -222,10 +230,12 @@ def average_precision(relevant_in_rank_order):
     return float(precisions.mean())
 
 
-def evaluate(model, query, gallery):
-    """(mAP, {k: rank-k accuracy}, evaluated, skipped): one stable argsort per query."""
-    d2 = squared_distances(forward_batch(model, query.features),
-                           forward_batch(model, gallery.features))
+def evaluate(model, query, gallery, rows=None):
+    """(mAP, {k: rank-k accuracy}, evaluated, skipped): one stable argsort per
+    query, over distances in product blocks of `rows` query rows."""
+    blocks = squared_distance_blocks(forward_batch(model, query.features),
+                                     forward_batch(model, gallery.features), rows)
+    d2 = np.vstack([block for _, block in blocks])
     aps = []
     cmc_hits = {k: 0 for k in (1, 5, 10, 20)}
     skipped = 0
@@ -273,15 +283,21 @@ def soft_label_rows(A):
     return rows
 
 
-def build_affinity(feats, cameras, k, mask_same_camera=True):
-    """(A, sigma_sq) of the masked k-NN affinity over (C, d) person features, row by row."""
+def build_affinity(feats, cameras, k, mask_same_camera=True, rows=None):
+    """(A, sigma_sq) of the masked k-NN affinity over (C, d) person features,
+    row by row, over distances in product blocks of `rows` rows; sigma_sq
+    is each block's candidate sum, added in block order, over the count."""
     C = feats.shape[0]
-    d2 = squared_distances(feats, feats)
+    blocks = squared_distance_blocks(feats, feats, rows)
+    d2 = np.vstack([block for _, block in blocks])
     if mask_same_camera:
         candidate = cameras[:, None] != cameras[None, :]
     else:
         candidate = ~np.eye(C, dtype=bool)
-    sigma_sq = float(d2[candidate].mean())
+    total = 0.0
+    for lo, block in blocks:
+        total += block[candidate[lo:lo + block.shape[0]]].sum()
+    sigma_sq = float(total / np.count_nonzero(candidate))
     A = np.zeros((C, C))
     for i in range(C):
         cand = np.flatnonzero(candidate[i])

@@ -1,3 +1,7 @@
+import gc
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from crosscam import (
     run_ablation,
     train,
 )
+from crosscam import affinity
+from crosscam.affinity import PRODUCT_ELEMENTS
 from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS, parse_seeds
 from crosscam.evaluation import CMC_KS
 from crosscam.model import forward_batch
@@ -180,6 +186,45 @@ class TestEvaluate:
         gallery = eval_split("gallery", ([0.1, 0.0], 1, 0, 3), ([1e200, 0.0], 1, 1, 4))
         with pytest.raises(EvaluationError, match=r"^1 query-gallery squared distances overflow"):
             evaluate(identity_model(2), query, gallery)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to the refusal
+    def test_overflow_counted_over_every_product_block(self):
+        # One query row per product block: the first block is finite, and
+        # each later one holds overflowing distances, all of them counted.
+        query = eval_split("query", ([0.0, 0.0], 0, 0, 3), ([1e200, 0.0], 1, 0, 4),
+                           ([0.0, 1e200], 0, 1, 5))
+        gallery = eval_split("gallery", ([0.1, 0.0], 1, 0, 3), ([0.2, 0.0], 0, 0, 4),
+                             ([0.3, 0.0], 1, 1, 5))
+        with mock.patch.object(affinity, "PRODUCT_ELEMENTS", 1), \
+                pytest.raises(EvaluationError, match=r"^6 query-gallery squared distances overflow"):
+            evaluate(identity_model(2), query, gallery)
+
+    def test_peak_far_under_a_query_gallery_matrix(self):
+        """Distances come one product block of query rows at a time: with
+        relevant items deep in each row (random features), the peak is that
+        block plus its near prefix and its sorted copy, far under Q x G."""
+        Q, G, d, n_cameras = 1500, 6000, 4, 3
+        rng = np.random.default_rng(3)
+
+        def split(n, name):
+            truth, cams = rng.integers(0, 300, size=n), rng.integers(0, n_cameras, size=n)
+            local = np.zeros(n, dtype=np.int64)
+            for cam in range(n_cameras):
+                local[cams == cam] = np.unique(truth[cams == cam], return_inverse=True)[1]
+            return Dataset(rng.standard_normal((n, d)), cams, local, truth, n_cameras, name)
+
+        query, gallery, model = split(Q, "query"), split(G, "gallery"), identity_model(d)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            evaluate(model, query, gallery)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Three float blocks (the block, its near values, their sorted copy),
+        # two masks of a block, and the pairs.
+        assert peak <= 3 * PRODUCT_ELEMENTS * 8 + 2 * PRODUCT_ELEMENTS + (1 << 21)
+        assert peak <= 0.5 * Q * G * 8
 
     def test_contract_violations(self, tiny_corpus, rng):
         model = init_model(tiny_corpus["query"].d_in, 16, 8, rng)

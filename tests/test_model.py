@@ -276,6 +276,38 @@ class TestCheckpoint:
         assert info.value.line == header + 1 + rows  # the array's last row
         assert info.value.reason == f"array 'model.{name}': non-finite value"
 
+    @pytest.mark.parametrize("arrays, scalars", [
+        ({"model.b1": np.zeros(2)}, {}),
+        ({"head.extra": np.zeros(2)}, {}),
+        ({"velocity.W1": np.zeros((2, 3))}, {}),
+        ({}, {"optimizer.momentum": 0.5}),
+        ({"buffer.t": np.zeros(1)}, {"buffer.t": 1.0}),
+        ({"": np.zeros(1)}, {}),
+        ({}, {"two words": 1.0}),
+        ({"tab\tname": np.zeros(1)}, {}),
+        ({}, {"line\nbreak": 1.0}),
+    ])
+    def test_unreadable_extra_names_refused_before_writing(self, rng, tmp_path, arrays, scalars):
+        # Each of these would be written, then refused (or misread) by load_checkpoint.
+        m = small_model(rng)
+        p = tmp_path / "ck.txt"
+        with pytest.raises(ContractError, match="extra checkpoint name"):
+            save_checkpoint(p, m, head_for(m), Optimizer(), OptimizerState(),
+                            extra_arrays=arrays, extra_scalars=scalars)
+        assert not p.exists()
+
+    def test_train_extra_names_load(self, rng, tmp_path):
+        m = small_model(rng)
+        p = tmp_path / "ck.txt"
+        P, initialized = rng.standard_normal((3, 5)), np.ones(5)
+        save_checkpoint(p, m, head_for(m), Optimizer(), OptimizerState(),
+                        extra_arrays={"buffer.P": P, "buffer.initialized": initialized},
+                        extra_scalars={"buffer.t": 7.0})
+        loaded = load_checkpoint(p)
+        assert np.array_equal(loaded.arrays["buffer.P"], P)
+        assert np.array_equal(loaded.arrays["buffer.initialized"], initialized[None])
+        assert loaded.scalars == {"buffer.t": 7.0}
+
     def test_save_twice_is_byte_identical(self, rng, tmp_path):
         m = small_model(rng)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -6,14 +6,16 @@ the gallery by identity (evaluation.identity_pairs) and each relevant
 item's rank by a binary search in its row's sorted near prefix
 (evaluation.rank_positions), and affinity_quality_map counts it;
 AffinityMatrix keeps every row's nonzero entries and soft labels as
-k-sparse tables built in one pass; squared_distances keeps the bits of its
-frozen one-expression form.
+k-sparse tables built in one pass; squared_distance_blocks keeps the bits
+of its frozen one-expression form applied per product block, and one
+block keeps the one-call form's.
 Each test draws a case and compares the package with the per-row loops
 in tests/slow_references.py: A, sigma_sq and both tables as bytes, mAP, CMC and
 counts, rank positions (with infinite and NaN distances too), the pairs,
 the candidates table as bytes and the quality mAP.  Points sit on a
 coarse grid and rows are duplicated, so exact distance and affinity ties
-are common; block sizes down to one pair per block are drawn too.
+are common; block sizes down to one pair per block, and product blocks
+down to one row, are drawn too.
 """
 
 import warnings
@@ -44,6 +46,12 @@ from crosscam.ranking import hit_aps
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
 blocks = st.sampled_from([1, 7, 64, 1 << 16])
+products = st.sampled_from([1, 7, 64, 1 << 20])  # PRODUCT_ELEMENTS: one row up to one block
+
+
+def rows_per_product(product, n_columns):
+    """The rows of each product block of squared_distance_blocks."""
+    return max(1, product // max(n_columns, 1))
 
 
 def same_bits(a, b) -> bool:
@@ -82,8 +90,8 @@ def split(rng, n, n_ids, n_cameras, d, name):
 
 
 @SETTINGS
-@given(seed=seeds, block=blocks)
-def test_evaluate_matches_per_query_sort(seed, block):
+@given(seed=seeds, block=blocks, product=products)
+def test_evaluate_matches_per_query_sort(seed, block, product):
     rng = np.random.default_rng(seed)
     d, n_ids, n_cameras = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(2, 4))
     query = split(rng, int(rng.integers(1, 16)), n_ids, n_cameras, d, "query")
@@ -92,14 +100,15 @@ def test_evaluate_matches_per_query_sort(seed, block):
     feats = copy_rows(rng, np.array(gallery.features), int(rng.integers(0, gallery.features.shape[0] + 1)))
     gallery = Dataset(feats, gallery.camera_ids, gallery.local_ids, gallery.truth, n_cameras, "gallery")
     model = identity_model(d)
-    try:
-        want = slow.evaluate(model, query, gallery)
-    except EvaluationError:
-        with pytest.raises(EvaluationError), mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
-            evaluate(model, query, gallery)
-        return
-    with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
-        got = evaluate(model, query, gallery)
+    with mock.patch.object(affinity, "PRODUCT_ELEMENTS", product):
+        try:
+            want = slow.evaluate(model, query, gallery, rows_per_product(product, len(gallery)))
+        except EvaluationError:
+            with pytest.raises(EvaluationError), mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+                evaluate(model, query, gallery)
+            return
+        with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+            got = evaluate(model, query, gallery)
     assert same_bits(got.map, want[0])
     assert list(got.cmc) == list(want[1])
     assert all(same_bits(got.cmc[k], want[1][k]) for k in want[1])
@@ -173,31 +182,53 @@ def test_evaluate_untrained_model_wide_block(tiny_corpus, rng):
 
 @SETTINGS
 @given(seed=seeds, n_a=st.integers(1, 9), n_b=st.integers(1, 9), d=st.integers(1, 5),
-       scale=st.sampled_from([1.0, 0.0, 1e-160, 1e150, 1e153, 1e154]))
-def test_squared_distances_match_frozen_kernel(seed, n_a, n_b, d, scale):
+       scale=st.sampled_from([1.0, 0.0, 1e-160, 1e150, 1e153, 1e154]), product=products,
+       transposed=st.booleans())
+def test_squared_distances_match_frozen_kernel(seed, n_a, n_b, d, scale, product, transposed):
     # One-row and one-column inputs, zeros, duplicated rows, and magnitudes
-    # whose squares reach or pass the largest double.
+    # whose squares reach or pass the largest double; C-ordered rows or a
+    # transposed view, as the person buffer gives; product blocks down to
+    # one row, each with the frozen kernel's bits for its rows.
     rng = np.random.default_rng(seed)
     a = copy_rows(rng, grid_points(rng, (n_a, d)) * scale, int(rng.integers(0, n_a + 1)))
     b = np.vstack([a, grid_points(rng, (n_b, d)) * scale])[rng.permutation(n_a + n_b)[:n_b]]
-    with np.errstate(over="ignore", invalid="ignore"):
+    if transposed:
+        a = np.ascontiguousarray(a.T).T
+    b = a if rng.random() < 0.3 else b  # one buffer on both sides, as a build passes it
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(affinity, "PRODUCT_ELEMENTS", product):
         want = slow.squared_distances(a, b)
         got = affinity.squared_distances(a, b)
+        want_blocks = slow.squared_distance_blocks(a, b, rows_per_product(product, len(b)))
+        got_blocks = list(affinity.squared_distance_blocks(a, b))
     assert same_bits(got, want)
+    assert [lo for lo, _ in got_blocks] == [lo for lo, _ in want_blocks]
+    assert all(same_bits(g, w) for (_, g), (_, w) in zip(got_blocks, want_blocks))
 
 
+@pytest.mark.parametrize("product", [1, 7 * 2000, 1 << 20])
 @pytest.mark.parametrize("block", [1, 2 * 2000, 1 << 14])
-def test_squared_distances_keep_their_bits_in_row_blocks(block):
-    # The finish runs in row blocks down to one row, but the product must
-    # stay one call: a row block of a product can differ from the same rows
-    # of the whole in the last bit (one row is a matrix-vector product, and
-    # F @ F.T is a symmetric rank-k update).
+def test_squared_distances_keep_their_bits_in_row_blocks(block, product):
+    # The finish runs in row blocks down to one row.  A product block can
+    # differ from the same rows of the whole product in the last bit (one
+    # row is a matrix-vector product, and F @ F.T is a symmetric rank-k
+    # update), so one product block must have the frozen one-call kernel's
+    # bits, and several blocks the frozen kernel's bits block by block;
+    # squared_distances is always one block.
     rng = np.random.default_rng(11)
     a, b = rng.standard_normal((300, 32)), rng.standard_normal((2000, 32))
     F = rng.standard_normal((32, 600)).T  # a transposed view, as the person buffer gives
-    with mock.patch.object(affinity, "BLOCK_ELEMENTS", block):
-        assert same_bits(affinity.squared_distances(a, b), slow.squared_distances(a, b))
-        assert same_bits(affinity.squared_distances(F, F), slow.squared_distances(F, F))
+    with mock.patch.object(affinity, "BLOCK_ELEMENTS", block), \
+            mock.patch.object(affinity, "PRODUCT_ELEMENTS", product):
+        for x, y in ((a, b), (F, F)):
+            rows = rows_per_product(product, len(y))
+            got = list(affinity.squared_distance_blocks(x, y))
+            want = slow.squared_distance_blocks(x, y, rows)
+            assert len(got) == len(want) == -(-len(x) // rows)
+            assert all(lo == w_lo and same_bits(g, w) for (lo, g), (w_lo, w) in zip(got, want))
+            if len(got) == 1:
+                assert same_bits(got[0][1], slow.squared_distances(x, y))
+            assert same_bits(affinity.squared_distances(x, y), slow.squared_distances(x, y))
 
 
 def buffer_of(columns):
@@ -207,8 +238,8 @@ def buffer_of(columns):
 
 
 @SETTINGS
-@given(seed=seeds, block=blocks, mask=st.booleans())
-def test_build_affinity_matches_per_row_sort(seed, block, mask):
+@given(seed=seeds, block=blocks, mask=st.booleans(), product=products)
+def test_build_affinity_matches_per_row_sort(seed, block, mask, product):
     rng = np.random.default_rng(seed)
     counts = tuple(int(c) for c in rng.integers(0, 8, size=int(rng.integers(2, 4))))
     if sum(c > 0 for c in counts) < 2:
@@ -220,9 +251,11 @@ def test_build_affinity_matches_per_row_sort(seed, block, mask):
         columns[:] = columns[0]  # every distance is 0: sigma^2 = 0
     k = int(rng.integers(1, C + 4))  # rows with fewer than k candidates, and k >= C
     buf = buffer_of(columns)
-    want_A, want_sigma = slow.build_affinity(buf.P.T, index.camera_of_class_array(), k, mask)
+    want_A, want_sigma = slow.build_affinity(buf.P.T, index.camera_of_class_array(), k, mask,
+                                             rows_per_product(product, C))
     with warnings.catch_warnings(record=True) as caught, \
-            mock.patch.object(affinity, "BLOCK_ELEMENTS", block):
+            mock.patch.object(affinity, "BLOCK_ELEMENTS", block), \
+            mock.patch.object(affinity, "PRODUCT_ELEMENTS", product):
         warnings.simplefilter("always")
         got = build_affinity(buf, index, k, mask_same_camera=mask)
     assert same_bits(got.A, want_A)

@@ -21,7 +21,7 @@ from crosscam import (
     train,
 )
 from crosscam import trainer
-from crosscam.affinity import affinity_quality_map, squared_distances
+from crosscam.affinity import PRODUCT_ELEMENTS, affinity_quality_map, squared_distances
 from crosscam.data import dataclass_from_dict
 from crosscam.model import Optimizer, OptimizerState, init_head, init_model
 from crosscam.ranking import BLOCK_ELEMENTS
@@ -444,12 +444,14 @@ def test_epoch_start_holds_one_dense_affinity(monkeypatch):
     assert held <= 1.1 * C * C * 8
 
 
-def test_epoch_start_peaks_at_one_distance_matrix():
-    """An epoch start allocates one C x C array, the distance matrix: its
-    traced peak is that matrix plus block-sized temporaries, and what it
-    leaves is the affinity's k-sparse tables.  The distance kernel peaks
-    at its output plus one block."""
-    C, n_cameras, d = 700, 4, 8
+def test_epoch_start_peaks_at_one_product_block():
+    """An epoch start streams its distances in product blocks: at a C whose
+    C x C matrix spans several blocks, its traced peak is one product block
+    plus block-sized temporaries plus the O(C k) tables, far under the
+    C x C matrix, and what it leaves is the affinity's k-sparse tables.
+    The distance kernel peaks at its output plus one block."""
+    C, n_cameras, d = 2400, 4, 8
+    assert C * C >= 5 * PRODUCT_ELEMENTS
     rng = np.random.default_rng(5)
     ds, state = epoch_start_case(C, n_cameras, d, rng)
     config = TrainConfig(k=6)
@@ -462,8 +464,9 @@ def test_epoch_start_peaks_at_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert out[1] == 0 and state.final_affinity.n_classes == C
-    assert peak <= 1.15 * C * C * 8
-    assert held <= 0.05 * C * C * 8
+    tables = 4 * C * config.k * 16  # the kept (position, distance) pairs and both tables
+    assert peak <= PRODUCT_ELEMENTS * 8 + 16 * BLOCK_ELEMENTS * 8 + tables
+    assert held <= tables
 
     a, b = rng.standard_normal((300, d)), rng.standard_normal((2000, d))
     tracemalloc.start()
