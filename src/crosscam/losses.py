@@ -69,6 +69,16 @@ def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(out, rows, values) on a C-contiguous (n, d) out, as one 1-D
+    add.at over its flat view (numpy's fast path); each element still
+    gains its terms in the order of rows, so the bits are the same."""
+    if not out.flags.c_contiguous:  # reshape would scatter into a copy
+        raise ContractError("add_rows needs a C-contiguous output array")
+    d = out.shape[1]
+    np.add.at(out.reshape(-1), (rows[:, None] * d + np.arange(d)).reshape(-1), values.reshape(-1))
+
+
 def _batch_triplet(
     batch: TripletBatch,
     margin: float,
@@ -84,16 +94,16 @@ def _batch_triplet(
     neg_d = D[idx, neg_pick]
     hinge = margin + pos_d - neg_d
     active = ~(hinge <= 0.0)  # a NaN hinge counts as active, so the loss shows it
-    grad = np.zeros_like(E)
+    grad = np.zeros(E.shape, E.dtype)  # C-contiguous for add_rows, whatever E's layout
     if active.any():
         a_idx = idx[active]
         p_idx = pos_pick[active]
         n_idx = neg_pick[active]
         u_p = _unit_rows(E[a_idx] - E[p_idx], pos_d[active])
         u_n = _unit_rows(E[a_idx] - E[n_idx], neg_d[active])
-        np.add.at(grad, a_idx, u_p - u_n)
-        np.add.at(grad, p_idx, -u_p)
-        np.add.at(grad, n_idx, u_n)
+        add_rows(grad, a_idx, u_p - u_n)
+        add_rows(grad, p_idx, -u_p)
+        add_rows(grad, n_idx, u_n)
     return LossValue(
         loss=float(hinge[active].sum()) if active.any() else 0.0,
         grads={"embeddings": grad.reshape(batch.embeddings.shape)},
@@ -155,20 +165,30 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, computed with max subtraction."""
+    """Softmax along the last axis, computed with max subtraction.
+
+    Only the result is allocated: the shifted scores, exponentiated and
+    divided by their sums in place.  Non-finite scores are refused from
+    the row maxima (a NaN or +inf shows there) and the minimum (a -inf);
+    scores is left untouched.
+    """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    top = scores.max(axis=-1, keepdims=True)
+    if not (np.isfinite(top).all() and scores.min(initial=np.inf) > -np.inf):
         raise ContractError("softmax requires finite scores")
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    probs = scores - top
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    return probs
 
 
 def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossValue:
     """Sum over samples of -sum_c w(c) log p(c), with score gradients.
 
     probs is (B, C) with one table row per sample.  As weights sum to
-    one, the score gradient is the softmax identity probs - w.  Probabilities
+    one, the score gradient is the softmax identity probs - w, returned as
+    a fresh (B, C) array (probs is not modified) that the caller may scale
+    in place.  Probabilities
     are clamped at LOG_FLOOR inside the log only; each clamp is counted.
     The masked affinity gives a row's own class zero weight, so no mass
     ever lands on the sample's true class; own_class_zero_weight counts

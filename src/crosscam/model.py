@@ -97,7 +97,8 @@ BODY_PARAMS = ("W1", "b1", "W2", "b2")
 
 @dataclass
 class OptimizerState:
-    """Momentum velocity per parameter, created lazily on first update."""
+    """Momentum velocity per parameter, created lazily on first update and
+    updated in place by every later one."""
 
     velocities: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -151,11 +152,17 @@ def backward(model: EmbeddingModel, X: np.ndarray, dV: np.ndarray) -> dict[str, 
 
 
 def head_forward(head: ClassifierHead, V: np.ndarray) -> np.ndarray:
-    """Class scores for a batch of embeddings; returns (n, n_classes)."""
+    """Class scores for a batch of embeddings; returns (n, n_classes).
+
+    The bias is added in place to the product, so the scores are the
+    only (n, n_classes) array allocated.
+    """
     V = np.asarray(V, dtype=np.float64)
     if V.ndim != 2 or V.shape[1] != head.Wc.shape[1]:
         raise ContractError(f"embedding batch shape {V.shape} incompatible with head")
-    return V @ head.Wc.T + head.bc
+    scores = V @ head.Wc.T
+    scores += head.bc
+    return scores
 
 
 def head_backward(head: ClassifierHead, V: np.ndarray, dS: np.ndarray) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -178,8 +185,11 @@ def sgd_step(
 ) -> None:
     """One momentum SGD update: v <- mu*v + g, theta <- theta - lr*v.
 
-    Only parameters named in `grads` are touched.  Refuses non-finite
-    gradients before mutating anything.
+    Only parameters named in `grads` and their velocities are touched.
+    Each velocity is updated in place (a missing one starts from zeros),
+    so a caller holding a velocity array sees it change; a gradient array
+    never becomes a velocity.  Refuses non-finite gradients before
+    mutating anything.
     """
     params: dict[str, np.ndarray] = {**model.params(), **head.params()}
     for name, g in grads.items():
@@ -197,9 +207,9 @@ def sgd_step(
         lr = lr_body if name in BODY_PARAMS else lr_head
         vel = state.velocities.get(name)
         if vel is None:
-            vel = np.zeros_like(params[name])
-        vel = optimizer.momentum * vel + g
-        state.velocities[name] = vel
+            vel = state.velocities[name] = np.zeros_like(params[name])
+        vel *= optimizer.momentum
+        vel += g
         params[name] -= lr * vel
         if not np.all(np.isfinite(params[name])):
             raise TrainingError(f"non-finite value in parameter {name!r} after update")

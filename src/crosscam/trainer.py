@@ -33,6 +33,7 @@ from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
+    add_rows,
     intra_triplet_loss,
     random_triplet_loss,
     select_hardest_negative,
@@ -348,20 +349,28 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: i
 def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
                   table: SoftLabelTable) -> tuple:
     """Soft cross-entropy ("C") on one camera-balanced batch, skipping
-    samples whose soft-label row is degenerate."""
+    samples whose soft-label row is degenerate.
+
+    When no sampled row is degenerate, the loss reads the probabilities
+    as they are and its gradient array, scaled in place, is the score
+    gradient; otherwise the kept rows are copied out and their gradient
+    scattered into zeros.  Both give the same bits."""
     cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
     Xc = dataset.features[cls_idx]
     Vc = forward_batch(state.model, Xc)
-    scores = head_forward(state.head, Vc)
-    probs = softmax_probs(scores)
+    probs = softmax_probs(head_forward(state.head, Vc))
     z = dataset.class_ids[cls_idx]
     keep = ~table.degenerate[z]
     n = int(np.count_nonzero(keep))
     if not n:
         return 0.0, 0, keep.size, []
-    wce = weighted_cross_entropy(probs[keep], table.take(z[keep]))
-    dS = np.zeros_like(scores)
-    dS[keep] = wce.grads["scores"]
+    if n == keep.size:
+        wce = weighted_cross_entropy(probs, table.take(z))
+        dS = wce.grads["scores"]
+    else:
+        wce = weighted_cross_entropy(probs[keep], table.take(z[keep]))
+        dS = np.zeros_like(probs)
+        dS[keep] = wce.grads["scores"]
     dS *= config.lam / n
     head_grads, dVc = head_backward(state.head, Vc, dS)
     return wce.loss, n, keep.size - n, [backward(state.model, Xc, dVc), head_grads]
@@ -390,9 +399,9 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
     wtl = weighted_triplet_loss(E[anchors], Vp.reshape(anchors.size, config.n_k, -1),
                                 weights[anchors], E[neg], config.margin)
     # Each row gains its anchor and negative terms in anchor order.
-    dE = np.zeros_like(E)
-    np.add.at(dE, np.stack([anchors, neg], axis=1).ravel(),
-              np.stack([wtl.grads["anchor"], wtl.grads["negative"]], axis=1).reshape(-1, E.shape[1]))
+    dE = np.zeros(E.shape, E.dtype)
+    add_rows(dE, np.stack([anchors, neg], axis=1).ravel(),
+             np.stack([wtl.grads["anchor"], wtl.grads["negative"]], axis=1).reshape(-1, E.shape[1]))
     dVp = np.zeros_like(Vp)
     dVp += wtl.grads["positives"].reshape(Vp.shape)
     return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp

@@ -10,12 +10,16 @@ updated once per batch, before the soft-label rows were normalized as
 one block, before retrieval ranks were searched in sorted rows
 instead of counted by one scan of the row per relevant item, before
 the person index grouped a dataset's records by camera in one sort, and
-before a dataset checked the truth of each person in one sort.  The
+before a dataset checked the truth of each person in one sort, and
+before the soft cross-entropy step, the softmax, the head's scores and
+the momentum update stopped allocating a full-width array per operation
+and row scatters went through one flat index.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form, applied to the package's product blocks of rows
 (squared_distance_blocks); with one block it is the one-call kernel.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
-tests/test_draws_equivalence.py and tests/test_data.py check that the
+tests/test_draws_equivalence.py, tests/test_inplace_equivalence.py and
+tests/test_data.py check that the
 package gives the same bits (or errors), generator state included.
 
 It also holds the helpers that only tests need, so that the package
@@ -33,8 +37,10 @@ import numpy as np
 from crosscam.affinity import AffinityMatrix, _pack, _soft_labels
 from crosscam.buffer import update_person
 from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
-from crosscam.model import forward_batch
+from crosscam.losses import weighted_cross_entropy as table_cross_entropy
+from crosscam.model import BODY_PARAMS, backward, forward_batch, head_backward
 from crosscam.ranking import hit_aps
+from crosscam.trainer import classification_sampler
 
 LOG_FLOOR = 1e-12
 
@@ -102,6 +108,63 @@ def weighted_cross_entropy(probs, row):
     clamped = int(np.count_nonzero(p < LOG_FLOOR))
     loss = -float(np.sum(w * np.log(np.maximum(p, LOG_FLOOR))))
     return loss, probs - row.weights, clamped, int(row.weights[row.class_index] == 0.0)
+
+
+def head_forward(head, V):
+    """Class scores with the bias sum allocated apart from the product."""
+    return V @ head.Wc.T + head.bc
+
+
+def softmax_probs(scores):
+    """The allocating softmax: a finiteness mask, then the shifted scores,
+    their exponentials and the quotient, each a new array."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ContractError("softmax requires finite scores")
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def soft_ce_step(state, dataset, config, table):
+    """The C step with every full-width array it once made: (loss, terms,
+    skipped, [body grads, head grads], score gradient); the kept rows are
+    always copied out and their gradient scattered into zeros."""
+    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
+    Xc = dataset.features[cls_idx]
+    Vc = forward_batch(state.model, Xc)
+    scores = head_forward(state.head, Vc)
+    probs = softmax_probs(scores)
+    z = dataset.class_ids[cls_idx]
+    keep = ~table.degenerate[z]
+    n = int(np.count_nonzero(keep))
+    if not n:
+        return 0.0, 0, keep.size, [], None
+    wce = table_cross_entropy(probs[keep], table.take(z[keep]))
+    dS = np.zeros_like(scores)
+    dS[keep] = wce.grads["scores"]
+    dS *= config.lam / n
+    head_grads, dVc = head_backward(state.head, Vc, dS)
+    return wce.loss, n, keep.size - n, [backward(state.model, Xc, dVc), head_grads], dS
+
+
+def sgd_step(model, head, grads, optimizer, state, epoch):
+    """Momentum SGD with a new velocity array per step: v = mu*v + g."""
+    params = {**model.params(), **head.params()}
+    lr_body, lr_head = optimizer.effective_rates(epoch)
+    for name, g in grads.items():
+        lr = lr_body if name in BODY_PARAMS else lr_head
+        vel = state.velocities.get(name)
+        if vel is None:
+            vel = np.zeros_like(params[name])
+        vel = optimizer.momentum * vel + g
+        state.velocities[name] = vel
+        params[name] -= lr * vel
+
+
+def add_rows(out, rows, values):
+    """The row scatter as one 2-D np.add.at."""
+    np.add.at(out, rows, values)
 
 
 def soft_ce_loop(probs, rows, sample_classes):

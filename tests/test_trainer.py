@@ -413,11 +413,11 @@ def epoch_start_case(C, n_cameras, d, rng):
     return ds, state
 
 
-def test_epoch_start_holds_one_dense_affinity(monkeypatch):
+def test_epoch_start_leaves_only_the_sparse_tables(monkeypatch):
     """The last epoch's affinity is gone before the next build starts, and
-    the dense soft-label rows are gone once their table is packed: after
-    an epoch start, about one C x C float64 array (the new affinity) is
-    left of what it allocated."""
+    what an epoch start leaves of what it allocated is the new affinity's
+    two k-sparse tables (candidates and soft labels), O(C k) bytes: a
+    second pair of tables or any C x C array would exceed the bound."""
     C, n_cameras, d = 700, 4, 8
     rng = np.random.default_rng(5)
     ds, state = epoch_start_case(C, n_cameras, d, rng)
@@ -439,9 +439,13 @@ def test_epoch_start_holds_one_dense_affinity(monkeypatch):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
+    aff = state.final_affinity
+    tables = [aff.candidates, aff.soft_labels]
     assert released == [True]
-    assert out[1] == 0 and state.final_affinity.A.shape == (C, C)
-    assert held <= 1.1 * C * C * 8
+    assert out[0] is aff.soft_labels and out[1] == 0
+    assert all(t.index.shape == t.weights.shape == (C, config.k) for t in tables)
+    table_bytes = sum(a.nbytes for t in tables for a in (t.class_index, t.index, t.weights, t.count))
+    assert held <= 1.5 * table_bytes
 
 
 def test_epoch_start_peaks_at_one_product_block():
