@@ -62,8 +62,10 @@ def squared_distance_blocks(a: np.ndarray, b: np.ndarray):
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances as one product block, for
-    batch-sized inputs; the result is the only (len(a), len(b)) array allocated."""
-    return _finish(a @ b.T, np.sum(a * a, axis=1), np.sum(b * b, axis=1))
+    batch-sized inputs; the result is the only (len(a), len(b)) array
+    allocated, and the squared norms are summed once when b is a."""
+    na = np.sum(a * a, axis=1)
+    return _finish(a @ b.T, na, na if b is a else np.sum(b * b, axis=1))
 
 
 @dataclass

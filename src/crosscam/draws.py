@@ -20,14 +20,20 @@ j = pop - size .. pop - 1 (a draw in [0, j]; j itself when the value
 was already taken), then shuffles the picks with draws in [0, i] for
 i = size - 1 .. 1; with replacement it makes size draws in [0, pop).
 
-`replay` is the pure core: it reads a raw word array and replays all
-rows as array operations, giving each draw of range above 1 the next
-word.  That holds up to the first rejected word (odds below n / 2**32
-per draw) and the first follow-up draw of range 1 (a person with one
-sample, which reads no word); the rows before it are exact.
-`choice_rows` draws the rows from there on through the loop above, and
-so also every row from the first one in numpy's other branch (a tail
-shuffle when pop > 10,000 and size > pop // 50) on.
+Without follow-up draws (then is None) every bound is known before the
+first draw, and `Generator.integers` given an array of bounds draws each
+element through that same bounded method, in order, rejections
+included; so `choice_rows` makes all the choice draws in one such call
+and only turns them into picks.  With follow-up draws, whose bounds wait
+for each row's picks, `replay` is the pure core: it reads a raw word
+array and replays all rows as array operations, giving each draw of
+range above 1 the next word.  That holds up to the first rejected word
+(odds below n / 2**32 per draw) and the first follow-up draw of range 1
+(a person with one sample, which reads no word); the rows before it are
+exact, and `choice_rows` draws the rows from there on through the loop
+above.  Either way every row from the first one in numpy's other branch
+(a tail shuffle when pop > 10,000 and size > pop // 50) on takes the
+loop.
 """
 
 from __future__ import annotations
@@ -49,20 +55,31 @@ def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray) -> np.n
     return bounds
 
 
+def _choice_bounds(pops: np.ndarray, size: int) -> np.ndarray:
+    """(R, 2*size - 1) exclusive bounds of each row's choice draws: Floyd's
+    size draws, then its size - 1 shuffle draws; with replacement the
+    first size, the rest in [0, 1)."""
+    floyd = (pops >= size)[:, None]
+    bounds = np.ones((pops.size, 2 * size - 1), dtype=np.int64)
+    bounds[:, :size] = pops[:, None] + np.where(floyd, np.arange(1 - size, 1), 0)
+    bounds[:, size:] = np.where(floyd, np.arange(size, 1, -1), 1)
+    return bounds
+
+
 def _picks(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     """Each row's choice from its draw values: the draws themselves with
     replacement, else Floyd's selection followed by its shuffle."""
     out = values[:, :size].copy()
     floyd = np.flatnonzero(pops >= size)
     sel = out[floyd]
-    v = values[floyd]
-    for t in range(size):
-        taken = (sel[:, :t] == v[:, t, None]).any(axis=1)
-        sel[:, t] = np.where(taken, pops[floyd] - size + t, v[:, t])
-    rows = np.arange(floyd.size)
+    top = pops[floyd, None] + np.arange(-size, 0)  # Floyd's j of each draw
+    for t in range(1, size):  # the first draw is never taken
+        np.copyto(sel[:, t], top[:, t], where=(sel[:, :t] == sel[:, t, None]).any(axis=1))
+    flat = sel.reshape(-1)  # a view: sel is a fresh C-contiguous array
+    swaps = np.arange(0, flat.size, size)[:, None] + values[floyd, size:]
     for u, i in enumerate(range(size - 1, 0, -1)):
-        j = v[:, size + u]
-        sel[rows, j], sel[:, i] = sel[:, i], sel[rows, j]
+        j = swaps[:, u]
+        flat[j], sel[:, i] = sel[:, i], flat[j]
     out[floyd] = sel
     return out
 
@@ -82,10 +99,9 @@ def replay(words: np.ndarray, pops: np.ndarray, size: int, then: Then | None = N
     """
     pops = np.asarray(pops, dtype=np.int64)
     R, n_choice = pops.size, 2 * size - 1
-    floyd = (pops >= size)[:, None]
-    bounds = np.ones((R, n_choice + (size if then is not None else 0)), dtype=np.int64)
-    bounds[:, :size] = np.where(floyd, pops[:, None] - size + np.arange(size) + 1, pops[:, None])
-    bounds[:, size:n_choice] = np.where(floyd, np.arange(size, 1, -1), 1)
+    bounds = _choice_bounds(pops, size)
+    if then is not None:
+        bounds = np.concatenate([bounds, np.ones((R, size), dtype=np.int64)], axis=1)
     reads = bounds > 1
     reads[:, n_choice:] = True
     pos = np.cumsum(reads).reshape(reads.shape) - 1  # a draw of range 1 gets any word
@@ -123,13 +139,18 @@ def choice_rows(
         raise ContractError("choice_rows needs size >= 1 and populations >= 1")
     tail = (pops >= size) & (pops > 10_000) & (size > pops // 50)
     end = int(np.argmax(tail)) if tail.any() else pops.size
-    snapshot = rng.bit_generator.state
-    per_row = 2 * size - 1 + (size if then is not None else 0)
-    words = rng.integers(0, 2**32, size=end * per_row, dtype=np.uint32)
-    choices, drawn, settled, read = replay(words, pops[:end], size, then)
-    if read != words.size:
-        rng.bit_generator.state = snapshot
-        rng.integers(0, 2**32, size=read, dtype=np.uint32)
+    if then is None:
+        # Every bound is known before the first draw, so numpy draws them
+        # all in one call, rejected words included, as the loop would.
+        drawn, settled = None, end
+        choices = _picks(rng.integers(_choice_bounds(pops[:end], size)), pops[:end], size)
+    else:
+        snapshot = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=end * (3 * size - 1), dtype=np.uint32)
+        choices, drawn, settled, read = replay(words, pops[:end], size, then)
+        if read != words.size:
+            rng.bit_generator.state = snapshot
+            rng.integers(0, 2**32, size=read, dtype=np.uint32)
     out = np.zeros((pops.size, size), dtype=np.int64)
     out[:settled] = choices[:settled]
     follow = None

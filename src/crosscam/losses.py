@@ -69,14 +69,52 @@ def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_lengths(x: np.ndarray) -> np.ndarray:
+    """Each row's Euclidean length, the square root of one batched dot of
+    the row with itself: the bits of a 1-d row.dot(row) (np.linalg.norm of
+    a vector), without a Python call per row."""
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None]).reshape(-1))
+
+
 def add_rows(out: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """np.add.at(out, rows, values) on a C-contiguous (n, d) out, as one 1-D
     add.at over its flat view (numpy's fast path); each element still
     gains its terms in the order of rows, so the bits are the same."""
     if not out.flags.c_contiguous:  # reshape would scatter into a copy
         raise ContractError("add_rows needs a C-contiguous output array")
-    d = out.shape[1]
-    np.add.at(out.reshape(-1), (rows[:, None] * d + np.arange(d)).reshape(-1), values.reshape(-1))
+    cells = np.arange(out.size).reshape(out.shape)  # each element's flat index
+    np.add.at(out.reshape(-1), cells.take(rows, axis=0).reshape(-1), values.reshape(-1))
+
+
+def _triplet_terms(
+    batch: TripletBatch,
+    E: np.ndarray,
+    margin: float,
+    pos_pick: np.ndarray,
+    neg_pick: np.ndarray,
+    pos_d: np.ndarray,
+    neg_d: np.ndarray,
+) -> LossValue:
+    """Hinge sum and gradient of one triplet per anchor row of the flat
+    batch E: positive pos_pick at distance pos_d, negative neg_pick at
+    neg_d.  The unit vectors of both ends come from one division, and the
+    terms go through one scatter, the anchors' first, then the
+    positives', then the negatives', as three scatters in that order
+    would add them."""
+    hinge = margin + pos_d - neg_d
+    a_idx = np.flatnonzero(~(hinge <= 0.0))  # a NaN hinge counts as active, so the loss shows it
+    grad = np.zeros(E.shape, E.dtype)  # C-contiguous for add_rows, whatever E's layout
+    if a_idx.size:
+        ends = np.concatenate([pos_pick[a_idx], neg_pick[a_idx]])
+        diffs = (E[a_idx] - E[ends].reshape(2, a_idx.size, -1)).reshape(ends.size, -1)
+        u = _unit_rows(diffs, np.concatenate([pos_d[a_idx], neg_d[a_idx]]))
+        u_p, u_n = u[:a_idx.size], u[a_idx.size:]
+        add_rows(grad, np.concatenate([a_idx, ends]), np.concatenate([u_p - u_n, -u_p, u_n]))
+    return LossValue(
+        loss=float(hinge[a_idx].sum()),
+        grads={"embeddings": grad.reshape(batch.embeddings.shape)},
+        counters={"active_triplets": a_idx.size, "anchors": E.shape[0]},
+    )
 
 
 def _batch_triplet(
@@ -86,29 +124,11 @@ def _batch_triplet(
     neg_pick: np.ndarray,
     D: np.ndarray,
 ) -> LossValue:
-    """Shared hinge accumulation once positives/negatives are chosen per anchor."""
+    """_triplet_terms of the chosen positives and negatives, their
+    distances read from the (n, n) matrix D."""
     E, _ = batch.flat()
-    n = E.shape[0]
-    idx = np.arange(n)
-    pos_d = D[idx, pos_pick]
-    neg_d = D[idx, neg_pick]
-    hinge = margin + pos_d - neg_d
-    active = ~(hinge <= 0.0)  # a NaN hinge counts as active, so the loss shows it
-    grad = np.zeros(E.shape, E.dtype)  # C-contiguous for add_rows, whatever E's layout
-    if active.any():
-        a_idx = idx[active]
-        p_idx = pos_pick[active]
-        n_idx = neg_pick[active]
-        u_p = _unit_rows(E[a_idx] - E[p_idx], pos_d[active])
-        u_n = _unit_rows(E[a_idx] - E[n_idx], neg_d[active])
-        add_rows(grad, a_idx, u_p - u_n)
-        add_rows(grad, p_idx, -u_p)
-        add_rows(grad, n_idx, u_n)
-    return LossValue(
-        loss=float(hinge[active].sum()) if active.any() else 0.0,
-        grads={"embeddings": grad.reshape(batch.embeddings.shape)},
-        counters={"active_triplets": int(active.sum()), "anchors": n},
-    )
+    rows = np.arange(E.shape[0])
+    return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], D[rows, neg_pick])
 
 
 def _validate_triplet_batch(batch: TripletBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -117,10 +137,9 @@ def _validate_triplet_batch(batch: TripletBatch) -> tuple[np.ndarray, np.ndarray
             f"triplet batch needs >= 2 persons and >= 2 images each, "
             f"got {batch.n_persons} x {batch.n_images}"
         )
-    E, labels = batch.flat()
-    if np.unique(labels).size < 2:
+    if not (batch.classes != batch.classes[0]).any():
         raise ContractError("triplet batch contains a single distinct person")
-    return E, labels
+    return batch.flat()
 
 
 def intra_triplet_loss(batch: TripletBatch, margin: float) -> LossValue:
@@ -131,15 +150,23 @@ def intra_triplet_loss(batch: TripletBatch, margin: float) -> LossValue:
     can never win unless all positives coincide); the hardest negative is
     the nearest different-person embedding.  Index ties resolve to the
     first occurrence in batch order.
+
+    One (n, n) distance array is made and its square root taken in
+    place; the negatives are picked from one masked copy, the positives
+    from the array itself once the other persons' entries are set to
+    -inf.  Each negative's distance is read before that: when every
+    other person is at +inf, the argmin can land on a same-person entry.
     """
     E, labels = _validate_triplet_batch(batch)
-    D = np.sqrt(squared_distances(E, E))
-    same = labels[:, None] == labels[None, :]
-    pos_d = np.where(same, D, -np.inf)
-    neg_d = np.where(same, np.inf, D)
-    pos_pick = np.argmax(pos_d, axis=1)
-    neg_pick = np.argmin(neg_d, axis=1)
-    return _batch_triplet(batch, margin, pos_pick, neg_pick, D)
+    D = squared_distances(E, E)
+    np.sqrt(D, out=D)
+    other = labels[:, None] != labels
+    neg_pick = np.argmin(np.where(other, D, np.inf), axis=1)
+    rows = np.arange(E.shape[0])
+    neg_d = D[rows, neg_pick]
+    np.putmask(D, other, -np.inf)  # the anchor's own entry (>= 0 or NaN) always beats -inf
+    pos_pick = np.argmax(D, axis=1)
+    return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], neg_d)
 
 
 def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Generator) -> LossValue:
@@ -151,7 +178,8 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     hard-mined loss.
     """
     E, labels = _validate_triplet_batch(batch)
-    D = np.sqrt(squared_distances(E, E))
+    D = squared_distances(E, E)
+    np.sqrt(D, out=D)
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     other = labels[:, None] != labels[None, :]
@@ -188,14 +216,15 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
     probs is (B, C) with one table row per sample.  As weights sum to
     one, the score gradient is the softmax identity probs - w, returned as
     a fresh (B, C) array (probs is not modified) that the caller may scale
-    in place.  Probabilities
+    in place.  A degenerate row (no weights) adds no loss term and gets a
+    zero gradient row, so a batch with such rows gives the bits of its
+    other rows alone.  Probabilities
     are clamped at LOG_FLOOR inside the log only; each clamp is counted.
     The masked affinity gives a row's own class zero weight, so no mass
     ever lands on the sample's true class; own_class_zero_weight counts
-    how often.  Per-sample losses are summed in sample order.
+    how often among the rows that are not degenerate.  Per-sample losses
+    are summed in sample order.
     """
-    if labels.degenerate.any():
-        raise ContractError("weighted cross-entropy is undefined for a degenerate row")
     P = np.asarray(probs, dtype=np.float64)
     if P.shape != (labels.count.size, labels.n_classes):
         raise ContractError(f"probs shape {P.shape} != {labels.count.size} rows of {labels.n_classes}")
@@ -209,6 +238,7 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
     for s in sums.tolist():
         loss -= s
     grad = P.copy()
+    grad[labels.degenerate] = 0.0  # its sum above is 0.0, which leaves the loss as it was
     r, c = np.nonzero(real)
     grad[r, labels.index[r, c]] -= labels.weights[r, c]
     own = ((labels.index == labels.class_index[:, None]) & real).any(axis=1)
@@ -217,7 +247,7 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
         grads={"scores": grad},
         counters={
             "clamped_logs": int(np.count_nonzero((p < LOG_FLOOR) & real)),
-            "own_class_zero_weight": int(np.count_nonzero(~own)),
+            "own_class_zero_weight": int(np.count_nonzero(~(own | labels.degenerate))),
         },
     )
 
@@ -375,7 +405,7 @@ def weighted_triplet_loss(
     to_pos = anchor[:, None, :] - positives
     pos_d = np.sqrt(np.sum(to_pos * to_pos, axis=2))
     to_neg = anchor - negative
-    neg_d = np.sqrt([row.dot(row) for row in to_neg])  # a dot per row, as 1-d np.linalg.norm
+    neg_d = _row_lengths(to_neg)
     hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
     active = hinge > 0.0
     grads = {name: np.zeros_like(x) for name, x in

@@ -186,10 +186,12 @@ def sgd_step(
     """One momentum SGD update: v <- mu*v + g, theta <- theta - lr*v.
 
     Only parameters named in `grads` and their velocities are touched.
-    Each velocity is updated in place (a missing one starts from zeros),
-    so a caller holding a velocity array sees it change; a gradient array
-    never becomes a velocity.  Refuses non-finite gradients before
-    mutating anything.
+    Every new velocity and parameter is computed, and the parameters
+    checked, before any is written: a refused step, for a non-finite
+    gradient or an update that leaves a parameter non-finite, changes
+    nothing.  The new values are then copied into the existing arrays, so
+    a caller holding a velocity array sees it change; a missing velocity
+    starts from zeros, and a gradient array never becomes a velocity.
     """
     params: dict[str, np.ndarray] = {**model.params(), **head.params()}
     for name, g in grads.items():
@@ -199,20 +201,27 @@ def sgd_step(
             raise ContractError(
                 f"gradient shape {g.shape} != parameter shape {params[name].shape} for {name!r}"
             )
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
 
     lr_body, lr_head = optimizer.effective_rates(epoch)
+    updates = {}
     for name, g in grads.items():
         lr = lr_body if name in BODY_PARAMS else lr_head
         vel = state.velocities.get(name)
-        if vel is None:
-            vel = state.velocities[name] = np.zeros_like(params[name])
-        vel *= optimizer.momentum
+        vel = (np.zeros_like(params[name]) if vel is None else vel) * optimizer.momentum
         vel += g
-        params[name] -= lr * vel
-        if not np.all(np.isfinite(params[name])):
+        new = lr * vel
+        np.subtract(params[name], new, out=new)
+        if not np.isfinite(new).all():
             raise TrainingError(f"non-finite value in parameter {name!r} after update")
+        updates[name] = vel, new
+    for name, (vel, new) in updates.items():
+        params[name][...] = new
+        if name in state.velocities:
+            state.velocities[name][...] = vel
+        else:
+            state.velocities[name] = vel
 
 
 def _emit_array(lines: list[str], name: str, a: np.ndarray) -> None:

@@ -248,8 +248,9 @@ def pk_sampler(
         extra = rng.choice(persons, size=n_p - persons.size, replace=True)
         chosen = np.concatenate([rng.permutation(persons), extra])
     members, starts = dataset.class_members()
-    slots, _ = choice_rows(rng, np.diff(starts)[chosen], n_k)
-    picks = members[starts[chosen][:, None] + slots]
+    first = starts[chosen]
+    slots, _ = choice_rows(rng, starts[chosen + 1] - first, n_k)
+    picks = members[first[:, None] + slots]
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64))
 
 
@@ -342,38 +343,30 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: i
     else:
         lv = random_triplet_loss(tb, config.margin, state.rng)
     n = E.shape[0]
-    dE = lv.grads["embeddings"].reshape(n, -1) / n
+    dE = lv.grads["embeddings"].reshape(n, -1)
+    dE /= n
     return X, tb, (lv.loss, n, 0, [backward(state.model, X, dE)])
 
 
 def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
                   table: SoftLabelTable) -> tuple:
-    """Soft cross-entropy ("C") on one camera-balanced batch, skipping
-    samples whose soft-label row is degenerate.
-
-    When no sampled row is degenerate, the loss reads the probabilities
-    as they are and its gradient array, scaled in place, is the score
-    gradient; otherwise the kept rows are copied out and their gradient
-    scattered into zeros.  Both give the same bits."""
+    """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
+    soft-label row is degenerate add no term and get a zero score
+    gradient row.  The loss's own gradient array, scaled in place, is the
+    score gradient."""
     cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
     Xc = dataset.features[cls_idx]
     Vc = forward_batch(state.model, Xc)
     probs = softmax_probs(head_forward(state.head, Vc))
-    z = dataset.class_ids[cls_idx]
-    keep = ~table.degenerate[z]
-    n = int(np.count_nonzero(keep))
+    labels = table.take(dataset.class_ids[cls_idx])
+    n = int(np.count_nonzero(labels.count))  # the rows that are not degenerate
     if not n:
-        return 0.0, 0, keep.size, []
-    if n == keep.size:
-        wce = weighted_cross_entropy(probs, table.take(z))
-        dS = wce.grads["scores"]
-    else:
-        wce = weighted_cross_entropy(probs[keep], table.take(z[keep]))
-        dS = np.zeros_like(probs)
-        dS[keep] = wce.grads["scores"]
+        return 0.0, 0, cls_idx.size, []
+    wce = weighted_cross_entropy(probs, labels)
+    dS = wce.grads["scores"]
     dS *= config.lam / n
     head_grads, dVc = head_backward(state.head, Vc, dS)
-    return wce.loss, n, keep.size - n, [backward(state.model, Xc, dVc), head_grads]
+    return wce.loss, n, cls_idx.size - n, [backward(state.model, Xc, dVc), head_grads]
 
 
 def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMatrix,
@@ -518,7 +511,7 @@ def train(
                 skipped += skip
                 if not terms:
                     continue
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise TrainingError(f"non-finite {what} at epoch {epoch}, iteration {it}")
                 for part in step_grads:
                     for name, g in part.items():

@@ -13,13 +13,16 @@ the person index grouped a dataset's records by camera in one sort, and
 before a dataset checked the truth of each person in one sort, and
 before the soft cross-entropy step, the softmax, the head's scores and
 the momentum update stopped allocating a full-width array per operation
-and row scatters went through one flat index.  The
+and row scatters went through one flat index, and before the batch-hard
+triplet loss took its square root in place and scattered its terms once
+and the weighted triplet loss took its negative distances from one
+batched dot.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form, applied to the package's product blocks of rows
 (squared_distance_blocks); with one block it is the one-call kernel.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
-tests/test_draws_equivalence.py, tests/test_inplace_equivalence.py and
-tests/test_data.py check that the
+tests/test_draws_equivalence.py, tests/test_inplace_equivalence.py,
+tests/test_iteration_equivalence.py and tests/test_data.py check that the
 package gives the same bits (or errors), generator state included.
 
 It also holds the helpers that only tests need, so that the package
@@ -472,6 +475,48 @@ def update_buffer(buf, embeddings, classes):
         groups.setdefault(cls, []).append(r)
     for cls, rows_of in groups.items():
         update_person(buf, [cls], embeddings[rows_of].reshape(1, -1, embeddings.shape[2]))
+
+
+def unit_rows(diff, dist):
+    """Row-wise diff/dist with zero rows where dist is zero."""
+    out = np.zeros_like(diff)
+    np.divide(diff, dist[:, None], out=out, where=dist[:, None] > 0.0)
+    return out
+
+
+def intra_triplet_loss(batch, margin):
+    """The allocating batch-hard loss: (loss, (n_p, n_k, d) gradient,
+    counters), with the square root of every distance as a new array, a
+    (n, n) same-person mask, both masked distance arrays, and one scatter
+    each for the anchor, positive and negative terms."""
+    E, labels = batch.flat()
+    if batch.n_persons < 2 or batch.n_images < 2 or np.unique(labels).size < 2:
+        raise ContractError("triplet batch needs >= 2 persons and >= 2 images each")
+    D = np.sqrt(squared_distances(E, E))
+    same = labels[:, None] == labels[None, :]
+    pos_pick = np.argmax(np.where(same, D, -np.inf), axis=1)
+    neg_pick = np.argmin(np.where(same, np.inf, D), axis=1)
+    idx = np.arange(E.shape[0])
+    pos_d = D[idx, pos_pick]
+    neg_d = D[idx, neg_pick]
+    hinge = margin + pos_d - neg_d
+    active = ~(hinge <= 0.0)
+    grad = np.zeros(E.shape, E.dtype)
+    if active.any():
+        a_idx, p_idx, n_idx = idx[active], pos_pick[active], neg_pick[active]
+        u_p = unit_rows(E[a_idx] - E[p_idx], pos_d[active])
+        u_n = unit_rows(E[a_idx] - E[n_idx], neg_d[active])
+        np.add.at(grad, a_idx, u_p - u_n)
+        np.add.at(grad, p_idx, -u_p)
+        np.add.at(grad, n_idx, u_n)
+    loss = float(hinge[active].sum()) if active.any() else 0.0
+    counters = {"active_triplets": int(active.sum()), "anchors": E.shape[0]}
+    return loss, grad.reshape(batch.embeddings.shape), counters
+
+
+def weighted_triplet_negative_distances(to_neg):
+    """Each row's length as a 1-d dot of the row with itself, one row at a time."""
+    return np.sqrt([row.dot(row) for row in to_neg])
 
 
 def random_triplet_picks(labels, rng):

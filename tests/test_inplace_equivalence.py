@@ -231,6 +231,12 @@ def test_refused_sgd_step_changes_no_parameter_or_velocity(rng):
         sgd_step(model, head, grads, Optimizer(), state, 1)
     assert same_dicts({**model.params(), **head.params()}, params)
     assert same_dicts(state.velocities, velocities)
+    # Finite gradients whose update overflows in b2, named after W1.
+    overflow = {"W1": np.ones_like(model.W1), "b2": np.full(3, 1e308)}
+    with pytest.raises(TrainingError, match="b2"), np.errstate(over="ignore"):
+        sgd_step(model, head, overflow, Optimizer(learning_rate_pretrained=10.0), state, 1)
+    assert same_dicts({**model.params(), **head.params()}, params)
+    assert same_dicts(state.velocities, velocities)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])

@@ -188,9 +188,14 @@ class TestWeightedCrossEntropy:
         for a, n in zip(lv.grads["scores"][0], numeric):
             assert relative_error(a, n) <= 1e-4
 
-    def test_degenerate_row_rejected(self):
-        with pytest.raises(ContractError):
-            weighted_cross_entropy(np.full((1, 3), 1 / 3), row_of([0, 0, 0]))
+    def test_degenerate_row_adds_no_term_and_a_zero_gradient_row(self, rng):
+        probs = softmax_probs(rng.standard_normal((3, 3)))
+        rows = slow.label_table([[0, 0, 0], [0.25, 0, 0.75], [0, 0, 0]])
+        got = weighted_cross_entropy(probs, rows)
+        alone = weighted_cross_entropy(probs[1:2], slow.label_table([[0.25, 0, 0.75]], [1]))
+        assert got.loss == alone.loss and got.counters == alone.counters
+        assert got.grads["scores"][[0, 2]].tobytes() == np.zeros((2, 3)).tobytes()
+        assert got.grads["scores"][1].tobytes() == alone.grads["scores"][0].tobytes()
 
     def test_zero_probability_clamped_and_counted(self):
         probs = np.array([[1.0, 0.0]])
