@@ -50,6 +50,7 @@ from .model import (
     OptimizerState,
     backward,
     forward_batch,
+    forward_with_hidden,
     init_head,
     init_model,
     load_checkpoint,

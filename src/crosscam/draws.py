@@ -84,24 +84,23 @@ def _picks(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def replay(words: np.ndarray, pops: np.ndarray, size: int, then: Then | None = None):
-    """(choices, follow-up draws or None, rows settled, words they read)
-    of choice_rows' loop over a raw uint32 word stream.
+def replay(words: np.ndarray, pops: np.ndarray, size: int, then: Then):
+    """(choices, follow-up draws, rows settled, words they read) of
+    choice_rows' loop over a raw uint32 word stream.
 
     Every row takes 2*size - 1 choice draws (Floyd's size, then its
     size - 1 shuffle draws; with replacement the first size, the rest in
-    [0, 1)) and, with then, size follow-up draws, whose bounds wait for
-    the picks.  words must hold a word for each choice draw of range
-    above 1 and each follow-up draw.  The first `settled` rows are
-    exact: every draw in and before them of range above 1 had its word
-    accepted, and no follow-up draw of range 1 was given one.  The other
-    rows' values are not the loop's.
+    [0, 1)) and size follow-up draws, whose bounds wait for the picks.
+    words must hold a word for each choice draw of range above 1 and
+    each follow-up draw.  The first `settled` rows are exact: every draw
+    in and before them of range above 1 had its word accepted, and no
+    follow-up draw of range 1 was given one.  The other rows' values are
+    not the loop's.
     """
     pops = np.asarray(pops, dtype=np.int64)
     R, n_choice = pops.size, 2 * size - 1
-    bounds = _choice_bounds(pops, size)
-    if then is not None:
-        bounds = np.concatenate([bounds, np.ones((R, size), dtype=np.int64)], axis=1)
+    bounds = np.concatenate([_choice_bounds(pops, size), np.ones((R, size), dtype=np.int64)],
+                            axis=1)
     reads = bounds > 1
     reads[:, n_choice:] = True
     pos = np.cumsum(reads).reshape(reads.shape) - 1  # a draw of range 1 gets any word
@@ -118,11 +117,9 @@ def replay(words: np.ndarray, pops: np.ndarray, size: int, then: Then | None = N
 
     values, ok = draw(slice(0, n_choice))
     choices = _picks(values, pops, size)
-    drawn = None
-    if then is not None:
-        bounds[:, n_choice:] = _follow_up_bounds(then, np.arange(R), choices)
-        drawn, ok_then = draw(slice(n_choice, None))
-        ok = np.concatenate([ok, ok_then & (bounds[:, n_choice:] > 1)], axis=1)
+    bounds[:, n_choice:] = _follow_up_bounds(then, np.arange(R), choices)
+    drawn, ok_then = draw(slice(n_choice, None))
+    ok = np.concatenate([ok, ok_then & (bounds[:, n_choice:] > 1)], axis=1)
     wrong = ~ok.all(axis=1)
     settled = int(np.argmax(wrong)) if wrong.any() else R
     return choices, drawn, settled, int(reads[:settled].sum())

@@ -117,20 +117,6 @@ def _triplet_terms(
     )
 
 
-def _batch_triplet(
-    batch: TripletBatch,
-    margin: float,
-    pos_pick: np.ndarray,
-    neg_pick: np.ndarray,
-    D: np.ndarray,
-) -> LossValue:
-    """_triplet_terms of the chosen positives and negatives, their
-    distances read from the (n, n) matrix D."""
-    E, _ = batch.flat()
-    rows = np.arange(E.shape[0])
-    return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], D[rows, neg_pick])
-
-
 def _validate_triplet_batch(batch: TripletBatch) -> tuple[np.ndarray, np.ndarray]:
     if batch.n_persons < 2 or batch.n_images < 2:
         raise ContractError(
@@ -189,7 +175,8 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     k = rng.integers(np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1))
     pos_pick = np.argmax(np.cumsum(same, axis=1) > k[:, :1], axis=1)
     neg_pick = np.argmax(np.cumsum(other, axis=1) > k[:, 1:], axis=1)
-    return _batch_triplet(batch, margin, pos_pick, neg_pick, D)
+    rows = np.arange(E.shape[0])
+    return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], D[rows, neg_pick])
 
 
 def softmax_probs(scores: np.ndarray) -> np.ndarray:
@@ -365,7 +352,7 @@ def select_hardest_negative(
     bound = (g[rows, m] + err[rows, m]) * (1.0 + 3.0 * gamma)
     keep = (g <= bound[:, None] + err) | wild[:, None]
     keep &= ~same
-    ii, jj = np.nonzero(keep)
+    ii, jj = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major, as np.nonzero
     diffs = batch_embeddings[jj] - anchors[ii]
     dist = np.full(keep.shape, np.inf)
     dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))

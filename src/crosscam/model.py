@@ -119,33 +119,61 @@ def init_head(d_embed: int, n_classes: int, rng: np.random.Generator) -> Classif
     return ClassifierHead(Wc, np.zeros(n_classes))
 
 
-def forward_batch(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
-    """Embed a batch of inputs, rows of X; returns (n, d)."""
+def forward_with_hidden(model: EmbeddingModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Embed a batch of inputs, rows of X: the (n, d) embeddings and the
+    (n, hidden) activations relu(X @ W1.T + b1) that backward takes.
+
+    The biases and the ReLU are applied in place on the products, so the
+    two results are the only arrays allocated.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d_in:
         raise ContractError(f"batch shape {X.shape} incompatible with d_in {model.d_in}")
-    hidden = np.maximum(X @ model.W1.T + model.b1, 0.0)
-    return hidden @ model.W2.T + model.b2
+    hidden = X @ model.W1.T
+    hidden += model.b1
+    np.maximum(hidden, 0.0, out=hidden)
+    V = hidden @ model.W2.T
+    V += model.b2
+    return V, hidden
 
 
-def backward(model: EmbeddingModel, X: np.ndarray, dV: np.ndarray) -> dict[str, np.ndarray]:
+def forward_batch(model: EmbeddingModel, X: np.ndarray) -> np.ndarray:
+    """Embed a batch of inputs, rows of X; returns (n, d): the embeddings
+    of forward_with_hidden, for callers that do not back-propagate."""
+    return forward_with_hidden(model, X)[0]
+
+
+def backward(model: EmbeddingModel, X: np.ndarray, dV: np.ndarray,
+             hidden: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients of sum_i <dV[i], v_i> with respect to the parameters.
 
     dV holds the upstream gradient of the loss with respect to each output
-    embedding.  The ReLU subgradient at exactly zero is taken as zero.
+    embedding, and hidden the activations forward_with_hidden returned
+    for X; they must come from the current parameters, since the first
+    layer is not computed again.  The ReLU subgradient at exactly zero is
+    taken as zero: dV @ W2 is kept where hidden > 0 (never at a NaN) by
+    AND-ing its bits with an all-ones or all-zeros mask, which writes
+    +0.0 elsewhere whatever the value, NaN, infinities and -0.0 included,
+    without a branch per element.
     """
     X = np.asarray(X, dtype=np.float64)
     dV = np.asarray(dV, dtype=np.float64)
+    hidden = np.asarray(hidden, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.d_in:
         raise ContractError(f"batch shape {X.shape} incompatible with d_in {model.d_in}")
     if dV.shape != (X.shape[0], model.d):
         raise ContractError(f"upstream gradient shape {dV.shape} != ({X.shape[0]}, {model.d})")
-    pre = X @ model.W1.T + model.b1
-    hidden = np.maximum(pre, 0.0)
+    if hidden.shape != (X.shape[0], model.W1.shape[0]):
+        raise ContractError(
+            f"hidden activations shape {hidden.shape} != ({X.shape[0]}, {model.W1.shape[0]})"
+        )
     dW2 = dV.T @ hidden
     db2 = dV.sum(axis=0)
     dhidden = dV @ model.W2
-    dhidden = np.where(pre > 0.0, dhidden, 0.0)
+    keep = (hidden > 0.0).astype(np.uint64)
+    np.negative(keep, out=keep)  # 1 -> all ones, 0 stays all zeros
+    bits = dhidden.view(np.uint64)
+    bits &= keep
     dW1 = dhidden.T @ X
     db1 = dhidden.sum(axis=0)
     return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}

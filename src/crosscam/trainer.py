@@ -42,13 +42,15 @@ from .losses import (
     weighted_cross_entropy,
     weighted_triplet_loss,
 )
-from .model import (
+# forward_batch is not called here; it stays bound for perfbench's tracer.
+from .model import (  # noqa: F401
     ClassifierHead,
     EmbeddingModel,
     Optimizer,
     OptimizerState,
     backward,
     forward_batch,
+    forward_with_hidden,
     head_backward,
     head_forward,
     init_head,
@@ -331,12 +333,15 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
 
 # The loss steps return (loss, terms, skipped anchors, gradient dicts in
 # merge order); a step without terms returns loss 0.0 and no gradients.
+# Each backward takes the hidden activations of its batch's forward in the
+# same iteration, before sgd_step changes the parameters.
 
 def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: int) -> tuple:
-    """Within-camera triplet on one PK batch: (X, its TripletBatch, step result)."""
+    """Within-camera triplet on one PK batch: (X, its hidden activations,
+    its TripletBatch, step result); the D step reuses the first three."""
     pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
     X = dataset.features[pk.sample_indices.reshape(-1)]
-    E = forward_batch(state.model, X)
+    E, H = forward_with_hidden(state.model, X)
     tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes)
     if config.mining_mode == "hard":
         lv = intra_triplet_loss(tb, config.margin)
@@ -345,7 +350,7 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: i
     n = E.shape[0]
     dE = lv.grads["embeddings"].reshape(n, -1)
     dE /= n
-    return X, tb, (lv.loss, n, 0, [backward(state.model, X, dE)])
+    return X, H, tb, (lv.loss, n, 0, [backward(state.model, X, dE, H)])
 
 
 def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
@@ -353,10 +358,10 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
     """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
     soft-label row is degenerate add no term and get a zero score
     gradient row.  The loss's own gradient array, scaled in place, is the
-    score gradient."""
+    score gradient; the batch's forward activations go to its backward."""
     cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
     Xc = dataset.features[cls_idx]
-    Vc = forward_batch(state.model, Xc)
+    Vc, Hc = forward_with_hidden(state.model, Xc)
     probs = softmax_probs(head_forward(state.head, Vc))
     labels = table.take(dataset.class_ids[cls_idx])
     n = int(np.count_nonzero(labels.count))  # the rows that are not degenerate
@@ -366,7 +371,7 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
     dS = wce.grads["scores"]
     dS *= config.lam / n
     head_grads, dVc = head_backward(state.head, Vc, dS)
-    return wce.loss, n, cls_idx.size - n, [backward(state.model, Xc, dVc), head_grads]
+    return wce.loss, n, cls_idx.size - n, [backward(state.model, Xc, dVc, Hc), head_grads]
 
 
 def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMatrix,
@@ -375,8 +380,9 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
     """Weighted soft-triplet ("D") terms of one batch, every row an anchor.
 
     Returns (loss, anchors used, anchors skipped, gradient on E, positive
-    inputs, gradient on their embeddings); the last three are None when
-    no anchor is used.  Gradients are unscaled sums over anchors.
+    inputs, gradient on their embeddings, their hidden activations); the
+    last four are None when no anchor is used.  Gradients are unscaled
+    sums over anchors.
     """
     picks, weights, valid = select_positives(
         labels, aff, dataset, config.n_k, rng,
@@ -384,11 +390,11 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
     )
     anchors = np.flatnonzero(valid)
     if not anchors.size:
-        return 0.0, 0, valid.size, None, None, None
+        return 0.0, 0, valid.size, None, None, None, None
     # intra_triplet_loss has checked that the batch holds two persons.
     neg = select_hardest_negative(E[anchors], E, labels, labels[anchors])
     Xp = dataset.features[picks[anchors].reshape(-1)]
-    Vp = forward_batch(model, Xp)
+    Vp, Hp = forward_with_hidden(model, Xp)
     wtl = weighted_triplet_loss(E[anchors], Vp.reshape(anchors.size, config.n_k, -1),
                                 weights[anchors], E[neg], config.margin)
     # Each row gains its anchor and negative terms in anchor order.
@@ -397,20 +403,22 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
              np.stack([wtl.grads["anchor"], wtl.grads["negative"]], axis=1).reshape(-1, E.shape[1]))
     dVp = np.zeros_like(Vp)
     dVp += wtl.grads["positives"].reshape(Vp.shape)
-    return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp
+    return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp, Hp
 
 
 def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
-            tb: TripletBatch) -> tuple:
-    """Weighted soft triplet ("D") with every row of the intra batch an anchor."""
-    loss, n, skipped, dE, Xp, dVp = _soft_triplet_step(
+            H: np.ndarray, tb: TripletBatch) -> tuple:
+    """Weighted soft triplet ("D") with every row of the intra batch an
+    anchor: X, its hidden activations H and tb are the intra step's, and
+    the positives' activations come from their own forward."""
+    loss, n, skipped, dE, Xp, dVp, Hp = _soft_triplet_step(
         state.model, dataset, state.final_affinity, config, state.rng, *tb.flat()
     )
     if not n:
         return loss, 0, skipped, []
     scale = config.lam / n
-    return loss, n, skipped, [backward(state.model, X, dE * scale),
-                              backward(state.model, Xp, dVp * scale)]
+    return loss, n, skipped, [backward(state.model, X, dE * scale, H),
+                              backward(state.model, Xp, dVp * scale, Hp)]
 
 
 def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
@@ -496,7 +504,7 @@ def train(
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
         for it in range(iters_per_epoch):
-            X, tb, out = _intra_step(state, dataset, config, eligible_cams[it % len(eligible_cams)])
+            X, H, tb, out = _intra_step(state, dataset, config, eligible_cams[it % len(eligible_cams)])
             # In merge order; a step runs only once the one before it passed the check.
             steps = [(intra, "intra loss", lambda: out)]
             if joint and use_c:
@@ -504,7 +512,7 @@ def train(
                               lambda: _soft_ce_step(state, dataset, config, table)))
             if joint and use_d:
                 steps.append((inter, "weighted triplet loss",
-                              lambda: _d_step(state, dataset, config, X, tb)))
+                              lambda: _d_step(state, dataset, config, X, H, tb)))
             grads: dict[str, np.ndarray] = {}
             for sums, what, step in steps:
                 loss, terms, skip, step_grads = step()

@@ -13,17 +13,19 @@ the person index grouped a dataset's records by camera in one sort, and
 before a dataset checked the truth of each person in one sort, and
 before the soft cross-entropy step, the softmax, the head's scores and
 the momentum update stopped allocating a full-width array per operation
-and row scatters went through one flat index, and before the batch-hard
+and row scatters went through one flat index, before the batch-hard
 triplet loss took its square root in place and scattered its terms once
 and the weighted triplet loss took its negative distances from one
-batched dot.  The
+batched dot, and before the embedding network's backward pass took the
+forward's hidden activations and gated its ReLU by a bit mask.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form, applied to the package's product blocks of rows
 (squared_distance_blocks); with one block it is the one-call kernel.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
 tests/test_draws_equivalence.py, tests/test_inplace_equivalence.py,
-tests/test_iteration_equivalence.py and tests/test_data.py check that the
-package gives the same bits (or errors), generator state included.
+tests/test_iteration_equivalence.py, tests/test_model_equivalence.py and
+tests/test_data.py check that the package gives the same bits (or
+errors), generator state included.
 
 It also holds the helpers that only tests need, so that the package
 keeps one call shape per layer: label_table and affinity_from_dense
@@ -41,7 +43,8 @@ from crosscam.affinity import AffinityMatrix, _pack, _soft_labels
 from crosscam.buffer import update_person
 from crosscam.errors import AffinityError, ContractError, EvaluationError, SelectionError
 from crosscam.losses import weighted_cross_entropy as table_cross_entropy
-from crosscam.model import BODY_PARAMS, backward, forward_batch, head_backward
+from crosscam.model import BODY_PARAMS, forward_with_hidden, head_backward
+from crosscam.model import backward as backward_from_hidden
 from crosscam.ranking import hit_aps
 from crosscam.trainer import classification_sampler
 
@@ -113,6 +116,32 @@ def weighted_cross_entropy(probs, row):
     return loss, probs - row.weights, clamped, int(row.weights[row.class_index] == 0.0)
 
 
+def forward_batch(model, X):
+    """The embeddings with each bias sum and the ReLU allocated apart
+    from the products."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != model.d_in:
+        raise ContractError(f"batch shape {X.shape} incompatible with d_in {model.d_in}")
+    hidden = np.maximum(X @ model.W1.T + model.b1, 0.0)
+    return hidden @ model.W2.T + model.b2
+
+
+def backward(model, X, dV):
+    """The body gradients with the first layer computed again from X and
+    the ReLU gated by np.where on the pre-activations."""
+    X = np.asarray(X, dtype=np.float64)
+    dV = np.asarray(dV, dtype=np.float64)
+    pre = X @ model.W1.T + model.b1
+    hidden = np.maximum(pre, 0.0)
+    dW2 = dV.T @ hidden
+    db2 = dV.sum(axis=0)
+    dhidden = dV @ model.W2
+    dhidden = np.where(pre > 0.0, dhidden, 0.0)
+    dW1 = dhidden.T @ X
+    db1 = dhidden.sum(axis=0)
+    return {"W1": dW1, "b1": db1, "W2": dW2, "b2": db2}
+
+
 def head_forward(head, V):
     """Class scores with the bias sum allocated apart from the product."""
     return V @ head.Wc.T + head.bc
@@ -135,7 +164,7 @@ def soft_ce_step(state, dataset, config, table):
     always copied out and their gradient scattered into zeros."""
     cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
     Xc = dataset.features[cls_idx]
-    Vc = forward_batch(state.model, Xc)
+    Vc, Hc = forward_with_hidden(state.model, Xc)
     scores = head_forward(state.head, Vc)
     probs = softmax_probs(scores)
     z = dataset.class_ids[cls_idx]
@@ -148,7 +177,7 @@ def soft_ce_step(state, dataset, config, table):
     dS[keep] = wce.grads["scores"]
     dS *= config.lam / n
     head_grads, dVc = head_backward(state.head, Vc, dS)
-    return wce.loss, n, keep.size - n, [backward(state.model, Xc, dVc), head_grads], dS
+    return wce.loss, n, keep.size - n, [backward_from_hidden(state.model, Xc, dVc, Hc), head_grads], dS
 
 
 def sgd_step(model, head, grads, optimizer, state, epoch):

@@ -55,7 +55,7 @@ from crosscam.model import (
     ClassifierHead,
     EmbeddingModel,
     backward,
-    forward_batch,
+    forward_with_hidden,
     head_backward,
     head_forward,
     init_head,
@@ -148,11 +148,11 @@ def test_criterion_1_gradient_suite():
 
         def intra_case(flat):
             model, _ = _from_flat(flat, with_head=False)
-            E = forward_batch(model, X_tri)
+            E, H = forward_with_hidden(model, X_tri)
             lv = intra_triplet_loss(
                 TripletBatch(E.reshape(3, 2, EMBED), tri_classes), margin=0.5
             )
-            grads = backward(model, X_tri, lv.grads["embeddings"].reshape(6, EMBED))
+            grads = backward(model, X_tri, lv.grads["embeddings"].reshape(6, EMBED), H)
             return lv.loss, _grads_to_flat(grads, with_head=False)
 
         _check_fd(intra_case, _flat_params(model0), False, coord_rng)
@@ -164,11 +164,11 @@ def test_criterion_1_gradient_suite():
 
         def ce_case(flat):
             model, head = _from_flat(flat, with_head=True)
-            V = forward_batch(model, X_ce)
+            V, H = forward_with_hidden(model, X_ce)
             probs = softmax_probs(head_forward(head, V))
             lv = weighted_cross_entropy(probs, slow.label_table(W_rows))
             head_grads, dV = head_backward(head, V, lv.grads["scores"])
-            grads = backward(model, X_ce, dV)
+            grads = backward(model, X_ce, dV, H)
             grads.update(head_grads)
             return lv.loss, _grads_to_flat(grads, with_head=True)
 
@@ -181,13 +181,13 @@ def test_criterion_1_gradient_suite():
 
         def wt_case(flat):
             model, _ = _from_flat(flat, with_head=False)
-            V = forward_batch(model, X_wt)
+            V, H = forward_with_hidden(model, X_wt)
             lv = weighted_triplet_loss(V[None, 0], V[None, 1:4], w[None], V[None, 4], margin=1.0)
             dV = np.zeros_like(V)
             dV[0] = lv.grads["anchor"][0]
             dV[1:4] = lv.grads["positives"][0]
             dV[4] = lv.grads["negative"][0]
-            grads = backward(model, X_wt, dV)
+            grads = backward(model, X_wt, dV, H)
             return lv.loss, _grads_to_flat(grads, with_head=False)
 
         _check_fd(wt_case, _flat_params(model0), False, coord_rng)

@@ -21,7 +21,7 @@ import slow_references as slow
 from crosscam import ContractError, new_buffer, select_hardest_negative, update_person
 from crosscam.draws import choice_rows, replay
 from crosscam.affinity import squared_distances
-from crosscam.losses import TripletBatch, _batch_triplet, random_triplet_loss
+from crosscam.losses import TripletBatch, _triplet_terms, random_triplet_loss
 from crosscam.trainer import _update_buffer, pk_sampler
 from test_batched_equivalence import person_dataset, points, same_bits
 
@@ -97,15 +97,17 @@ def test_tail_shuffle_rows_are_exact(size):
 
 
 def test_replay_core_on_hand_made_words():
-    # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31 and
-    # rejects word 0 (3 * 0 mod 2**32 < 2**32 mod 3 = 1), so the replay
-    # settles the first row only: one word read.
-    words = np.array([2**31, 0, 7], dtype=np.uint32)
-    choices, drawn, settled, read = replay(words, np.array([3, 3, 3]), 1)
-    assert choices[:1].tolist() == [[1]] and drawn is None and (settled, read) == (1, 1)
+    # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31, and the
+    # follow-up draw in [0, 5) takes 7 * 5 >> 32 = 0 from word 7; the
+    # next row's choice rejects word 0 (3 * 0 mod 2**32 < 2**32 mod 3 = 1),
+    # so the replay settles the first row only: two words read.
+    five = lambda rows, c: np.full(c.shape, 5)
+    words = np.array([2**31, 7, 0, 7, 7, 7], dtype=np.uint32)
+    choices, drawn, settled, read = replay(words, np.array([3, 3, 3]), 1, five)
+    assert choices[:1].tolist() == [[1]] and drawn[:1].tolist() == [[0]]
+    assert (settled, read) == (1, 2)
     # Population 1 reads no word for its choice; the follow-up draw in
     # [0, 5) takes (2**32 - 1) * 5 >> 32 = 4.
-    five = lambda rows, c: np.full(c.shape, 5)
     choices, drawn, settled, read = replay(np.array([2**32 - 1], dtype=np.uint32), np.array([1]), 1, five)
     assert choices.tolist() == [[0]] and drawn.tolist() == [[4]] and (settled, read) == (1, 1)
     # A follow-up draw in [0, 1), a person with one sample, reads no word:
@@ -115,8 +117,21 @@ def test_replay_core_on_hand_made_words():
     assert (settled, read) == (0, 0)
     # Too few words for the draws is refused.
     with pytest.raises(ContractError):
-        replay(words[:1], np.array([3, 3]), 1)
-    assert replay(words[:0], np.array([1, 1]), 1)[2:] == (2, 0)
+        replay(words[:1], np.array([3, 3]), 1, five)
+
+
+def test_choice_rows_without_follow_up_draws_on_hand_made_populations():
+    # Without follow-up draws every bound is known up front: a population
+    # of 1 reads no word, so rows of population 1 leave the generator as
+    # it was, and a row of population 3 reads what Generator.choice reads.
+    rng = np.random.default_rng(3)
+    before = state(rng)
+    out, follow = choice_rows(rng, np.array([1, 1]), 1)
+    assert out.tolist() == [[0], [0]] and follow is None and state(rng) == before
+    ref = np.random.default_rng(3)
+    out, _ = choice_rows(rng, np.array([1, 3, 1]), 1)
+    assert out.tolist() == [[0], [int(ref.choice(3, 1, replace=False)[0])], [0]]
+    assert state(rng) == state(ref)
 
 
 @SETTINGS
@@ -194,7 +209,8 @@ def test_random_triplet_loss_matches_two_draws_per_anchor(seed):
     ref, got = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
     E, labels = batch.flat()
     pos, neg = slow.random_triplet_picks(labels, ref)
-    want = _batch_triplet(batch, 0.3, pos, neg, np.sqrt(squared_distances(E, E)))
+    D, rows = np.sqrt(squared_distances(E, E)), np.arange(E.shape[0])
+    want = _triplet_terms(batch, E, 0.3, pos, neg, D[rows, pos], D[rows, neg])
     out = random_triplet_loss(batch, 0.3, got)
     assert state(got) == state(ref)
     assert same_bits(out.loss, want.loss)

@@ -12,6 +12,7 @@ from crosscam import (
     TrainingError,
     backward,
     forward_batch,
+    forward_with_hidden,
     init_head,
     init_model,
     load_checkpoint,
@@ -67,13 +68,13 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self, rng):
         m = small_model(rng)
         X = rng.standard_normal((4, 5))
-        grads = backward(m, X, np.zeros((4, 3)))
+        grads = backward(m, X, np.zeros((4, 3)), forward_with_hidden(m, X)[1])
         assert all(np.all(g == 0.0) for g in grads.values())
 
     def test_shape_mismatch_rejected(self, rng):
         m = small_model(rng)
         with pytest.raises(ContractError):
-            backward(m, np.zeros((4, 5)), np.zeros((4, 2)))
+            backward(m, np.zeros((4, 5)), np.zeros((4, 2)), np.zeros((4, 7)))
 
     def test_half_squared_norm_gradient_matches_finite_differences(self, rng):
         # L = 0.5 * ||v||^2 so the upstream gradient is v itself.
@@ -81,8 +82,8 @@ class TestBackward:
         x = rng.standard_normal(5)
 
         for name in ("W1", "b1", "W2", "b2"):
-            v = forward_batch(m, x[None])[0]
-            grads = backward(m, x[None, :], v[None, :])
+            V, H = forward_with_hidden(m, x[None])
+            grads = backward(m, x[None, :], V, H)
 
             def loss_at(theta_flat, name=name):
                 trial = EmbeddingModel(
@@ -100,9 +101,10 @@ class TestBackward:
         m = small_model(rng)
         X = rng.standard_normal((2, 5))
         dV = rng.standard_normal((2, 3))
-        whole = backward(m, X, dV)
-        first = backward(m, X[:1], dV[:1])
-        second = backward(m, X[1:], dV[1:])
+        H = forward_with_hidden(m, X)[1]
+        whole = backward(m, X, dV, H)
+        first = backward(m, X[:1], dV[:1], H[:1])
+        second = backward(m, X[1:], dV[1:], H[1:])
         for name in whole:
             np.testing.assert_allclose(whole[name], first[name] + second[name], rtol=1e-12)
 
@@ -110,8 +112,9 @@ class TestBackward:
         m = small_model(rng)
         X = rng.standard_normal((3, 5))
         dV = rng.standard_normal((3, 3))
-        doubled = backward(m, X, 2.0 * dV)
-        base = backward(m, X, dV)
+        H = forward_with_hidden(m, X)[1]
+        doubled = backward(m, X, 2.0 * dV, H)
+        base = backward(m, X, dV, H)
         for name in base:
             np.testing.assert_allclose(doubled[name], 2.0 * base[name], rtol=1e-12)
 
