@@ -107,6 +107,7 @@ class Dataset:
         self.index = self._build_index()
         self.class_ids = self._resolve_classes()
         self._by_class: tuple[np.ndarray, np.ndarray] | None = None
+        self._by_camera: tuple[np.ndarray, ...] | None = None
         self._check_truth_purity()
         self.features.setflags(write=False)
         self.camera_ids.setflags(write=False)
@@ -161,8 +162,15 @@ class Dataset:
             self._by_class = (order, starts)
         return self._by_class
 
-    def indices_of_camera(self, camera_id: int) -> np.ndarray:
-        return np.flatnonzero(self.camera_ids == camera_id)
+    def camera_members(self) -> tuple[np.ndarray, ...]:
+        """Each camera's sample indices in file order, read-only, one
+        array per camera."""
+        if self._by_camera is None:
+            order = np.argsort(self.camera_ids, kind="stable")
+            order.setflags(write=False)
+            starts = np.searchsorted(self.camera_ids[order], np.arange(self.n_cameras + 1))
+            self._by_camera = tuple(order[a:b] for a, b in zip(starts[:-1], starts[1:]))
+        return self._by_camera
 
     def has_full_truth(self) -> bool:
         return bool(np.all(self.truth >= 0)) if len(self) else True

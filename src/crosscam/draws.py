@@ -1,8 +1,8 @@
-"""Exact batched replay of per-row `Generator.choice` and `integers` draws.
+"""Exact batched form of per-row `Generator.choice` and `integers` draws.
 
 `choice_rows` gives the picks, the follow-up draws and the generator
 state that this loop gives, without a Python call per row on the rows
-that the replay settles:
+that one batched call settles:
 
     for r in range(R):
         c[r] = rng.choice(pops[r], size, replace=pops[r] < size)
@@ -20,20 +20,22 @@ j = pop - size .. pop - 1 (a draw in [0, j]; j itself when the value
 was already taken), then shuffles the picks with draws in [0, i] for
 i = size - 1 .. 1; with replacement it makes size draws in [0, pop).
 
-Without follow-up draws (then is None) every bound is known before the
-first draw, and `Generator.integers` given an array of bounds draws each
-element through that same bounded method, in order, rejections
-included; so `choice_rows` makes all the choice draws in one such call
-and only turns them into picks.  With follow-up draws, whose bounds wait
-for each row's picks, `replay` is the pure core: it reads a raw word
-array and replays all rows as array operations, giving each draw of
-range above 1 the next word.  That holds up to the first rejected word
-(odds below n / 2**32 per draw) and the first follow-up draw of range 1
-(a person with one sample, which reads no word); the rows before it are
-exact, and `choice_rows` draws the rows from there on through the loop
-above.  Either way every row from the first one in numpy's other branch
-(a tail shuffle when pop > 10,000 and size > pop // 50) on takes the
-loop.
+`Generator.integers` given an array of bounds draws each element
+through that same bounded method, in order, rejections included, so
+one such call makes all of a batch's choice draws, row by row, and the
+picks are worked out from the values.  The follow-up draws' bounds wait
+for each row's picks, so in that call each follow-up draw has the
+placeholder bound 2**32: numpy hands out one raw word for it, which no
+bound ever rejects.  `lemire` finishes the follow-up values from those
+words.  A row is settled while each of its follow-up words is accepted
+under the draw's true bound n and 1 < n <= 2**32 (a person with one
+sample reads no word, and a bound above 2**32 takes 64-bit words);
+every row before the first unsettled one is exact.  From that row on,
+the generator goes back to its state before the call, one
+`Generator.integers` call over the settled rows' true bounds advances
+it past them, and the loop above draws the rest.  Every row from the
+first one in numpy's other branch (a tail shuffle when pop > 10,000 and
+size > pop // 50) on takes the loop as well.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 from .errors import ContractError
 
 Then = Callable[[np.ndarray, np.ndarray], np.ndarray]
-WORD = np.uint64(2**32)
+WORD = 2**32
 
 
 def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray) -> np.ndarray:
@@ -55,74 +57,60 @@ def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray) -> np.n
     return bounds
 
 
-def _choice_bounds(pops: np.ndarray, size: int) -> np.ndarray:
-    """(R, 2*size - 1) exclusive bounds of each row's choice draws: Floyd's
-    size draws, then its size - 1 shuffle draws; with replacement the
-    first size, the rest in [0, 1)."""
-    floyd = (pops >= size)[:, None]
-    bounds = np.ones((pops.size, 2 * size - 1), dtype=np.int64)
-    bounds[:, :size] = pops[:, None] + np.where(floyd, np.arange(1 - size, 1), 0)
-    bounds[:, size:] = np.where(floyd, np.arange(size, 1, -1), 1)
+def _draw_bounds(pops: np.ndarray, size: int, follow: int) -> np.ndarray:
+    """(R, 2*size - 1 + follow) exclusive bounds of each row's draws:
+    Floyd's size draws, its size - 1 shuffle draws (with replacement the
+    first size, the rest in [0, 1)), then follow placeholders of 2**32."""
+    bounds = np.empty((pops.size, 2 * size - 1 + follow), dtype=np.int64)
+    np.add(pops[:, None], np.arange(1 - size, 1), out=bounds[:, :size])
+    bounds[:, size:2 * size - 1] = np.arange(size, 1, -1)
+    bounds[:, 2 * size - 1:] = WORD
+    replace = pops < size
+    if replace.any():
+        bounds[replace, :size] = pops[replace, None]
+        bounds[replace, size:2 * size - 1] = 1
     return bounds
 
 
 def _picks(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     """Each row's choice from its draw values: the draws themselves with
-    replacement, else Floyd's selection followed by its shuffle."""
-    out = values[:, :size].copy()
-    floyd = np.flatnonzero(pops >= size)
-    sel = out[floyd]
-    top = pops[floyd, None] + np.arange(-size, 0)  # Floyd's j of each draw
+    replacement, else Floyd's selection followed by its shuffle.  The
+    Floyd rows are worked on one draw per row of a (size, rows) block."""
+    floyd = pops >= size
+    every = bool(floyd.all())
+    # Floyd's j of draw t is top + t.
+    rows, top = (values, pops - size) if every else (values[floyd], pops[floyd] - size)
+    sel = rows[:, :size].T.copy()
     for t in range(1, size):  # the first draw is never taken
-        np.copyto(sel[:, t], top[:, t], where=(sel[:, :t] == sel[:, t, None]).any(axis=1))
+        np.copyto(sel[t], top + t, where=(sel[:t] == sel[t]).any(axis=0))
+    n = sel.shape[1]
     flat = sel.reshape(-1)  # a view: sel is a fresh C-contiguous array
-    swaps = np.arange(0, flat.size, size)[:, None] + values[floyd, size:]
+    partner = rows[:, size:2 * size - 1].T * n + np.arange(n)  # flat place of each swap's j
     for u, i in enumerate(range(size - 1, 0, -1)):
-        j = swaps[:, u]
-        flat[j], sel[:, i] = sel[:, i], flat[j]
-    out[floyd] = sel
+        j = partner[u]
+        taken = flat[j]
+        flat[j] = sel[i]
+        sel[i] = taken
+    if every:
+        return sel.T
+    out = values[:, :size].copy()
+    out[floyd] = sel.T
     return out
 
 
-def replay(words: np.ndarray, pops: np.ndarray, size: int, then: Then):
-    """(choices, follow-up draws, rows settled, words they read) of
-    choice_rows' loop over a raw uint32 word stream.
-
-    Every row takes 2*size - 1 choice draws (Floyd's size, then its
-    size - 1 shuffle draws; with replacement the first size, the rest in
-    [0, 1)) and size follow-up draws, whose bounds wait for the picks.
-    words must hold a word for each choice draw of range above 1 and
-    each follow-up draw.  The first `settled` rows are exact: every draw
-    in and before them of range above 1 had its word accepted, and no
-    follow-up draw of range 1 was given one.  The other rows' values are
-    not the loop's.
-    """
-    pops = np.asarray(pops, dtype=np.int64)
-    R, n_choice = pops.size, 2 * size - 1
-    bounds = np.concatenate([_choice_bounds(pops, size), np.ones((R, size), dtype=np.int64)],
-                            axis=1)
-    reads = bounds > 1
-    reads[:, n_choice:] = True
-    pos = np.cumsum(reads).reshape(reads.shape) - 1  # a draw of range 1 gets any word
-    need = int(reads.sum())
-    if words.size < need:
-        raise ContractError(f"replay needs {need} words, got {words.size}")
-    w = np.zeros(need + 1, dtype=np.uint64)
-    w[:need] = words[:need]
-
-    def draw(cols: slice):
-        n = bounds[:, cols].astype(np.uint64)
-        m = w[pos[:, cols]] * n
-        return (m >> np.uint64(32)).astype(np.int64), m % WORD >= WORD % n
-
-    values, ok = draw(slice(0, n_choice))
-    choices = _picks(values, pops, size)
-    bounds[:, n_choice:] = _follow_up_bounds(then, np.arange(R), choices)
-    drawn, ok_then = draw(slice(n_choice, None))
-    ok = np.concatenate([ok, ok_then & (bounds[:, n_choice:] > 1)], axis=1)
-    wrong = ~ok.all(axis=1)
-    settled = int(np.argmax(wrong)) if wrong.any() else R
-    return choices, drawn, settled, int(reads[:settled].sum())
+def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, settled) of draws in [0, bounds) from raw 32-bit words by
+    Lemire's method: value (w * n) >> 32, settled where numpy's draw
+    would read exactly that word and keep it, that is where
+    (w * n) mod 2**32 >= 2**32 mod n and 1 < n <= 2**32."""
+    words, bounds = np.asarray(words), np.asarray(bounds)
+    if words.shape != bounds.shape:
+        raise ContractError(f"{words.shape} words for bounds of shape {bounds.shape}")
+    n = bounds.astype(np.uint64)
+    m = words.astype(np.uint64) * n  # below 2**64 wherever n <= 2**32
+    low = m & np.uint64(WORD - 1)
+    settled = (low >= np.uint64(WORD) % n) & (n > 1) & (n <= WORD)
+    return (m >> np.uint64(32)).astype(np.int64), settled
 
 
 def choice_rows(
@@ -136,28 +124,31 @@ def choice_rows(
         raise ContractError("choice_rows needs size >= 1 and populations >= 1")
     tail = (pops >= size) & (pops > 10_000) & (size > pops // 50)
     end = int(np.argmax(tail)) if tail.any() else pops.size
-    if then is None:
-        # Every bound is known before the first draw, so numpy draws them
-        # all in one call, rejected words included, as the loop would.
-        drawn, settled = None, end
-        choices = _picks(rng.integers(_choice_bounds(pops[:end], size)), pops[:end], size)
-    else:
-        snapshot = rng.bit_generator.state
-        words = rng.integers(0, 2**32, size=end * (3 * size - 1), dtype=np.uint32)
-        choices, drawn, settled, read = replay(words, pops[:end], size, then)
-        if read != words.size:
+    n_choice = 2 * size - 1
+    bounds = _draw_bounds(pops[:end], size, 0 if then is None else size)
+    snapshot = None if then is None else rng.bit_generator.state
+    values = rng.integers(bounds)
+    choices = _picks(values, pops[:end], size)
+    drawn, settled = None, end
+    if then is not None:
+        follow = _follow_up_bounds(then, np.arange(end), choices)
+        drawn, ok = lemire(values[:, n_choice:], follow)
+        if not ok.all():
+            settled = int(np.argmin(ok.all(axis=1)))
             rng.bit_generator.state = snapshot
-            rng.integers(0, 2**32, size=read, dtype=np.uint32)
+            bounds[:settled, n_choice:] = follow[:settled]
+            rng.integers(bounds[:settled])
+    if settled == pops.size:
+        return choices, drawn
     out = np.zeros((pops.size, size), dtype=np.int64)
     out[:settled] = choices[:settled]
-    follow = None
     if then is not None:
-        follow = np.zeros_like(out)
-        follow[:settled] = drawn[:settled]
+        drawn, kept = np.zeros_like(out), drawn
+        drawn[:settled] = kept[:settled]
     for r in range(settled, pops.size):
         pop = int(pops[r])
         out[r] = rng.choice(pop, size, replace=pop < size)
         if then is not None:
-            bounds = _follow_up_bounds(then, np.array([r]), out[r:r + 1])[0].tolist()
-            follow[r] = [rng.integers(h) for h in bounds]
-    return out, follow
+            row_bounds = _follow_up_bounds(then, np.array([r]), out[r:r + 1])[0].tolist()
+            drawn[r] = [rng.integers(h) for h in row_bounds]
+    return out, drawn

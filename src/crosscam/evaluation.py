@@ -48,11 +48,16 @@ def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
     pairs, a power of two per step, finds its length.
     """
     n = ranked.shape[1]
+    flat = ranked.reshape(-1)  # ranked is C-contiguous: item k of a row sits at row * n + k
+    last = rows * n - 1  # the flat place before each pair's row, so that place + at is item at - 1
     count = np.zeros(rows.size, dtype=np.int64)
     step = 1 << (n.bit_length() - 1) if n else 0
     while step:
         at = count + step
-        count += step * ((at <= n) & op(ranked[rows, np.minimum(at, n) - 1], t))
+        inside = at <= n
+        np.minimum(at, n, out=at)
+        at += last
+        count += step * (inside & op(flat.take(at), t))
         step >>= 1
     return count
 
@@ -73,7 +78,12 @@ def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
     near = d2 <= far[:, None]
     width = np.count_nonzero(near, axis=1)
     ranked = np.full((d2.shape[0], width.max(initial=0)), np.inf)
-    ranked[np.arange(ranked.shape[1]) < width[:, None]] = d2[near]
+    filled = np.arange(ranked.shape[1]) < width[:, None]
+    # The near values move over in row blocks of ranked, so that no more
+    # than a block of BLOCK_ELEMENTS of them is copied at once.
+    rows = max(1, BLOCK_ELEMENTS // max(ranked.shape[1], 1))
+    for lo in range(0, d2.shape[0], rows):
+        ranked[lo:lo + rows][filled[lo:lo + rows]] = d2[lo:lo + rows][near[lo:lo + rows]]
     ranked.sort(axis=1)
     pos = _prefix_counts(ranked, q, t, np.less)
     tied = np.flatnonzero(_prefix_counts(ranked, q, t, np.less_equal) - pos > 1)

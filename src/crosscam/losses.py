@@ -63,9 +63,10 @@ class LossValue:
 
 
 def _unit_rows(diff: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Row-wise diff/dist with zero rows where dist is zero."""
-    out = np.zeros_like(diff)
-    np.divide(diff, dist[:, None], out=out, where=dist[:, None] > 0.0)
+    """Row-wise diff/dist with zero rows where dist is not above zero."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # those rows are zeroed
+        out = diff / dist[:, None]
+    out[~(dist > 0.0)] = 0.0
     return out
 
 
@@ -271,30 +272,35 @@ def select_positives(
     if aff.n_classes != dataset.index.total:
         raise ContractError(f"affinity over {aff.n_classes} classes, dataset has {dataset.index.total}")
     anchor_classes = np.asarray(anchor_classes, dtype=np.int64)
-    cand = aff.candidates.take(anchor_classes)
-    valid = cand.count > 0
-    at = np.zeros((anchor_classes.size, n_k), dtype=np.int64)  # each pick's place in its table row
-    if positive_sampling == "nearest":
-        real = np.arange(cand.index.shape[1]) < cand.count[:, None]
-        order = np.argsort(np.where(real, -cand.weights, np.inf), axis=1, kind="stable")
-        at = np.take_along_axis(order, np.arange(n_k) % np.maximum(cand.count, 1)[:, None], 1)
+    table = aff.candidates
+    valid = table.count[anchor_classes] > 0
+    every = bool(valid.all())
+    drawing = anchor_classes if every else anchor_classes[valid]  # the classes that draw
+    index, pops = table.index[drawing], table.count[drawing]
     members, starts = dataset.class_members()
-    sizes = np.diff(starts)
-    rows = np.flatnonzero(valid)
-    slot = np.zeros_like(at)
     if positive_sampling == "random":
-        index = cand.index[rows]
-        at[rows], slot[rows] = choice_rows(rng, cand.count[rows], n_k,
-                                           then=lambda r, c: sizes[index[r[:, None], c]])
-    drawn = np.take_along_axis(cand.index, at, axis=1)
-    if positive_sampling == "nearest":
-        slot[rows] = rng.integers(sizes[drawn[rows]])
-    weights = np.full(drawn.shape, 1.0 / n_k)
+        def sample_counts(rows, at):
+            person = index[rows[:, None], at]
+            return starts[person + 1] - starts[person]
+        at, slot = choice_rows(rng, pops, n_k, then=sample_counts)
+        drawn = np.take_along_axis(index, at, axis=1)
+    else:
+        real = np.arange(index.shape[1]) < pops[:, None]
+        order = np.argsort(np.where(real, -table.weights[drawing], np.inf), axis=1, kind="stable")
+        at = np.take_along_axis(order, np.arange(n_k) % pops[:, None], axis=1)
+        drawn = np.take_along_axis(index, at, axis=1)
+        slot = rng.integers(starts[drawn + 1] - starts[drawn])
+    picks = members[starts[drawn] + slot]
     if weighting_mode == "W":
-        weights = np.take_along_axis(cand.weights, at, axis=1)
-        weights[valid] /= weights[valid].sum(axis=1, keepdims=True)
-    weights[~valid] = 0.0
-    return np.where(valid[:, None], members[starts[drawn] + slot], 0), weights, valid
+        w = np.take_along_axis(table.weights[drawing], at, axis=1)
+        w /= w.sum(axis=1, keepdims=True)
+    else:
+        w = np.full(picks.shape, 1.0 / n_k)
+    if every:
+        return picks, w, valid
+    out, weights = np.zeros((valid.size, n_k), dtype=np.int64), np.zeros((valid.size, n_k))
+    out[valid], weights[valid] = picks, w
+    return out, weights, valid
 
 
 def select_hardest_negative(
@@ -321,11 +327,20 @@ def select_hardest_negative(
     direct s_ij = t_ij**2 before its sqrt is within (d+2) u of D_ij
     relatively, and the rounded sqrt keeps order up to u.  So any j with
     t_ij <= t_im, m the screen's argmin, has g_ij <= (g_im + E_im) F + E_ij
-    with F = 1 + (2d+8) u to first order; the screen keeps every j under
-    that bound with F = 1 + 3 gamma, gamma = c (d+3) u, which is larger.
-    The kept pairs, the winner among them, are summed directly.  A row
-    whose screen is not finite (squared norms overflow above about
-    1e154) keeps every pair.
+    with F = 1 + (2d+8) u to first order, and F = 1 + 3 gamma, gamma =
+    c (d+3) u, is larger.  One bound per row serves all its pairs:
+    e_i = gamma ((|a_i| + max_j |b_j|)**2 + 2**-1021), rounded, is at
+    least every rounded E_ij, as each rounding step is monotone.  The
+    screen keeps every j with g_ij <= (g_im + e_i) F + e_i, which holds
+    wherever g_ij <= (g_im + E_im) F + E_ij does, and sums the kept pairs
+    directly.  Every pair that the per-pair bound E_ij alone would not
+    keep is farther than some pair it keeps, so the lowest-index minimum
+    of the kept direct distances is the same under either bound whenever
+    it is finite.  A row whose screen can overflow (max_j g_ij + e_i not
+    finite, a superset of the rows where some g_ij + E_ij is not:
+    squared norms above about 1e154) keeps every pair.  Where every kept
+    direct distance of a row is +inf, the pick is the first pair under
+    the per-pair bound E_ij, worked out for those rows alone.
     """
     batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
     batch_classes = np.asarray(batch_classes)
@@ -335,30 +350,43 @@ def select_hardest_negative(
         raise ContractError("batch embeddings and classes are inconsistent")
     if anchors.ndim != 2 or classes.shape != anchors.shape[:1]:
         raise ContractError("anchors must be (A, d) with one anchor class each")
-    same = classes[:, None] == batch_classes
-    lonely = same.all(axis=1)
+    other = classes[:, None] != batch_classes
+    lonely = ~other.any(axis=1)
     if lonely.any():
         raise SelectionError(f"no same-camera negative available for class {classes[lonely].min()}")
     rows = np.arange(classes.size)
     gamma = SCREEN_SAFETY * (anchors.shape[1] + 3) * 2.0**-53
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen is handled below
         g = squared_distances(anchors, batch_embeddings)
-        norms = np.sqrt(np.sum(anchors * anchors, axis=1))[:, None] + np.sqrt(
-            np.sum(batch_embeddings * batch_embeddings, axis=1))
-        err = gamma * (norms * norms + 2.0**-1021)
-        wild = ~np.isfinite(g + err).all(axis=1)
-    g[same] = np.inf
-    m = np.argmin(g, axis=1)
-    bound = (g[rows, m] + err[rows, m]) * (1.0 + 3.0 * gamma)
-    keep = (g <= bound[:, None] + err) | wild[:, None]
-    keep &= ~same
+        norm_a = np.sqrt(np.sum(anchors * anchors, axis=1))
+        norm_b = np.sqrt(np.sum(batch_embeddings * batch_embeddings, axis=1))
+        err = norm_a + norm_b.max()
+        err *= err
+        err += 2.0**-1021
+        err *= gamma
+        wild = ~np.isfinite(g.max(axis=1) + err)
+    screen = np.where(other, g, np.inf)
+    m = np.argmin(screen, axis=1)
+    low = screen[rows, m]
+    keep = screen <= ((low + err) * (1.0 + 3.0 * gamma) + err)[:, None]
+    if wild.any():
+        keep[wild] = True
+    keep &= other
     ii, jj = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major, as np.nonzero
     diffs = batch_embeddings[jj] - anchors[ii]
     dist = np.full(keep.shape, np.inf)
     dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))
     picks = np.argmin(dist, axis=1)
-    overflowed = ~keep[rows, picks]  # every kept distance is inf: the first kept wins
-    picks[overflowed] = np.argmax(keep[overflowed], axis=1)
+    far = np.flatnonzero(dist[rows, picks] == np.inf)
+    if far.size:  # the first pair under the per-pair bound E_ij
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = norm_a[far, None] + norm_b
+            pair_err = gamma * (norms * norms + 2.0**-1021)
+            bound = (low[far] + pair_err[np.arange(far.size), m[far]]) * (1.0 + 3.0 * gamma)
+            first = (screen[far] <= bound[:, None] + pair_err) | ~np.isfinite(
+                g[far] + pair_err).all(axis=1, keepdims=True)
+        first &= other[far]
+        picks[far] = np.argmax(first, axis=1)
     return picks
 
 
@@ -395,22 +423,27 @@ def weighted_triplet_loss(
     neg_d = _row_lengths(to_neg)
     hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
     active = hinge > 0.0
-    grads = {name: np.zeros_like(x) for name, x in
-             (("anchor", anchor), ("positives", positives), ("negative", negative))}
-    if active.any():
-        w = weights[active]
-        u_n = _unit_rows(to_neg[active], neg_d[active])
-        u_p = _unit_rows(to_pos[active].reshape(-1, anchor.shape[1]), pos_d[active].ravel())
-        u_p = u_p.reshape(w.shape + (-1,))
-        g = np.zeros_like(u_n)
-        for i in range(w.shape[1]):
-            g += w[:, i, None] * u_p[:, i]
-        grads["anchor"][active] = g - u_n
-        grads["positives"][active] = -w[:, :, None] * u_p
-        grads["negative"][active] = u_n
-    loss = 0.0
-    for h in hinge.tolist():
-        loss += max(h, 0.0)
+    # Every row is computed, row by row as an active row alone would be,
+    # and the inactive rows, whose values may overflow, are then zeroed.
+    with np.errstate(all="ignore"):
+        u_n = _unit_rows(to_neg, neg_d)
+        u_p = _unit_rows(to_pos.reshape(-1, anchor.shape[1]), pos_d.reshape(-1))
+        u_p = u_p.reshape(positives.shape)
+        pulls = weights[:, :, None] * u_p
+        g = pulls[:, 0] + 0.0  # as added to a zero array
+        for i in range(1, weights.shape[1]):
+            g += pulls[:, i]
+        g -= u_n
+        np.multiply(-weights[:, :, None], u_p, out=u_p)
+    grads = {"anchor": g, "positives": u_p, "negative": u_n}
+    idle = ~active
+    if idle.any():
+        for x in grads.values():
+            x[idle] = 0.0
+    # The terms max(h, 0.0) added one by one from 0.0, in anchor order.
+    terms = np.zeros(hinge.size + 1)
+    np.copyto(terms[1:], hinge, where=~(hinge < 0.0))
+    loss = float(np.add.accumulate(terms)[-1])
     return LossValue(
         loss=loss,
         grads=grads,

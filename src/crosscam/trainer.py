@@ -256,7 +256,7 @@ def pk_sampler(
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64))
 
 
-def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, list[np.ndarray]]:
+def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.ndarray, ...]]:
     """Per-camera quota floor(batch_total / n_cameras) of a camera-balanced
     batch, and each camera's sample indices.
 
@@ -268,7 +268,7 @@ def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, list[np.ndar
             f"classification batch of {batch_total} across {dataset.n_cameras} cameras "
             "leaves zero samples per camera"
         )
-    cameras = [dataset.indices_of_camera(cam) for cam in range(dataset.n_cameras)]
+    cameras = dataset.camera_members()
     for cam, idx in enumerate(cameras):
         if idx.size == 0:
             raise ContractError(f"camera {cam} has no samples; camera-balanced batch impossible")
@@ -391,18 +391,19 @@ def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMat
     anchors = np.flatnonzero(valid)
     if not anchors.size:
         return 0.0, 0, valid.size, None, None, None, None
+    Ea = E[anchors]
     # intra_triplet_loss has checked that the batch holds two persons.
-    neg = select_hardest_negative(E[anchors], E, labels, labels[anchors])
+    neg = select_hardest_negative(Ea, E, labels, labels[anchors])
     Xp = dataset.features[picks[anchors].reshape(-1)]
     Vp, Hp = forward_with_hidden(model, Xp)
-    wtl = weighted_triplet_loss(E[anchors], Vp.reshape(anchors.size, config.n_k, -1),
+    wtl = weighted_triplet_loss(Ea, Vp.reshape(anchors.size, config.n_k, -1),
                                 weights[anchors], E[neg], config.margin)
     # Each row gains its anchor and negative terms in anchor order.
     dE = np.zeros(E.shape, E.dtype)
     add_rows(dE, np.stack([anchors, neg], axis=1).ravel(),
              np.stack([wtl.grads["anchor"], wtl.grads["negative"]], axis=1).reshape(-1, E.shape[1]))
-    dVp = np.zeros_like(Vp)
-    dVp += wtl.grads["positives"].reshape(Vp.shape)
+    dVp = wtl.grads["positives"].reshape(Vp.shape)
+    dVp += 0.0  # a -0.0 gradient becomes +0.0, as when added to zeros
     return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp, Hp
 
 
@@ -417,23 +418,26 @@ def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndar
     if not n:
         return loss, 0, skipped, []
     scale = config.lam / n
-    return loss, n, skipped, [backward(state.model, X, dE * scale, H),
-                              backward(state.model, Xp, dVp * scale, Hp)]
+    dE *= scale
+    dVp *= scale
+    return loss, n, skipped, [backward(state.model, X, dE, H), backward(state.model, Xp, dVp, Hp)]
 
 
 def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
     """Fold a batch's pre-update embeddings into the buffer, one call per
     distinct count of rows per person (one call when the persons are
     distinct), each person's rows in batch order, and tick the round."""
-    order = np.argsort(tb.classes, kind="stable")  # each person's rows together, in batch order
-    classes = tb.classes[order]
-    first = np.flatnonzero(np.diff(classes, prepend=-1))
-    count = np.diff(first, append=classes.size)
-    for c in np.unique(count).tolist():
-        group = first[count == c]
-        rows = order[group[:, None] + np.arange(c)]
-        update_person(buf, classes[group],
-                      tb.embeddings[rows].reshape(group.size, -1, tb.embeddings.shape[2]))
+    rows_of: dict[int, list[int]] = {}
+    for r, c in enumerate(tb.classes.tolist()):
+        rows_of.setdefault(c, []).append(r)
+    by_count: dict[int, tuple[list[int], list[int]]] = {}  # persons and their rows, in turn
+    for c, rows in rows_of.items():
+        classes, members = by_count.setdefault(len(rows), ([], []))
+        classes.append(c)
+        members.extend(rows)
+    for classes, members in by_count.values():
+        update_person(buf, np.array(classes),
+                      tb.embeddings[members].reshape(len(classes), -1, tb.embeddings.shape[2]))
     buf.t += 1
 
 

@@ -16,16 +16,21 @@ the momentum update stopped allocating a full-width array per operation
 and row scatters went through one flat index, before the batch-hard
 triplet loss took its square root in place and scattered its terms once
 and the weighted triplet loss took its negative distances from one
-batched dot, and before the embedding network's backward pass took the
-forward's hidden activations and gated its ReLU by a bit mask.  The
+batched dot, before the embedding network's backward pass took the
+forward's hidden activations and gated its ReLU by a bit mask, and
+before the soft-triplet step drew its follow-up words in the same
+integers call as its choice draws, screened the hardest negative with
+one bound per row and computed the weighted triplet gradients on every
+row (those three batched forms are frozen here as replayed_choice_rows,
+screened_hardest_negative and gathered_weighted_triplet_loss).  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form, applied to the package's product blocks of rows
 (squared_distance_blocks); with one block it is the one-call kernel.
 tests/test_batched_equivalence.py, tests/test_ranking_equivalence.py,
 tests/test_draws_equivalence.py, tests/test_inplace_equivalence.py,
-tests/test_iteration_equivalence.py, tests/test_model_equivalence.py and
-tests/test_data.py check that the package gives the same bits (or
-errors), generator state included.
+tests/test_iteration_equivalence.py, tests/test_model_equivalence.py,
+tests/test_soft_triplet_layers.py and tests/test_data.py check that the
+package gives the same bits (or errors), generator state included.
 
 It also holds the helpers that only tests need, so that the package
 keeps one call shape per layer: label_table and affinity_from_dense
@@ -560,3 +565,160 @@ def random_triplet_picks(labels, rng):
         pos_pick[a] = pos[rng.integers(pos.size)]
         neg_pick[a] = neg[rng.integers(neg.size)]
     return pos_pick, neg_pick
+
+
+# Frozen batched forms the package ran before its soft-triplet step drew
+# its follow-up words in the same integers call as the choice draws,
+# screened the hardest negative with one bound per row, and computed the
+# weighted triplet gradients on every row.
+
+def _choice_bounds(pops, size):
+    floyd = (pops >= size)[:, None]
+    bounds = np.ones((pops.size, 2 * size - 1), dtype=np.int64)
+    bounds[:, :size] = pops[:, None] + np.where(floyd, np.arange(1 - size, 1), 0)
+    bounds[:, size:] = np.where(floyd, np.arange(size, 1, -1), 1)
+    return bounds
+
+
+def _picks(values, pops, size):
+    out = values[:, :size].copy()
+    floyd = np.flatnonzero(pops >= size)
+    sel = out[floyd]
+    top = pops[floyd, None] + np.arange(-size, 0)
+    for t in range(1, size):
+        np.copyto(sel[:, t], top[:, t], where=(sel[:, :t] == sel[:, t, None]).any(axis=1))
+    flat = sel.reshape(-1)
+    swaps = np.arange(0, flat.size, size)[:, None] + values[floyd, size:]
+    for u, i in enumerate(range(size - 1, 0, -1)):
+        j = swaps[:, u]
+        flat[j], sel[:, i] = sel[:, i], flat[j]
+    out[floyd] = sel
+    return out
+
+
+def replay(words, pops, size, then):
+    """(choices, follow-up draws, rows settled, words they read) of the
+    per-row loop over a raw uint32 word stream, each draw of range above
+    1 and each follow-up draw given the next word."""
+    pops = np.asarray(pops, dtype=np.int64)
+    R, n_choice = pops.size, 2 * size - 1
+    bounds = np.concatenate([_choice_bounds(pops, size), np.ones((R, size), dtype=np.int64)],
+                            axis=1)
+    reads = bounds > 1
+    reads[:, n_choice:] = True
+    pos = np.cumsum(reads).reshape(reads.shape) - 1
+    need = int(reads.sum())
+    if words.size < need:
+        raise ContractError(f"replay needs {need} words, got {words.size}")
+    w = np.zeros(need + 1, dtype=np.uint64)
+    w[:need] = words[:need]
+
+    def draw(cols):
+        n = bounds[:, cols].astype(np.uint64)
+        m = w[pos[:, cols]] * n
+        return (m >> np.uint64(32)).astype(np.int64), m % np.uint64(2**32) >= np.uint64(2**32) % n
+
+    values, ok = draw(slice(0, n_choice))
+    choices = _picks(values, pops, size)
+    bounds[:, n_choice:] = np.asarray(then(np.arange(R), choices))
+    drawn, ok_then = draw(slice(n_choice, None))
+    ok = np.concatenate([ok, ok_then & (bounds[:, n_choice:] > 1)], axis=1)
+    wrong = ~ok.all(axis=1)
+    settled = int(np.argmax(wrong)) if wrong.any() else R
+    return choices, drawn, settled, int(reads[:settled].sum())
+
+
+def replayed_choice_rows(rng, pops, size, then=None):
+    """The word-replay batched choice_rows: one integers call over the
+    choice bounds without follow-up draws; with them, a block of raw
+    words, replay, a generator reset and re-read when the replay read
+    fewer words than it drew, and the per-row loop from the first row
+    the replay did not settle or the first tail-shuffle row."""
+    pops = np.asarray(pops, dtype=np.int64)
+    tail = (pops >= size) & (pops > 10_000) & (size > pops // 50)
+    end = int(np.argmax(tail)) if tail.any() else pops.size
+    if then is None:
+        drawn, settled = None, end
+        choices = _picks(rng.integers(_choice_bounds(pops[:end], size)), pops[:end], size)
+    else:
+        snapshot = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=end * (3 * size - 1), dtype=np.uint32)
+        choices, drawn, settled, read = replay(words, pops[:end], size, then)
+        if read != words.size:
+            rng.bit_generator.state = snapshot
+            rng.integers(0, 2**32, size=read, dtype=np.uint32)
+    out = np.zeros((pops.size, size), dtype=np.int64)
+    out[:settled] = choices[:settled]
+    follow = None
+    if then is not None:
+        follow = np.zeros_like(out)
+        follow[:settled] = drawn[:settled]
+    for r in range(settled, pops.size):
+        pop = int(pops[r])
+        out[r] = rng.choice(pop, size, replace=pop < size)
+        if then is not None:
+            bounds = np.asarray(then(np.array([r]), out[r:r + 1]))[0].tolist()
+            follow[r] = [rng.integers(h) for h in bounds]
+    return out, follow
+
+
+def screened_hardest_negative(anchors, batch_embeddings, batch_classes, anchor_classes):
+    """The per-pair screen: every pair's rounding bound from its own norms,
+    (|a_i| + |b_j|)**2, and a row wild where any pair's screen plus bound
+    is not finite."""
+    batch_embeddings = np.asarray(batch_embeddings, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    classes = np.asarray(anchor_classes)
+    same = classes[:, None] == np.asarray(batch_classes)
+    lonely = same.all(axis=1)
+    if lonely.any():
+        raise SelectionError(f"no same-camera negative available for class {classes[lonely].min()}")
+    rows = np.arange(classes.size)
+    gamma = 4.0 * (anchors.shape[1] + 3) * 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = squared_distances(anchors, batch_embeddings)
+        norms = np.sqrt(np.sum(anchors * anchors, axis=1))[:, None] + np.sqrt(
+            np.sum(batch_embeddings * batch_embeddings, axis=1))
+        err = gamma * (norms * norms + 2.0**-1021)
+        wild = ~np.isfinite(g + err).all(axis=1)
+    g[same] = np.inf
+    m = np.argmin(g, axis=1)
+    bound = (g[rows, m] + err[rows, m]) * (1.0 + 3.0 * gamma)
+    keep = (g <= bound[:, None] + err) | wild[:, None]
+    keep &= ~same
+    ii, jj = np.divmod(np.flatnonzero(keep), keep.shape[1])
+    diffs = batch_embeddings[jj] - anchors[ii]
+    dist = np.full(keep.shape, np.inf)
+    dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    picks = np.argmin(dist, axis=1)
+    overflowed = ~keep[rows, picks]
+    picks[overflowed] = np.argmax(keep[overflowed], axis=1)
+    return picks
+
+
+def gathered_weighted_triplet_loss(anchor, positives, weights, negative, margin):
+    """(loss, {anchor, positives, negative} gradients, active count), the
+    gradients computed on the gathered active rows and scattered back."""
+    to_pos = anchor[:, None, :] - positives
+    pos_d = np.sqrt(np.sum(to_pos * to_pos, axis=2))
+    to_neg = anchor - negative
+    neg_d = np.sqrt(np.matmul(to_neg[:, None, :], to_neg[:, :, None]).reshape(-1))
+    hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
+    active = hinge > 0.0
+    grads = {name: np.zeros_like(x) for name, x in
+             (("anchor", anchor), ("positives", positives), ("negative", negative))}
+    if active.any():
+        w = weights[active]
+        u_n = unit_rows(to_neg[active], neg_d[active])
+        u_p = unit_rows(to_pos[active].reshape(-1, anchor.shape[1]), pos_d[active].ravel())
+        u_p = u_p.reshape(w.shape + (-1,))
+        g = np.zeros_like(u_n)
+        for i in range(w.shape[1]):
+            g += w[:, i, None] * u_p[:, i]
+        grads["anchor"][active] = g - u_n
+        grads["positives"][active] = -w[:, :, None] * u_p
+        grads["negative"][active] = u_n
+    loss = 0.0
+    for h in hinge.tolist():
+        loss += max(h, 0.0)
+    return loss, grads, int(np.count_nonzero(active))

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
 from crosscam import ContractError, new_buffer, select_hardest_negative, update_person
-from crosscam.draws import choice_rows, replay
+from crosscam.draws import choice_rows, lemire
 from crosscam.affinity import squared_distances
 from crosscam.losses import TripletBatch, _triplet_terms, random_triplet_loss
 from crosscam.trainer import _update_buffer, pk_sampler
@@ -96,28 +96,25 @@ def test_tail_shuffle_rows_are_exact(size):
     assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
 
 
-def test_replay_core_on_hand_made_words():
-    # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31, and the
-    # follow-up draw in [0, 5) takes 7 * 5 >> 32 = 0 from word 7; the
-    # next row's choice rejects word 0 (3 * 0 mod 2**32 < 2**32 mod 3 = 1),
-    # so the replay settles the first row only: two words read.
-    five = lambda rows, c: np.full(c.shape, 5)
-    words = np.array([2**31, 7, 0, 7, 7, 7], dtype=np.uint32)
-    choices, drawn, settled, read = replay(words, np.array([3, 3, 3]), 1, five)
-    assert choices[:1].tolist() == [[1]] and drawn[:1].tolist() == [[0]]
-    assert (settled, read) == (1, 2)
-    # Population 1 reads no word for its choice; the follow-up draw in
-    # [0, 5) takes (2**32 - 1) * 5 >> 32 = 4.
-    choices, drawn, settled, read = replay(np.array([2**32 - 1], dtype=np.uint32), np.array([1]), 1, five)
-    assert choices.tolist() == [[0]] and drawn.tolist() == [[4]] and (settled, read) == (1, 1)
-    # A follow-up draw in [0, 1), a person with one sample, reads no word:
-    # its row is not settled, though its values happen to be right.
-    one_then_five = lambda rows, c: np.where(rows[:, None] == 0, 1, 5)
-    choices, drawn, settled, read = replay(words, np.array([1, 1]), 1, one_then_five)
-    assert (settled, read) == (0, 0)
-    # Too few words for the draws is refused.
+def test_lemire_on_hand_made_words():
+    # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31, and a
+    # draw in [0, 5) takes 7 * 5 >> 32 = 0 from word 7; word 0 is rejected
+    # in [0, 3) (3 * 0 mod 2**32 < 2**32 mod 3 = 1), so its draw is not
+    # settled: numpy would read another word.
+    values, settled = lemire(np.array([[2**31, 7, 0]], dtype=np.uint32), np.array([[3, 5, 3]]))
+    assert values[0, :2].tolist() == [1, 0] and settled.tolist() == [[True, True, False]]
+    # A draw in [0, 5) takes (2**32 - 1) * 5 >> 32 = 4.
+    values, settled = lemire(np.array([2**32 - 1], dtype=np.uint32), np.array([5]))
+    assert values.tolist() == [4] and settled.tolist() == [True]
+    # A draw in [0, 1), a person with one sample (or a choice from a
+    # population of 1), reads no word: not settled, though its value
+    # happens to be right.  A bound of 2**32 hands out the word itself,
+    # and one above it reads 64-bit words.
+    values, settled = lemire(np.array([5, 9, 9], dtype=np.uint32), np.array([1, 2**32, 2**32 + 1]))
+    assert values[:2].tolist() == [0, 9] and settled.tolist() == [False, True, False]
+    # Words that do not match the bounds are refused.
     with pytest.raises(ContractError):
-        replay(words[:1], np.array([3, 3]), 1, five)
+        lemire(np.array([7], dtype=np.uint32), np.array([3, 3]))
 
 
 def test_choice_rows_without_follow_up_draws_on_hand_made_populations():

@@ -202,7 +202,7 @@ class TestEvaluate:
     def test_peak_far_under_a_query_gallery_matrix(self):
         """Distances come one product block of query rows at a time: with
         relevant items deep in each row (random features), the peak is that
-        block plus its near prefix and its sorted copy, far under Q x G."""
+        block plus its sorted near prefix, far under Q x G."""
         Q, G, d, n_cameras = 1500, 6000, 4, 3
         rng = np.random.default_rng(3)
 
@@ -221,9 +221,9 @@ class TestEvaluate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # Three float blocks (the block, its near values, their sorted copy),
-        # two masks of a block, and the pairs.
-        assert peak <= 3 * PRODUCT_ELEMENTS * 8 + 2 * PRODUCT_ELEMENTS + (1 << 21)
+        # Two float blocks (the block and its sorted near values, which move
+        # over in row blocks of BLOCK_ELEMENTS), two masks of a block, and the pairs.
+        assert peak <= 2 * PRODUCT_ELEMENTS * 8 + 2 * PRODUCT_ELEMENTS + (1 << 21)
         assert peak <= 0.5 * Q * G * 8
 
     def test_contract_violations(self, tiny_corpus, rng):
