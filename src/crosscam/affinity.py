@@ -64,8 +64,17 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances as one product block, for
     batch-sized inputs; the result is the only (len(a), len(b)) array
     allocated, and the squared norms are summed once when b is a."""
+    return squared_distances_and_norms(a, b)[0]
+
+
+def squared_distances_and_norms(
+    a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """squared_distances(a, b) and the squared norms of a's and b's rows
+    that it was formed from."""
     na = np.sum(a * a, axis=1)
-    return _finish(a @ b.T, na, na if b is a else np.sum(b * b, axis=1))
+    nb = na if b is a else np.sum(b * b, axis=1)
+    return _finish(a @ b.T, na, nb), na, nb
 
 
 @dataclass

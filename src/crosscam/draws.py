@@ -36,6 +36,16 @@ the generator goes back to its state before the call, one
 it past them, and the loop above draws the rest.  Every row from the
 first one in numpy's other branch (a tail shuffle when pop > 10,000 and
 size > pop // 50) on takes the loop as well.
+
+`settled_rows` is that batched call alone: it stops at the first
+unsettled row and leaves the rest to its caller, and its then may
+return any fixed number of follow-up bounds per row.  `nested_choices`
+uses it for follow-up draws that are themselves choices (the PK
+sampler's persons, then each person's samples): each chosen member's
+choice gets one placeholder word per draw, and `_picks` decodes them
+once the members are known.  A member's choice settles only where it
+reads one word per draw (`_decodable`); `nested_settles` tells whether
+whole populations do.
 """
 
 from __future__ import annotations
@@ -50,8 +60,11 @@ Then = Callable[[np.ndarray, np.ndarray], np.ndarray]
 WORD = 2**32
 
 
-def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray) -> np.ndarray:
+def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray,
+                      follow: int) -> np.ndarray:
     bounds = np.asarray(then(rows, choices))
+    if bounds.shape != (rows.size, follow):
+        raise ContractError(f"follow-up bounds of shape {bounds.shape}, not {(rows.size, follow)}")
     if bounds.min(initial=1) < 1:
         raise ContractError("follow-up draws need bounds >= 1")
     return bounds
@@ -70,6 +83,20 @@ def _draw_bounds(pops: np.ndarray, size: int, follow: int) -> np.ndarray:
         bounds[replace, :size] = pops[replace, None]
         bounds[replace, size:2 * size - 1] = 1
     return bounds
+
+
+def _tail_shuffled(pops: np.ndarray, size: int) -> np.ndarray:
+    """Where a choice of size without replacement from pops takes numpy's
+    tail-shuffle branch instead of Floyd's algorithm."""
+    return (pops >= size) & (pops > 10_000) & (size > pops // 50)
+
+
+def _decodable(pops: np.ndarray, size: int) -> np.ndarray:
+    """Where a choice of size from pops reads one word per draw, so its
+    values can be decoded from placeholder words: Floyd's algorithm with
+    pop > size (pop == size starts with a draw in [0, 1), which reads no
+    word, and pop < size draws with replacement and pads with such draws)."""
+    return (pops > size) & ~_tail_shuffled(pops, size)
 
 
 def _picks(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
@@ -113,6 +140,39 @@ def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return (m >> np.uint64(32)).astype(np.int64), settled
 
 
+def settled_rows(
+    rng: np.random.Generator, pops: np.ndarray, size: int, then: Then | None = None,
+    follow: int = 0,
+) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """(choices, follow-up draws, settled): the (settled, size) choices and
+    (settled, follow) follow-up draws of the module docstring's loop over
+    its first settled rows, the ones one batched call settles; rng ends
+    in the state the loop leaves after them.  then(rows, choices) returns
+    those rows' (len(rows), follow) follow-up bounds; without then, every
+    row before the first in numpy's tail-shuffle branch settles."""
+    pops = np.asarray(pops, dtype=np.int64)
+    if size < 1 or pops.ndim != 1 or (pops.size and pops.min() < 1):
+        raise ContractError("batched choices need size >= 1 and populations >= 1")
+    tail = _tail_shuffled(pops, size)
+    end = int(np.argmax(tail)) if tail.any() else pops.size
+    n_choice = 2 * size - 1
+    bounds = _draw_bounds(pops[:end], size, 0 if then is None else follow)
+    snapshot = None if then is None else rng.bit_generator.state
+    values = rng.integers(bounds)
+    choices = _picks(values, pops[:end], size)
+    if then is None:
+        return choices, None, end
+    later = _follow_up_bounds(then, np.arange(end), choices, follow)
+    drawn, ok = lemire(values[:, n_choice:], later)
+    if ok.all():
+        return choices, drawn, end
+    settled = int(np.argmin(ok.all(axis=1)))
+    rng.bit_generator.state = snapshot
+    bounds[:settled, n_choice:] = later[:settled]
+    rng.integers(bounds[:settled])
+    return choices[:settled], drawn[:settled], settled
+
+
 def choice_rows(
     rng: np.random.Generator, pops: np.ndarray, size: int, then: Then | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -120,35 +180,76 @@ def choice_rows(
     follow-up draws when then is given; rng ends in the state the loop
     leaves.  then(rows, choices) returns the bounds of those rows' draws."""
     pops = np.asarray(pops, dtype=np.int64)
-    if size < 1 or pops.ndim != 1 or (pops.size and pops.min() < 1):
-        raise ContractError("choice_rows needs size >= 1 and populations >= 1")
-    tail = (pops >= size) & (pops > 10_000) & (size > pops // 50)
-    end = int(np.argmax(tail)) if tail.any() else pops.size
-    n_choice = 2 * size - 1
-    bounds = _draw_bounds(pops[:end], size, 0 if then is None else size)
-    snapshot = None if then is None else rng.bit_generator.state
-    values = rng.integers(bounds)
-    choices = _picks(values, pops[:end], size)
-    drawn, settled = None, end
-    if then is not None:
-        follow = _follow_up_bounds(then, np.arange(end), choices)
-        drawn, ok = lemire(values[:, n_choice:], follow)
-        if not ok.all():
-            settled = int(np.argmin(ok.all(axis=1)))
-            rng.bit_generator.state = snapshot
-            bounds[:settled, n_choice:] = follow[:settled]
-            rng.integers(bounds[:settled])
+    choices, drawn, settled = settled_rows(rng, pops, size, then, size)
     if settled == pops.size:
         return choices, drawn
     out = np.zeros((pops.size, size), dtype=np.int64)
-    out[:settled] = choices[:settled]
+    out[:settled] = choices
     if then is not None:
         drawn, kept = np.zeros_like(out), drawn
-        drawn[:settled] = kept[:settled]
+        drawn[:settled] = kept
     for r in range(settled, pops.size):
         pop = int(pops[r])
         out[r] = rng.choice(pop, size, replace=pop < size)
         if then is not None:
-            row_bounds = _follow_up_bounds(then, np.array([r]), out[r:r + 1])[0].tolist()
+            row_bounds = _follow_up_bounds(then, np.array([r]), out[r:r + 1], size)[0].tolist()
             drawn[r] = [rng.integers(h) for h in row_bounds]
     return out, drawn
+
+
+def nested_choices(
+    rng: np.random.Generator, pops: np.ndarray, size: int, sub_pops: Then, sub_size: int,
+    limit: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """(choices, sub-choices, settled): the (settled, size) choices and
+    (settled, size, sub_size) sub-choices of this loop over its first
+    rows that batched calls settle; rng ends in the state the loop
+    leaves after them:
+
+        for r in range(R):
+            c[r] = rng.choice(pops[r], size, replace=False)
+            for i, p in enumerate(sub_pops(r, c[r])):
+                s[r, i] = rng.choice(p, size=sub_size, replace=p < sub_size)
+
+    sub_pops(rows, choices) returns those rows' (len(rows), size) member
+    populations.  A row settles only when pops[r] >= size, every member
+    population reads one word per draw (more than sub_size, outside
+    numpy's tail-shuffle branch) and no placeholder word is rejected;
+    nested_settles tells the first two before drawing.  Each
+    generator call covers about limit draws at most, from the first row
+    not yet settled; the rows stop at the first call that does not
+    settle all of its rows."""
+    pops = np.asarray(pops, dtype=np.int64)
+    short = pops < size
+    end = int(np.argmax(short)) if short.any() else pops.size
+    per = 2 * sub_size - 1  # Floyd's sub_size draws and its sub_size - 1 shuffle draws
+    step = max(1, limit // (2 * size - 1 + size * per))
+    chosen = [np.zeros((0, size), dtype=np.int64)]
+    subs = [np.zeros((0, size, sub_size), dtype=np.int64)]
+    done = 0
+    while done < end:
+        lo, hi = done, min(end, done + step)
+
+        def then(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
+            members = np.asarray(sub_pops(lo + rows, c)).reshape(-1)
+            bounds = _draw_bounds(members, sub_size, 0)
+            bounds[~_decodable(members, sub_size)] = 1  # a bound-1 draw never settles
+            return bounds.reshape(rows.size, size * per)
+
+        c, drawn, n = settled_rows(rng, pops[lo:hi], size, then, size * per)
+        members = np.asarray(sub_pops(lo + np.arange(n), c)).reshape(-1)
+        chosen.append(c)
+        subs.append(_picks(drawn.reshape(-1, per), members, sub_size).reshape(n, size, sub_size))
+        done += n
+        if done < hi:
+            break
+    return np.concatenate(chosen), np.concatenate(subs), done
+
+
+def nested_settles(pops: np.ndarray, size: int, member_pops: np.ndarray, sub_size: int) -> bool:
+    """Whether nested_choices settles every row whose population is in
+    pops and every member population in member_pops, but for a rejected
+    placeholder word (odds of about n / 2**32 for a draw in [0, n))."""
+    pops, member_pops = np.asarray(pops), np.asarray(member_pops)
+    return bool((pops >= size).all() and not _tail_shuffled(pops, size).any()
+                and _decodable(member_pops, sub_size).all())

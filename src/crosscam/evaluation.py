@@ -126,7 +126,9 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
     q, g = identity_pairs(query.truth, gallery.truth)
     overflow, ranked = 0, []
     for lo, d2 in squared_distance_blocks(Vq, Vg):
-        overflow += int(np.count_nonzero(~np.isfinite(d2)))
+        # The clipped block is >= 0 or NaN, and its max is NaN or +inf wherever an entry is.
+        if not np.isfinite(d2.max()):
+            overflow += int(np.count_nonzero(~np.isfinite(d2)))
         if not overflow:  # after the first overflow, the rest is only counted
             a, b = np.searchsorted(q, (lo, lo + d2.shape[0]))
             qb, gb = q[a:b], g[a:b]

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import AffinityMatrix, SoftLabelTable, squared_distances
+from .affinity import (
+    AffinityMatrix, SoftLabelTable, squared_distances, squared_distances_and_norms,
+)
 from .data import Dataset
 from .draws import choice_rows
 from .errors import ContractError, SelectionError
@@ -357,9 +359,8 @@ def select_hardest_negative(
     rows = np.arange(classes.size)
     gamma = SCREEN_SAFETY * (anchors.shape[1] + 3) * 2.0**-53
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen is handled below
-        g = squared_distances(anchors, batch_embeddings)
-        norm_a = np.sqrt(np.sum(anchors * anchors, axis=1))
-        norm_b = np.sqrt(np.sum(batch_embeddings * batch_embeddings, axis=1))
+        g, sq_a, sq_b = squared_distances_and_norms(anchors, batch_embeddings)
+        norm_a, norm_b = np.sqrt(sq_a), np.sqrt(sq_b)
         err = norm_a + norm_b.max()
         err *= err
         err += 2.0**-1021

@@ -18,18 +18,19 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import evaluation
 # soft_label_rows is not called here; it stays bound for perfbench's tracer.
 from .affinity import (  # noqa: F401
-    AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity, soft_label_rows,
+    PRODUCT_ELEMENTS, AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity,
+    soft_label_rows,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, field_accepts
-from .draws import choice_rows
+from .draws import choice_rows, nested_choices, nested_settles
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -226,24 +227,23 @@ class PKBatch:
     classes: np.ndarray  # (n_p,)
 
 
-def pk_sampler(
-    dataset: Dataset, camera_id: int, n_p: int, n_k: int, rng: np.random.Generator
-) -> PKBatch:
-    """Draw n_p persons of one camera, n_k samples each.
-
-    Persons are drawn without replacement; when the camera has fewer than
-    n_p persons, every person is included once and the remainder is drawn
-    with replacement.  Samples per person are drawn without replacement,
-    falling back to replacement when the person has fewer than n_k, one
-    person after another through draws.choice_rows.
-    """
+def _camera_persons(dataset: Dataset, camera_id: int) -> tuple[int, int]:
+    """(first class, person count) of a camera that can make a PK batch."""
     if not (0 <= camera_id < dataset.n_cameras):
         raise ContractError(f"camera_id {camera_id} out of range")
-    persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
-    if persons.size < 2:
+    first, stop = dataset.index.offsets[camera_id:camera_id + 2]
+    if stop - first < 2:
         raise ContractError(
-            f"camera {camera_id} has {persons.size} persons; intra-camera triplets need >= 2"
+            f"camera {camera_id} has {stop - first} persons; intra-camera triplets need >= 2"
         )
+    return first, stop - first
+
+
+def _pk_batch(dataset: Dataset, camera_id: int, n_p: int, n_k: int,
+              rng: np.random.Generator) -> PKBatch:
+    """One PK batch of a checked camera, through Generator.choice and
+    draws.choice_rows."""
+    persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
     if persons.size >= n_p:
         chosen = rng.choice(persons, size=n_p, replace=False)
     else:
@@ -254,6 +254,66 @@ def pk_sampler(
     slots, _ = choice_rows(rng, starts[chosen + 1] - first, n_k)
     picks = members[first[:, None] + slots]
     return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64))
+
+
+def pk_sampler(
+    dataset: Dataset, cameras: int | Sequence[int], n_p: int, n_k: int, rng: np.random.Generator
+) -> PKBatch:
+    """Draw n_p persons of one camera, n_k samples each; given a run of
+    cameras, the batches of one call per camera in turn, stacked on a
+    leading axis ((T, n_p, n_k) sample indices, (T, n_p) classes).
+
+    Persons are drawn without replacement; when the camera has fewer than
+    n_p persons, every person is included once and the remainder is drawn
+    with replacement.  Samples per person are drawn without replacement,
+    falling back to replacement when the person has fewer than n_k, one
+    person after another through draws.choice_rows.
+
+    A run leaves rng where one call per camera would, but draws its
+    batches through draws.nested_choices, a generator call per about
+    PRODUCT_ELEMENTS draws, and maps the chosen persons and slots to
+    classes and samples.  From the first batch those calls do not settle
+    (a camera with fewer than n_p persons, which numpy draws through
+    permutation; a person with at most n_k samples; a rejected word;
+    numpy's tail-shuffle branch) on, the rest are drawn one camera at a
+    time.  pk_runs_settle tells before drawing whether only a rejected
+    word can stop a run.  Every camera of a run is checked before
+    anything is drawn.  train draws each epoch that draws nothing else
+    as one run when pk_runs_settle holds, so its generator's state is
+    defined at epoch boundaries: after a mid-epoch TrainingError, such an
+    epoch's generator is already past the epoch's PK draws.
+    """
+    if np.ndim(cameras) == 0:
+        _camera_persons(dataset, int(cameras))
+        return _pk_batch(dataset, int(cameras), n_p, n_k, rng)
+    cams = [int(c) for c in cameras]
+    first, pops = np.array([_camera_persons(dataset, c) for c in cams],
+                           dtype=np.int64).reshape(-1, 2).T
+    members, starts = dataset.class_members()
+
+    def sizes(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        classes = first[rows, None] + chosen
+        return starts[classes + 1] - starts[classes]
+
+    chosen, slots, settled = nested_choices(rng, pops, n_p, sizes, n_k, PRODUCT_ELEMENTS)
+    classes = first[:settled, None] + chosen
+    picks = members[starts[classes][..., None] + slots]
+    rest = [_pk_batch(dataset, c, n_p, n_k, rng) for c in cams[settled:]]
+    return PKBatch(np.concatenate([picks] + [b.sample_indices[None] for b in rest]),
+                   np.concatenate([classes] + [b.classes[None] for b in rest]))
+
+
+def pk_runs_settle(dataset: Dataset, cameras: Sequence[int], n_p: int, n_k: int) -> bool:
+    """Whether pk_sampler settles a run of these cameras in full, but for
+    a rejected word: each camera has at least n_p persons and each of
+    their persons more than n_k samples (draws.nested_settles).  A run
+    that does not would draw, put the generator back and draw again, so
+    train then calls pk_sampler once per iteration."""
+    offsets = np.asarray(dataset.index.offsets)
+    _, starts = dataset.class_members()
+    classes = np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in cameras])
+    return nested_settles(np.diff(offsets)[list(cameras)], n_p,
+                          starts[classes + 1] - starts[classes], n_k)
 
 
 def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -336,10 +396,22 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
 # Each backward takes the hidden activations of its batch's forward in the
 # same iteration, before sgd_step changes the parameters.
 
-def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, cam: int) -> tuple:
+def _pk_batches(state: TrainState, dataset: Dataset, config: TrainConfig, cams: list[int],
+                run: bool) -> Iterator[PKBatch]:
+    """The PK batches of an epoch's cameras in turn: one pk_sampler call
+    for them all when run is set, made when the first batch is taken,
+    else one call per camera."""
+    if run:
+        pk = pk_sampler(dataset, cams, config.n_p, config.n_k, state.rng)
+        yield from map(PKBatch, pk.sample_indices, pk.classes)
+        return
+    for cam in cams:
+        yield pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
+
+
+def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PKBatch) -> tuple:
     """Within-camera triplet on one PK batch: (X, its hidden activations,
     its TripletBatch, step result); the D step reuses the first three."""
-    pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
     X = dataset.features[pk.sample_indices.reshape(-1)]
     E, H = forward_with_hidden(state.model, X)
     tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes)
@@ -456,6 +528,17 @@ def train(
     When query and gallery are given, retrieval metrics are computed
     after every epoch and logged.  epoch_callback, when given, observes
     the live state after each epoch (used for checkpointing).
+
+    An epoch that draws nothing but its PK batches (hard mining and no C
+    or D term: every warmup epoch, and every epoch when lam = 0) draws
+    them in one pk_sampler call over the epoch's cameras when
+    pk_runs_settle holds for the eligible cameras; the other epochs
+    interleave other draws, and a corpus with persons of at most n_k
+    samples or cameras of fewer than n_p persons would not settle, so
+    they call it once per iteration.  Either way the generator's state
+    at each epoch boundary is the same.  After a TrainingError
+    mid-epoch, a batched epoch's generator is already past the epoch's
+    PK draws.
     """
     config.validate()
     if dataset.split != "train":
@@ -499,6 +582,9 @@ def train(
         rng=np.random.default_rng(train_seed),
     )
 
+    cams = [eligible_cams[it % len(eligible_cams)] for it in range(iters_per_epoch)]
+    runs = config.mining_mode == "hard" and pk_runs_settle(dataset, eligible_cams, config.n_p,
+                                                           config.n_k)
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
@@ -507,8 +593,10 @@ def train(
             table, degenerate_rows, affinity_map = _epoch_start(state, dataset, config)
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
-        for it in range(iters_per_epoch):
-            X, H, tb, out = _intra_step(state, dataset, config, eligible_cams[it % len(eligible_cams)])
+        batches = _pk_batches(state, dataset, config, cams,
+                              runs and not (joint and (use_c or use_d)))
+        for it, pk in enumerate(batches):
+            X, H, tb, out = _intra_step(state, dataset, config, pk)
             # In merge order; a step runs only once the one before it passed the check.
             steps = [(intra, "intra loss", lambda: out)]
             if joint and use_c:

@@ -441,10 +441,11 @@ def affinity_quality_map(A, cameras, truth):
     return float(np.mean(aps))
 
 
-def choice_rows(rng, pops, size, then=None):
-    """(choices, follow-up draws) of one real choice, then integers, call per row."""
+def choice_rows(rng, pops, size, then=None, follow=None):
+    """(choices, follow-up draws) of one real choice, then integers, call per
+    row; then gives follow (by default size) follow-up bounds per row."""
     choices = np.zeros((len(pops), size), dtype=np.int64)
-    drawn = np.zeros_like(choices)
+    drawn = np.zeros((len(pops), size if follow is None else follow), dtype=np.int64)
     for r, pop in enumerate(np.asarray(pops).tolist()):
         choices[r] = rng.choice(pop, size=size, replace=pop < size)
         if then is not None:

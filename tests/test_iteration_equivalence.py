@@ -206,6 +206,18 @@ def test_refused_iteration_leaves_the_last_completed_state(monkeypatch, tiny_tra
     assert all(same_bits(after[k], before[k]) for k in before)
 
 
+def thinned(tiny_train):
+    """The tiny corpus with 50 samples dropped, every person keeping 1-4 of its 4."""
+    members, starts = tiny_train.class_members()
+    dropped = np.random.default_rng(0).permutation(len(tiny_train))[:50]
+    kept = np.union1d(np.setdiff1d(np.arange(len(tiny_train)), dropped),
+                      members[starts[:-1]])  # every person keeps a sample
+    ds = Dataset(tiny_train.features[kept], tiny_train.camera_ids[kept],
+                 tiny_train.local_ids[kept], tiny_train.truth[kept], tiny_train.n_cameras, "train")
+    assert set(np.diff(ds.class_members()[1]).tolist()) == {1, 2, 3, 4}
+    return ds
+
+
 def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
     """A few warmup and joint epochs of C+D training, once through the
     package and once with the slow references in place of the intra loss,
@@ -216,13 +228,7 @@ def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
     others.  Persons keep 1-4 of their 4 samples, so n_k = 4 draws some
     with replacement, and a soft-triplet positive with one sample sends
     the rest of its batch to the per-row loop."""
-    members, starts = tiny_train.class_members()
-    dropped = np.random.default_rng(0).permutation(len(tiny_train))[:50]
-    kept = np.union1d(np.setdiff1d(np.arange(len(tiny_train)), dropped),
-                      members[starts[:-1]])  # every person keeps a sample
-    ds = Dataset(tiny_train.features[kept], tiny_train.camera_ids[kept],
-                 tiny_train.local_ids[kept], tiny_train.truth[kept], tiny_train.n_cameras, "train")
-    assert set(np.diff(ds.class_members()[1]).tolist()) == {1, 2, 3, 4}
+    ds = thinned(tiny_train)
     config = TrainConfig(n_p=13, n_k=4, epochs=7, warmup_epochs=4, decay_epoch=6, hidden_dim=8,
                          embed_dim=4, class_batch_total=12, inter_mode="C+D", seed=5)
     got = train(ds, config)
