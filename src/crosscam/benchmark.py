@@ -28,12 +28,11 @@ ablate`, applied on top of a caller's base config.
 
 from __future__ import annotations
 
-import dataclasses
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .data import Dataset, SynthSpec, generate_synthetic
+from .data import Dataset, SynthSpec, dataclass_from_dict, generate_synthetic
 from .errors import ConfigError, ContractError
 from .evaluation import evaluate
 from .trainer import TrainConfig, TrainLog, train
@@ -88,15 +87,11 @@ ABLATION_AXES = tuple(ABLATION_SETTINGS)
 
 
 def benchmark_config(**overrides) -> TrainConfig:
-    """The committed training configuration, with optional overrides."""
-    base = TrainConfig(
-        epochs=BENCHMARK_EPOCHS,
-        warmup_epochs=BENCHMARK_WARMUP,
-        decay_epoch=BENCHMARK_DECAY,
-    )
-    cfg = dataclasses.replace(base, **overrides)
-    cfg.validate()
-    return cfg
+    """The committed training configuration, with optional overrides,
+    refused as the CLI refuses them (data.dataclass_from_dict)."""
+    base = TrainConfig(epochs=BENCHMARK_EPOCHS, warmup_epochs=BENCHMARK_WARMUP,
+                       decay_epoch=BENCHMARK_DECAY)
+    return dataclass_from_dict(TrainConfig, overrides, base=base)
 
 
 def benchmark_corpus() -> dict[str, Dataset]:
@@ -204,7 +199,7 @@ def run_settings(
     for label, overrides in settings.items():
         runs = []
         for seed in seeds:
-            cfg = dataclasses.replace(base, seed=seed, **overrides)
+            cfg = dataclass_from_dict(TrainConfig, {**overrides, "seed": seed}, base=base)
             result = train(corpus["train"], cfg, *(splits if validate_each_epoch else ()))
             scored = evaluate(result.model, *splits)
             runs.append(Run(seed, scored.map, scored.cmc[1], result.log))

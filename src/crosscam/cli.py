@@ -138,6 +138,9 @@ def _save_full_checkpoint(path: str, result) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    interval = args.checkpoint_interval
+    if interval < 0:
+        raise ConfigError(f"--checkpoint-interval must be >= 0 (0 = final only), got {interval}")
     config: TrainConfig = _from_sources(TrainConfig, args)
     dataset = load_dataset(args.data)
     query = load_dataset(args.query) if args.query else None
@@ -146,8 +149,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("--query and --gallery must be given together")
     _ensure_out_dir(args.out)
 
-    interval = args.checkpoint_interval
-
     def write_logs(log) -> None:
         write_text_atomic(os.path.join(args.out, "train_log.csv"), log.to_csv())
         write_text_atomic(os.path.join(args.out, "train_log.json"), log.to_json())
@@ -155,7 +156,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     def callback(epoch: int, result) -> None:
         write_logs(result.log)  # a run that fails later keeps its finished epochs
-        if interval and interval > 0 and epoch % interval == 0:
+        if interval and epoch % interval == 0:
             _save_full_checkpoint(
                 os.path.join(args.out, f"checkpoint_epoch_{epoch:04d}.txt"), result
             )

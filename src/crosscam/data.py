@@ -385,6 +385,24 @@ def write_text_atomic(path: str | os.PathLike, content: str) -> None:
         raise
 
 
+def read_lines(path: str, fmt: str, version: str) -> list[str]:
+    """The lines of a text file whose first line is 'fmt version'; an
+    unreadable or empty file, another format or another version is refused."""
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as e:
+        raise FormatError(path, None, f"cannot read file: {e}") from e
+    if not lines:
+        raise FormatError(path, 1, "empty file")
+    head = lines[0].split()
+    if len(head) != 2 or head[0] != fmt:
+        raise FormatError(path, 1, f"not a {fmt} file: {lines[0]!r}")
+    if head[1] != version:
+        raise VersionError(path, 1, f"unsupported version {head[1]!r}, expected {version}")
+    return lines
+
+
 def _expect_header(path: str, lines: list[str], lineno: int, key: str, count: bool = False):
     """The value of header line lineno, 'key value'; with count, an int >= 0."""
     if lineno >= len(lines):
@@ -399,20 +417,7 @@ def _expect_header(path: str, lines: list[str], lineno: int, key: str, count: bo
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FormatError(path, None, f"cannot read file: {e}") from e
-    lines = text.splitlines()
-    if not lines:
-        raise FormatError(path, 1, "empty file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != DATASET_FORMAT:
-        raise FormatError(path, 1, f"not a {DATASET_FORMAT} file: {lines[0]!r}")
-    if head[1] != DATASET_VERSION:
-        raise VersionError(path, 1, f"unsupported version {head[1]!r}, expected {DATASET_VERSION}")
-
+    lines = read_lines(path, DATASET_FORMAT, DATASET_VERSION)
     split = _expect_header(path, lines, 1, "split")
     if split not in SPLITS:
         raise FormatError(path, 2, f"unknown split {split!r}")

@@ -58,6 +58,7 @@ from .errors import ContractError
 
 Then = Callable[[np.ndarray, np.ndarray], np.ndarray]
 WORD = 2**32
+CALL_DRAWS = 2**20  # about the most draws one nested_choices generator call makes
 
 
 def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray,
@@ -198,8 +199,7 @@ def choice_rows(
 
 
 def nested_choices(
-    rng: np.random.Generator, pops: np.ndarray, size: int, sub_pops: Then, sub_size: int,
-    limit: int,
+    rng: np.random.Generator, pops: np.ndarray, size: int, sub_pops: Then, sub_size: int
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(choices, sub-choices, settled): the (settled, size) choices and
     (settled, size, sub_size) sub-choices of this loop over its first
@@ -215,15 +215,15 @@ def nested_choices(
     populations.  A row settles only when pops[r] >= size, every member
     population reads one word per draw (more than sub_size, outside
     numpy's tail-shuffle branch) and no placeholder word is rejected;
-    nested_settles tells the first two before drawing.  Each
-    generator call covers about limit draws at most, from the first row
-    not yet settled; the rows stop at the first call that does not
-    settle all of its rows."""
+    nested_settles tells the first two before drawing.  Each generator
+    call covers about CALL_DRAWS draws at most, from the first row not
+    yet settled; the rows stop at the first call that does not settle
+    all of its rows."""
     pops = np.asarray(pops, dtype=np.int64)
     short = pops < size
     end = int(np.argmax(short)) if short.any() else pops.size
     per = 2 * sub_size - 1  # Floyd's sub_size draws and its sub_size - 1 shuffle draws
-    step = max(1, limit // (2 * size - 1 + size * per))
+    step = max(1, CALL_DRAWS // (2 * size - 1 + size * per))
     chosen = [np.zeros((0, size), dtype=np.int64)]
     subs = [np.zeros((0, size, sub_size), dtype=np.int64)]
     done = 0

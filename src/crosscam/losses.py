@@ -261,9 +261,10 @@ def select_positives(
     "AW", or the drawn affinities renormalized to sum 1 in mode "W".
     Anchors draw in order, persons first, through draws.choice_rows.
 
-    anchor_classes is (A,).  Returns (A, n_k) dataset sample indices,
-    (A, n_k) weights and an (A,) mask, False where the anchor's row is
-    degenerate: such an anchor draws nothing and gets zero picks.
+    anchor_classes is (A,).  Returns the (V, n_k) dataset sample indices
+    and (V, n_k) weights of the V anchors that draw, in anchor order, and
+    an (A,) mask, False where the anchor's row is degenerate: such an
+    anchor draws nothing.
     """
     if n_k < 1:
         raise ContractError("n_k must be >= 1")
@@ -276,8 +277,7 @@ def select_positives(
     anchor_classes = np.asarray(anchor_classes, dtype=np.int64)
     table = aff.candidates
     valid = table.count[anchor_classes] > 0
-    every = bool(valid.all())
-    drawing = anchor_classes if every else anchor_classes[valid]  # the classes that draw
+    drawing = anchor_classes[valid]
     index, pops = table.index[drawing], table.count[drawing]
     members, starts = dataset.class_members()
     if positive_sampling == "random":
@@ -298,11 +298,7 @@ def select_positives(
         w /= w.sum(axis=1, keepdims=True)
     else:
         w = np.full(picks.shape, 1.0 / n_k)
-    if every:
-        return picks, w, valid
-    out, weights = np.zeros((valid.size, n_k), dtype=np.int64), np.zeros((valid.size, n_k))
-    out[valid], weights[valid] = picks, w
-    return out, weights, valid
+    return picks, w, valid
 
 
 def select_hardest_negative(

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import first_non_finite, write_text_atomic
-from .errors import ContractError, FormatError, TrainingError, VersionError
+from .data import first_non_finite, read_lines, write_text_atomic
+from .errors import ContractError, FormatError, TrainingError
 
 CHECKPOINT_FORMAT = "crosscam-checkpoint"
 CHECKPOINT_VERSION = "v1"
@@ -312,19 +312,7 @@ class Checkpoint:
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     path = os.fspath(path)
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        raise FormatError(path, None, f"cannot read file: {e}") from e
-    if not lines:
-        raise FormatError(path, 1, "empty file")
-    head_parts = lines[0].split()
-    if len(head_parts) != 2 or head_parts[0] != CHECKPOINT_FORMAT:
-        raise FormatError(path, 1, f"not a {CHECKPOINT_FORMAT} file: {lines[0]!r}")
-    if head_parts[1] != CHECKPOINT_VERSION:
-        raise VersionError(path, 1, f"unsupported version {head_parts[1]!r}")
-
+    lines = read_lines(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     arrays: dict[str, np.ndarray] = {}
     scalars: dict[str, float] = {}
     where: dict[str, int] = {}  # line of each array header and scalar

@@ -18,15 +18,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import evaluation
 # soft_label_rows is not called here; it stays bound for perfbench's tracer.
 from .affinity import (  # noqa: F401
-    PRODUCT_ELEMENTS, AffinityMatrix, SoftLabelTable, affinity_quality_map, build_affinity,
-    soft_label_rows,
+    AffinityMatrix, affinity_quality_map, build_affinity, soft_label_rows,
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, field_accepts
@@ -271,17 +270,20 @@ def pk_sampler(
 
     A run leaves rng where one call per camera would, but draws its
     batches through draws.nested_choices, a generator call per about
-    PRODUCT_ELEMENTS draws, and maps the chosen persons and slots to
+    draws.CALL_DRAWS draws, and maps the chosen persons and slots to
     classes and samples.  From the first batch those calls do not settle
     (a camera with fewer than n_p persons, which numpy draws through
     permutation; a person with at most n_k samples; a rejected word;
     numpy's tail-shuffle branch) on, the rest are drawn one camera at a
     time.  pk_runs_settle tells before drawing whether only a rejected
     word can stop a run.  Every camera of a run is checked before
-    anything is drawn.  train draws each epoch that draws nothing else
-    as one run when pk_runs_settle holds, so its generator's state is
-    defined at epoch boundaries: after a mid-epoch TrainingError, such an
-    epoch's generator is already past the epoch's PK draws.
+    anything is drawn.  train draws an epoch that draws nothing but its
+    PK batches as one run where pk_runs_settle holds; other epochs draw
+    between their batches, and a run that does not settle draws its
+    first batch twice, so those take one call per iteration.  Either
+    way the generator's state at each epoch boundary is the same; after
+    a mid-epoch TrainingError, a run epoch's generator is already past
+    the epoch's PK draws.
     """
     if np.ndim(cameras) == 0:
         _camera_persons(dataset, int(cameras))
@@ -295,7 +297,7 @@ def pk_sampler(
         classes = first[rows, None] + chosen
         return starts[classes + 1] - starts[classes]
 
-    chosen, slots, settled = nested_choices(rng, pops, n_p, sizes, n_k, PRODUCT_ELEMENTS)
+    chosen, slots, settled = nested_choices(rng, pops, n_p, sizes, n_k)
     classes = first[:settled, None] + chosen
     picks = members[starts[classes][..., None] + slots]
     rest = [_pk_batch(dataset, c, n_p, n_k, rng) for c in cams[settled:]]
@@ -365,9 +367,9 @@ class TrainState:
 
 
 def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
-    """Rebuild the affinity from the buffer, refusing columns no warmup batch
-    filled: (soft-label table, degenerate row count, affinity-quality mAP
-    or None without full truth).
+    """Rebuild the affinity from the buffer into state.final_affinity,
+    refusing columns no warmup batch filled: (degenerate row count,
+    affinity-quality mAP or None without full truth).
 
     The last epoch's affinity goes before the build, and the build streams
     its distances one product block at a time, so no C x C array is ever
@@ -385,29 +387,16 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
     state.final_affinity = None
     state.final_affinity = aff = build_affinity(state.buffer, index, config.k,
                                                 mask_same_camera=config.mask_same_camera)
-    table = aff.soft_labels
     truth = dataset.truth_of_class_array() if dataset.has_full_truth() else None
     quality = affinity_quality_map(aff, truth) if truth is not None else None
-    return table, int(np.count_nonzero(table.degenerate)), quality
+    return int(np.count_nonzero(aff.soft_labels.degenerate)), quality
 
 
 # The loss steps return (loss, terms, skipped anchors, gradient dicts in
 # merge order); a step without terms returns loss 0.0 and no gradients.
 # Each backward takes the hidden activations of its batch's forward in the
-# same iteration, before sgd_step changes the parameters.
-
-def _pk_batches(state: TrainState, dataset: Dataset, config: TrainConfig, cams: list[int],
-                run: bool) -> Iterator[PKBatch]:
-    """The PK batches of an epoch's cameras in turn: one pk_sampler call
-    for them all when run is set, made when the first batch is taken,
-    else one call per camera."""
-    if run:
-        pk = pk_sampler(dataset, cams, config.n_p, config.n_k, state.rng)
-        yield from map(PKBatch, pk.sample_indices, pk.classes)
-        return
-    for cam in cams:
-        yield pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng)
-
+# same iteration, before sgd_step changes the parameters.  The soft-label
+# steps read the epoch's affinity from state.final_affinity.
 
 def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PKBatch) -> tuple:
     """Within-camera triplet on one PK batch: (X, its hidden activations,
@@ -425,8 +414,7 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PK
     return X, H, tb, (lv.loss, n, 0, [backward(state.model, X, dE, H)])
 
 
-def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
-                  table: SoftLabelTable) -> tuple:
+def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
     """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
     soft-label row is degenerate add no term and get a zero score
     gradient row.  The loss's own gradient array, scaled in place, is the
@@ -435,7 +423,7 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
     Xc = dataset.features[cls_idx]
     Vc, Hc = forward_with_hidden(state.model, Xc)
     probs = softmax_probs(head_forward(state.head, Vc))
-    labels = table.take(dataset.class_ids[cls_idx])
+    labels = state.final_affinity.soft_labels.take(dataset.class_ids[cls_idx])
     n = int(np.count_nonzero(labels.count))  # the rows that are not degenerate
     if not n:
         return 0.0, 0, cls_idx.size, []
@@ -446,53 +434,39 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
     return wce.loss, n, cls_idx.size - n, [backward(state.model, Xc, dVc, Hc), head_grads]
 
 
-def _soft_triplet_step(model: EmbeddingModel, dataset: Dataset, aff: AffinityMatrix,
-                       config: TrainConfig, rng: np.random.Generator, E: np.ndarray,
-                       labels: np.ndarray) -> tuple:
-    """Weighted soft-triplet ("D") terms of one batch, every row an anchor.
-
-    Returns (loss, anchors used, anchors skipped, gradient on E, positive
-    inputs, gradient on their embeddings, their hidden activations); the
-    last four are None when no anchor is used.  Gradients are unscaled
-    sums over anchors.
-    """
+def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
+            H: np.ndarray, tb: TripletBatch) -> tuple:
+    """Weighted soft triplet ("D") with every row of the intra batch an
+    anchor: X, its hidden activations H and tb are the intra step's, and
+    the positives' activations come from their own forward.  An anchor
+    whose affinity row has no candidate is skipped; the gradients on the
+    batch and on the positives are scaled by lam / anchors used."""
+    E, labels = tb.flat()
     picks, weights, valid = select_positives(
-        labels, aff, dataset, config.n_k, rng,
+        labels, state.final_affinity, dataset, config.n_k, state.rng,
         weighting_mode=config.weighting_mode, positive_sampling=config.positive_sampling,
     )
     anchors = np.flatnonzero(valid)
     if not anchors.size:
-        return 0.0, 0, valid.size, None, None, None, None
+        return 0.0, 0, valid.size, []
     Ea = E[anchors]
     # intra_triplet_loss has checked that the batch holds two persons.
     neg = select_hardest_negative(Ea, E, labels, labels[anchors])
-    Xp = dataset.features[picks[anchors].reshape(-1)]
-    Vp, Hp = forward_with_hidden(model, Xp)
-    wtl = weighted_triplet_loss(Ea, Vp.reshape(anchors.size, config.n_k, -1),
-                                weights[anchors], E[neg], config.margin)
+    Xp = dataset.features[picks.reshape(-1)]
+    Vp, Hp = forward_with_hidden(state.model, Xp)
+    wtl = weighted_triplet_loss(Ea, Vp.reshape(anchors.size, config.n_k, -1), weights, E[neg],
+                                config.margin)
     # Each row gains its anchor and negative terms in anchor order.
     dE = np.zeros(E.shape, E.dtype)
     add_rows(dE, np.stack([anchors, neg], axis=1).ravel(),
              np.stack([wtl.grads["anchor"], wtl.grads["negative"]], axis=1).reshape(-1, E.shape[1]))
     dVp = wtl.grads["positives"].reshape(Vp.shape)
     dVp += 0.0  # a -0.0 gradient becomes +0.0, as when added to zeros
-    return wtl.loss, anchors.size, valid.size - anchors.size, dE, Xp, dVp, Hp
-
-
-def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
-            H: np.ndarray, tb: TripletBatch) -> tuple:
-    """Weighted soft triplet ("D") with every row of the intra batch an
-    anchor: X, its hidden activations H and tb are the intra step's, and
-    the positives' activations come from their own forward."""
-    loss, n, skipped, dE, Xp, dVp, Hp = _soft_triplet_step(
-        state.model, dataset, state.final_affinity, config, state.rng, *tb.flat()
-    )
-    if not n:
-        return loss, 0, skipped, []
-    scale = config.lam / n
+    scale = config.lam / anchors.size
     dE *= scale
     dVp *= scale
-    return loss, n, skipped, [backward(state.model, X, dE, H), backward(state.model, Xp, dVp, Hp)]
+    return (wtl.loss, anchors.size, valid.size - anchors.size,
+            [backward(state.model, X, dE, H), backward(state.model, Xp, dVp, Hp)])
 
 
 def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
@@ -531,14 +505,10 @@ def train(
 
     An epoch that draws nothing but its PK batches (hard mining and no C
     or D term: every warmup epoch, and every epoch when lam = 0) draws
-    them in one pk_sampler call over the epoch's cameras when
-    pk_runs_settle holds for the eligible cameras; the other epochs
-    interleave other draws, and a corpus with persons of at most n_k
-    samples or cameras of fewer than n_p persons would not settle, so
-    they call it once per iteration.  Either way the generator's state
-    at each epoch boundary is the same.  After a TrainingError
-    mid-epoch, a batched epoch's generator is already past the epoch's
-    PK draws.
+    them in one pk_sampler call over the epoch's cameras where
+    pk_runs_settle holds, and other epochs one call per iteration; the
+    pk_sampler docstring tells why, and where a mid-epoch TrainingError
+    leaves the generator.
     """
     config.validate()
     if dataset.split != "train":
@@ -588,20 +558,20 @@ def train(
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
-        table, degenerate_rows, affinity_map = None, 0, None
-        if joint:
-            table, degenerate_rows, affinity_map = _epoch_start(state, dataset, config)
+        degenerate_rows, affinity_map = _epoch_start(state, dataset, config) if joint else (0, None)
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
-        batches = _pk_batches(state, dataset, config, cams,
-                              runs and not (joint and (use_c or use_d)))
-        for it, pk in enumerate(batches):
+        run = (pk_sampler(dataset, cams, config.n_p, config.n_k, state.rng)
+               if runs and not (joint and (use_c or use_d)) else None)
+        for it, cam in enumerate(cams):
+            pk = (PKBatch(run.sample_indices[it], run.classes[it]) if run is not None else
+                  pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng))
             X, H, tb, out = _intra_step(state, dataset, config, pk)
             # In merge order; a step runs only once the one before it passed the check.
             steps = [(intra, "intra loss", lambda: out)]
             if joint and use_c:
                 steps.append((inter, "soft cross-entropy",
-                              lambda: _soft_ce_step(state, dataset, config, table)))
+                              lambda: _soft_ce_step(state, dataset, config)))
             if joint and use_d:
                 steps.append((inter, "weighted triplet loss",
                               lambda: _d_step(state, dataset, config, X, H, tb)))

@@ -36,8 +36,9 @@ It also holds the helpers that only tests need, so that the package
 keeps one call shape per layer: label_table and affinity_from_dense
 build the package's k-sparse tables and affinities from dense rows (the
 C loss takes a batch of table rows only), row_nonzeros
-reads a dense soft-label row, and hit_ap scores one ranked list through
-ranking.hit_aps, the code evaluate runs.
+reads a dense soft-label row, hit_ap scores one ranked list through
+ranking.hit_aps, the code evaluate runs, and same_bits is the bitwise
+comparison every equivalence test makes.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ from crosscam.ranking import hit_aps
 from crosscam.trainer import classification_sampler
 
 LOG_FLOOR = 1e-12
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or scalars) have the same shape, dtype and bytes,
+    so signed zeros and NaN payloads count."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def squared_distances(a, b):
@@ -285,7 +293,10 @@ def weighted_triplet_loss(anchor, positives, weights, negative, margin):
 
 
 def soft_triplet_loop(model, dataset, aff, config, rng, E, labels):
-    """The per-anchor D loop, with the return layout of trainer._soft_triplet_step."""
+    """The per-anchor D loop: (loss, anchors used, anchors skipped,
+    gradient on E, positive inputs, gradient on their embeddings), both
+    gradients scaled by lam / anchors used, as trainer._d_step hands them
+    to backward; the last three are None when no anchor is used."""
     entries = []
     anchors = []  # (anchor row, entry base, negative row)
     skipped = 0
@@ -321,6 +332,9 @@ def soft_triplet_loop(model, dataset, aff, config, rng, E, labels):
         dE[a] += g_a
         dVp[base:base + config.n_k] += g_p
         dE[neg] += g_n
+    scale = config.lam / len(anchors)
+    dE *= scale
+    dVp *= scale
     return loss, len(anchors), skipped, dE, Xp, dVp
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
+from slow_references import same_bits
 from crosscam import (
     Dataset,
     PersonIndex,
@@ -34,16 +35,14 @@ from crosscam import (
     weighted_cross_entropy,
     weighted_triplet_loss,
 )
+from crosscam import trainer
 from crosscam.affinity import SoftLabelRow
-from crosscam.trainer import _soft_triplet_step
+from crosscam.losses import TripletBatch
+from crosscam.model import Optimizer, OptimizerState, forward_with_hidden, init_head
+from crosscam.trainer import TrainState
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def points(rng, shape):
@@ -197,18 +196,20 @@ def test_select_positives_matches_per_anchor_draws(seed, weighting_mode, positiv
                                              weighting_mode, positive_sampling)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     assert valid.tolist() == [w is not None for w in want]
-    for a, w in enumerate(want):
-        if w is None:
-            assert np.all(picks[a] == 0) and np.all(weights[a] == 0.0)
-        else:
-            assert picks[a].tolist() == [p for p, _ in w]
-            assert same_bits(weights[a], np.array([x for _, x in w]))
+    drew = [w for w in want if w is not None]  # one row per drawing anchor, in anchor order
+    assert picks.shape == weights.shape == (len(drew), n_k)
+    for row, w in enumerate(drew):
+        assert picks[row].tolist() == [p for p, _ in w]
+        assert same_bits(weights[row], np.array([x for _, x in w]))
 
 
 @SETTINGS
 @given(seed=seeds, weighting_mode=st.sampled_from(["AW", "W"]),
        positive_sampling=st.sampled_from(["random", "nearest"]), mask=st.booleans())
 def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positive_sampling, mask):
+    """The D step's loss, counts and generator state, and the scaled
+    gradients and positive inputs it hands to the two backward passes,
+    are the per-anchor loop's."""
     rng = np.random.default_rng(seed)
     ds = person_dataset(rng, int(rng.integers(2, 4)), int(rng.integers(4, 20)))
     C = ds.index.total
@@ -221,7 +222,7 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
     aff = slow.affinity_from_dense(A, aff.sigma_sq, aff.camera_of_class, aff.masked)
     config = dataclasses.replace(
         TrainConfig(), n_k=int(rng.integers(2, 6)), embed_dim=4, hidden_dim=5,
-        margin=float(rng.choice([0.0, 0.3, 2.0])),
+        margin=float(rng.choice([0.0, 0.3, 2.0])), lam=float(rng.choice([1.0, 0.3, 2.5])),
         weighting_mode=weighting_mode, positive_sampling=positive_sampling,
     )
     model = init_model(ds.d_in, config.hidden_dim, config.embed_dim, rng)
@@ -234,12 +235,34 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
 
     ref_rng = np.random.default_rng(draw_seed)
     want = slow.soft_triplet_loop(model, ds, aff, config, ref_rng, E, labels)
-    got_rng = np.random.default_rng(draw_seed)
-    got = _soft_triplet_step(model, ds, aff, config, got_rng, E, labels)
-    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    # The batch's inputs and hidden activations only pass through to backward.
+    X = ds.features[np.arange(labels.size) % len(ds)]
+    H = forward_with_hidden(model, X)[1]
+    state = TrainState(model=model, head=init_head(config.embed_dim, C, np.random.default_rng(0)),
+                       optimizer=Optimizer(), opt_state=OptimizerState(),
+                       buffer=new_buffer(config.embed_dim, C),
+                       rng=np.random.default_rng(draw_seed), final_affinity=aff)
+    inputs = []
+
+    def recording_backward(m, X_in, dV, H_in):
+        assert m is model
+        inputs.append((X_in, dV.copy(), H_in))
+        return {"call": len(inputs)}
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(trainer, "backward", recording_backward)
+        got = trainer._d_step(state, ds, config, X, H,
+                              TripletBatch(E.reshape(n_p, config.n_k, -1), persons))
+    assert state.rng.bit_generator.state == ref_rng.bit_generator.state
     assert same_bits(got[0], want[0]) and got[1:3] == want[1:3]
-    for g, w in zip(got[3:], want[3:]):
-        assert (g is None and w is None) or same_bits(g, w)
+    if not want[1]:
+        assert got[3] == [] and inputs == []
+        return
+    assert got[3] == [{"call": 1}, {"call": 2}]
+    (X_got, dE, H_got), (Xp, dVp, Hp) = inputs
+    assert X_got is X and H_got is H
+    assert same_bits(dE, want[3]) and same_bits(Xp, want[4]) and same_bits(dVp, want[5])
+    assert same_bits(Hp, forward_with_hidden(model, want[4])[1])
 
 
 def test_soft_label_table_holds_each_rows_nonzeros(tiny_train):

@@ -151,6 +151,16 @@ class TestCheckpointInterval:
         assert not (out / "checkpoint_epoch_0003.txt").exists()
         assert (out / "checkpoint_final.txt").exists()
 
+    def test_negative_interval_refused_before_any_read(self, tmp_path, capsys):
+        # The data file does not exist, so reading it first would fail otherwise.
+        code = main(["train", "--data", str(tmp_path / "missing.txt"), "--out",
+                     str(tmp_path / "out"), "--checkpoint-interval", "-3"] + TRAIN_FLAGS)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error ConfigError: --checkpoint-interval must be >= 0")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestAblateCommand:
     def test_ablate_writes_table_and_logs(self, pipeline, tmp_path):

@@ -23,7 +23,8 @@ from crosscam.draws import choice_rows, lemire
 from crosscam.affinity import squared_distances
 from crosscam.losses import TripletBatch, _triplet_terms, random_triplet_loss
 from crosscam.trainer import _update_buffer, pk_sampler
-from test_batched_equivalence import person_dataset, points, same_bits
+from slow_references import same_bits
+from test_batched_equivalence import person_dataset, points
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
+from slow_references import same_bits
 from crosscam import (
     ContractError,
     Dataset,
@@ -41,17 +42,13 @@ from crosscam import (
     weighted_cross_entropy,
 )
 from crosscam import trainer
+from crosscam.affinity import AffinityMatrix
 from crosscam.losses import add_rows
 from crosscam.model import head_forward
 from crosscam.trainer import TrainState
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def same_dicts(a: dict, b: dict) -> bool:
@@ -104,10 +101,13 @@ def test_soft_ce_step_matches_allocating_step(seed, degenerate, lam):
     elif degenerate == "all":
         W[batch] = 0.0
     table = slow.label_table(W)
+    # The step reads its soft labels from the epoch's affinity on the state.
+    aff = AffinityMatrix(table, table, 1.0, ds.index.camera_of_class_array(), True)
 
     def state():
         return TrainState(model=model, head=head, optimizer=Optimizer(), opt_state=OptimizerState(),
-                          buffer=new_buffer(config.embed_dim, C), rng=np.random.default_rng(draw_seed))
+                          buffer=new_buffer(config.embed_dim, C), rng=np.random.default_rng(draw_seed),
+                          final_affinity=aff)
 
     want_state, got_state = state(), state()
     want = slow.soft_ce_step(want_state, ds, config, table)
@@ -120,7 +120,7 @@ def test_soft_ce_step_matches_allocating_step(seed, degenerate, lam):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "head_backward", recording_head_backward)
-        got = trainer._soft_ce_step(got_state, ds, config, table)
+        got = trainer._soft_ce_step(got_state, ds, config)
     assert got_state.rng.bit_generator.state == want_state.rng.bit_generator.state
     assert same_bits(got[0], want[0]) and got[1:3] == want[1:3]
     if degenerate == "some":

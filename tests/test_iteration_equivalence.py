@@ -36,7 +36,8 @@ from crosscam import (
 from crosscam import trainer
 from crosscam.draws import choice_rows
 from crosscam.losses import LossValue, _row_lengths
-from test_batched_equivalence import points, same_bits
+from slow_references import same_bits
+from test_batched_equivalence import points
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)

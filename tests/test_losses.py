@@ -263,11 +263,13 @@ class TestSelectPositives:
         before = rng.bit_generator.state
         picks, weights, valid = select_positives(np.array([1, 0]), aff, ds, 2, rng)
         assert valid.tolist() == [False, True]
-        assert np.all(picks[0] == 0) and np.all(weights[0] == 0.0)
+        assert picks.shape == weights.shape == (1, 2)  # the drawing anchor's row alone
         after_valid_anchor = rng.bit_generator.state
         rng.bit_generator.state = before
-        select_positives(np.array([0]), aff, ds, 2, rng)
+        alone_picks, alone_weights, _ = select_positives(np.array([0]), aff, ds, 2, rng)
         assert rng.bit_generator.state == after_valid_anchor  # the refused anchor drew nothing
+        assert alone_picks.tolist() == picks.tolist()
+        assert alone_weights.tolist() == weights.tolist()
 
     def test_replacement_when_fewer_candidates(self, rng):
         ds, aff = selection_fixture()

@@ -19,7 +19,8 @@ import slow_references as slow
 from crosscam import ContractError, EmbeddingModel, TrainConfig, backward, evaluation, train
 from crosscam import trainer
 from crosscam.model import forward_batch, forward_with_hidden
-from test_batched_equivalence import points, same_bits
+from slow_references import same_bits
+from test_batched_equivalence import points
 from test_iteration_equivalence import plain, snapshot
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)

@@ -3,7 +3,7 @@ pk_sampler call per camera, and train draws runs only in the epochs that
 draw nothing else, on corpora where they settle.
 
 pk_sampler given a run of cameras draws it through draws.nested_choices
-(one generator call per about PRODUCT_ELEMENTS draws) and falls back to
+(one generator call per about draws.CALL_DRAWS draws) and falls back to
 one call per camera from the first batch those calls do not settle.  The
 tests compare classes, sample indices and the generator state afterwards
 (PCG64's buffered half word included) with one call per camera, on PCG64
@@ -29,10 +29,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
-from crosscam import Dataset, PersonIndex, TrainConfig, train, trainer
+from crosscam import Dataset, PersonIndex, TrainConfig, draws, train, trainer
 from crosscam.draws import nested_choices, nested_settles, settled_rows
 from crosscam.trainer import PKBatch, pk_runs_settle, pk_sampler
-from test_batched_equivalence import same_bits
+from slow_references import same_bits
 from test_draws_equivalence import state, twin_generators
 from test_iteration_equivalence import thinned
 
@@ -72,7 +72,7 @@ def run_and_fallbacks(dataset, cams, n_p, n_k, rng, limit=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_pk_batch", counted)
         if limit is not None:
-            mp.setattr(trainer, "PRODUCT_ELEMENTS", limit)
+            mp.setattr(draws, "CALL_DRAWS", limit)
         return pk_sampler(dataset, cams, n_p, n_k, rng), len(calls)
 
 
@@ -250,7 +250,9 @@ def test_nested_choices_match_their_loop(seed, bit_generator, limit):
     short = pops < size
     end = int(np.argmax(short)) if short.any() else pops.size
     want_c, want_s = loop(ref, np.arange(end))
-    chosen, subs, settled = nested_choices(got, pops, size, sub_pops, sub_size, limit)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(draws, "CALL_DRAWS", limit)
+        chosen, subs, settled = nested_choices(got, pops, size, sub_pops, sub_size)
     rest_c, rest_s = loop(got, np.arange(settled, end))
     assert state(got) == state(ref)
     assert np.concatenate([chosen, rest_c]).tolist() == want_c.tolist()
@@ -340,7 +342,7 @@ def test_pk_sampler_calls_per_epoch(monkeypatch, tiny_train):
     # A batch makes 2 * 6 - 1 person draws and 6 * (2 * 2 - 1) slot draws:
     # 29, so a limit of 120 draws makes generator calls of 4 batches, and
     # the epoch is still one pk_sampler call that trains the same.
-    monkeypatch.setattr(trainer, "PRODUCT_ELEMENTS", 120)
+    monkeypatch.setattr(draws, "CALL_DRAWS", 120)
     assert counted_calls(monkeypatch, tiny_train, lam0) == ([1, 1, 1, 1], log)
     # Persons of 1-4 samples, and (n_p = 12) a camera of 11 persons.
     ds = thinned(tiny_train)

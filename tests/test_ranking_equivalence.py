@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
+from slow_references import same_bits
 from crosscam import (
     AffinityError,
     Dataset,
@@ -52,11 +53,6 @@ products = st.sampled_from([1, 7, 64, 1 << 20])  # PRODUCT_ELEMENTS: one row up 
 def rows_per_product(product, n_columns):
     """The rows of each product block of squared_distance_blocks."""
     return max(1, product // max(n_columns, 1))
-
-
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def grid_points(rng, shape):

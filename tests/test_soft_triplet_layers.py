@@ -24,7 +24,8 @@ import slow_references as slow
 from crosscam import TrainConfig, select_hardest_negative, train, weighted_triplet_loss
 from crosscam import losses, trainer
 from crosscam.draws import choice_rows
-from test_batched_equivalence import points, same_bits
+from slow_references import same_bits
+from test_batched_equivalence import points
 from test_draws_equivalence import state, twin_generators
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
