@@ -190,16 +190,18 @@ def run_settings(
     corpus holds the train, query and gallery splits.  With
     validate_each_epoch, the query/gallery scores of every epoch go into
     the log as well.  seeds must be nonempty and distinct: each is one
-    paired comparison.
+    paired comparison.  Every setting's config is built and checked on
+    every seed before the first one trains.
     """
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must name at least one seed, each once; got {list(seeds)}")
     splits = (corpus["query"], corpus["gallery"])
+    configs = {label: [dataclass_from_dict(TrainConfig, {**overrides, "seed": seed}, base=base)
+                       for seed in seeds] for label, overrides in settings.items()}
     rows = []
     for label, overrides in settings.items():
         runs = []
-        for seed in seeds:
-            cfg = dataclass_from_dict(TrainConfig, {**overrides, "seed": seed}, base=base)
+        for seed, cfg in zip(seeds, configs[label]):
             result = train(corpus["train"], cfg, *(splits if validate_each_epoch else ()))
             scored = evaluate(result.model, *splits)
             runs.append(Run(seed, scored.map, scored.cmc[1], result.log))

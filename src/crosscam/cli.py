@@ -51,14 +51,8 @@ def _flag_name(field_name: str) -> str:
 def _add_dataclass_flags(parser: argparse.ArgumentParser, cls) -> None:
     """One optional flag per dataclass field; None means 'not provided'."""
     for f in dataclasses.fields(cls):
-        if f.type in ("bool", bool):
-            parser.add_argument(_flag_name(f.name), dest=f.name, type=_bool_flag, default=None)
-        elif f.type in ("int", int):
-            parser.add_argument(_flag_name(f.name), dest=f.name, type=int, default=None)
-        elif f.type in ("float", float):
-            parser.add_argument(_flag_name(f.name), dest=f.name, type=float, default=None)
-        else:
-            parser.add_argument(_flag_name(f.name), dest=f.name, type=str, default=None)
+        kind = {"bool": _bool_flag, "int": int, "float": float}.get(f.type, str)
+        parser.add_argument(_flag_name(f.name), dest=f.name, type=kind, default=None)
 
 
 def _collect_overrides(args: argparse.Namespace, cls) -> dict:

@@ -43,9 +43,9 @@ return any fixed number of follow-up bounds per row.  `nested_choices`
 uses it for follow-up draws that are themselves choices (the PK
 sampler's persons, then each person's samples): each chosen member's
 choice gets one placeholder word per draw, and `_picks` decodes them
-once the members are known.  A member's choice settles only where it
-reads one word per draw (`_decodable`); `nested_settles` tells whether
-whole populations do.
+once the members are known.  It ends its rows, before drawing, at the
+first one whose words it could not decode that way, so only a rejected
+word stops a row earlier.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .errors import ContractError
 
 Then = Callable[[np.ndarray, np.ndarray], np.ndarray]
 WORD = 2**32
-CALL_DRAWS = 2**20  # about the most draws one nested_choices generator call makes
 
 
 def _follow_up_bounds(then: Then, rows: np.ndarray, choices: np.ndarray,
@@ -199,57 +198,38 @@ def choice_rows(
 
 
 def nested_choices(
-    rng: np.random.Generator, pops: np.ndarray, size: int, sub_pops: Then, sub_size: int
+    rng: np.random.Generator, pops: np.ndarray, size: int, first: np.ndarray,
+    member_pops: np.ndarray, sub_size: int,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(choices, sub-choices, settled): the (settled, size) choices and
     (settled, size, sub_size) sub-choices of this loop over its first
-    rows that batched calls settle; rng ends in the state the loop
-    leaves after them:
+    settled rows; rng ends in the state the loop leaves after them:
 
         for r in range(R):
             c[r] = rng.choice(pops[r], size, replace=False)
-            for i, p in enumerate(sub_pops(r, c[r])):
+            for i, j in enumerate(c[r]):
+                p = member_pops[first[r] + j]
                 s[r, i] = rng.choice(p, size=sub_size, replace=p < sub_size)
 
-    sub_pops(rows, choices) returns those rows' (len(rows), size) member
-    populations.  A row settles only when pops[r] >= size, every member
-    population reads one word per draw (more than sub_size, outside
-    numpy's tail-shuffle branch) and no placeholder word is rejected;
-    nested_settles tells the first two before drawing.  Each generator
-    call covers about CALL_DRAWS draws at most, from the first row not
-    yet settled; the rows stop at the first call that does not settle
-    all of its rows."""
+    The rows end, before anything is drawn, at the first row r that is
+    short (pops[r] < size), in numpy's tail-shuffle branch, or holds a
+    member in member_pops[first[r]:first[r] + pops[r]] that _decodable
+    rejects; one settled_rows call draws the rows before it and settles
+    them all but from a rejected placeholder word on."""
     pops = np.asarray(pops, dtype=np.int64)
-    short = pops < size
-    end = int(np.argmax(short)) if short.any() else pops.size
+    first, member_pops = np.asarray(first, dtype=np.int64), np.asarray(member_pops, dtype=np.int64)
+    undecodable = np.concatenate([[0], np.cumsum(~_decodable(member_pops, sub_size))])  # before i
+    stop = ((pops < size) | _tail_shuffled(pops, size)
+            | (undecodable[first + pops] > undecodable[first]))
+    end = int(np.argmax(stop)) if stop.any() else pops.size
     per = 2 * sub_size - 1  # Floyd's sub_size draws and its sub_size - 1 shuffle draws
-    step = max(1, CALL_DRAWS // (2 * size - 1 + size * per))
-    chosen = [np.zeros((0, size), dtype=np.int64)]
-    subs = [np.zeros((0, size, sub_size), dtype=np.int64)]
-    done = 0
-    while done < end:
-        lo, hi = done, min(end, done + step)
 
-        def then(rows: np.ndarray, c: np.ndarray) -> np.ndarray:
-            members = np.asarray(sub_pops(lo + rows, c)).reshape(-1)
-            bounds = _draw_bounds(members, sub_size, 0)
-            bounds[~_decodable(members, sub_size)] = 1  # a bound-1 draw never settles
-            return bounds.reshape(rows.size, size * per)
+    def members(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        return member_pops[first[rows, None] + chosen].reshape(-1)
 
-        c, drawn, n = settled_rows(rng, pops[lo:hi], size, then, size * per)
-        members = np.asarray(sub_pops(lo + np.arange(n), c)).reshape(-1)
-        chosen.append(c)
-        subs.append(_picks(drawn.reshape(-1, per), members, sub_size).reshape(n, size, sub_size))
-        done += n
-        if done < hi:
-            break
-    return np.concatenate(chosen), np.concatenate(subs), done
+    def then(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+        return _draw_bounds(members(rows, chosen), sub_size, 0).reshape(rows.size, size * per)
 
-
-def nested_settles(pops: np.ndarray, size: int, member_pops: np.ndarray, sub_size: int) -> bool:
-    """Whether nested_choices settles every row whose population is in
-    pops and every member population in member_pops, but for a rejected
-    placeholder word (odds of about n / 2**32 for a draw in [0, n))."""
-    pops, member_pops = np.asarray(pops), np.asarray(member_pops)
-    return bool((pops >= size).all() and not _tail_shuffled(pops, size).any()
-                and _decodable(member_pops, sub_size).all())
+    chosen, drawn, settled = settled_rows(rng, pops[:end], size, then, size * per)
+    subs = _picks(drawn.reshape(-1, per), members(np.arange(settled), chosen), sub_size)
+    return chosen, subs.reshape(settled, size, sub_size), settled

@@ -29,7 +29,7 @@ from .affinity import (  # noqa: F401
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, field_accepts
-from .draws import choice_rows, nested_choices, nested_settles
+from .draws import choice_rows, nested_choices
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -269,21 +269,19 @@ def pk_sampler(
     person after another through draws.choice_rows.
 
     A run leaves rng where one call per camera would, but draws its
-    batches through draws.nested_choices, a generator call per about
-    draws.CALL_DRAWS draws, and maps the chosen persons and slots to
-    classes and samples.  From the first batch those calls do not settle
-    (a camera with fewer than n_p persons, which numpy draws through
-    permutation; a person with at most n_k samples; a rejected word;
-    numpy's tail-shuffle branch) on, the rest are drawn one camera at a
-    time.  pk_runs_settle tells before drawing whether only a rejected
-    word can stop a run.  Every camera of a run is checked before
-    anything is drawn.  train draws an epoch that draws nothing but its
-    PK batches as one run where pk_runs_settle holds; other epochs draw
-    between their batches, and a run that does not settle draws its
-    first batch twice, so those take one call per iteration.  Either
-    way the generator's state at each epoch boundary is the same; after
-    a mid-epoch TrainingError, a run epoch's generator is already past
-    the epoch's PK draws.
+    batches in one draws.nested_choices call and maps the chosen persons
+    and slots to classes and samples.  That call decides before drawing
+    where the run stops: at the first camera with fewer than n_p persons
+    (which numpy draws through permutation), with a person of at most n_k
+    samples (whose slot draws include draws in [0, 1), which read no
+    word), or whose persons or a person's samples numpy would draw
+    through its tail-shuffle branch; a rejected slot word can stop it
+    earlier.  The batches from there on are drawn one camera at a time.  Every camera of a run is checked before anything is drawn.
+    train draws every epoch that draws nothing but its PK batches as one
+    run; the others draw between their batches, so take one call per
+    iteration.  Either way the generator's state at each epoch boundary
+    is the same; after a mid-epoch TrainingError, a run epoch's
+    generator is already past the epoch's PK draws.
     """
     if np.ndim(cameras) == 0:
         _camera_persons(dataset, int(cameras))
@@ -292,30 +290,12 @@ def pk_sampler(
     first, pops = np.array([_camera_persons(dataset, c) for c in cams],
                            dtype=np.int64).reshape(-1, 2).T
     members, starts = dataset.class_members()
-
-    def sizes(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-        classes = first[rows, None] + chosen
-        return starts[classes + 1] - starts[classes]
-
-    chosen, slots, settled = nested_choices(rng, pops, n_p, sizes, n_k)
+    chosen, slots, settled = nested_choices(rng, pops, n_p, first, np.diff(starts), n_k)
     classes = first[:settled, None] + chosen
     picks = members[starts[classes][..., None] + slots]
     rest = [_pk_batch(dataset, c, n_p, n_k, rng) for c in cams[settled:]]
     return PKBatch(np.concatenate([picks] + [b.sample_indices[None] for b in rest]),
                    np.concatenate([classes] + [b.classes[None] for b in rest]))
-
-
-def pk_runs_settle(dataset: Dataset, cameras: Sequence[int], n_p: int, n_k: int) -> bool:
-    """Whether pk_sampler settles a run of these cameras in full, but for
-    a rejected word: each camera has at least n_p persons and each of
-    their persons more than n_k samples (draws.nested_settles).  A run
-    that does not would draw, put the generator back and draw again, so
-    train then calls pk_sampler once per iteration."""
-    offsets = np.asarray(dataset.index.offsets)
-    _, starts = dataset.class_members()
-    classes = np.concatenate([np.arange(offsets[c], offsets[c + 1]) for c in cameras])
-    return nested_settles(np.diff(offsets)[list(cameras)], n_p,
-                          starts[classes + 1] - starts[classes], n_k)
 
 
 def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -505,10 +485,10 @@ def train(
 
     An epoch that draws nothing but its PK batches (hard mining and no C
     or D term: every warmup epoch, and every epoch when lam = 0) draws
-    them in one pk_sampler call over the epoch's cameras where
-    pk_runs_settle holds, and other epochs one call per iteration; the
-    pk_sampler docstring tells why, and where a mid-epoch TrainingError
-    leaves the generator.
+    them in one pk_sampler call over the epoch's cameras, and other
+    epochs one call per iteration; the pk_sampler docstring tells where
+    such a run stops and where a mid-epoch TrainingError leaves the
+    generator.
     """
     config.validate()
     if dataset.split != "train":
@@ -553,8 +533,6 @@ def train(
     )
 
     cams = [eligible_cams[it % len(eligible_cams)] for it in range(iters_per_epoch)]
-    runs = config.mining_mode == "hard" and pk_runs_settle(dataset, eligible_cams, config.n_p,
-                                                           config.n_k)
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
@@ -562,7 +540,7 @@ def train(
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
         run = (pk_sampler(dataset, cams, config.n_p, config.n_k, state.rng)
-               if runs and not (joint and (use_c or use_d)) else None)
+               if config.mining_mode == "hard" and not (joint and (use_c or use_d)) else None)
         for it, cam in enumerate(cams):
             pk = (PKBatch(run.sample_indices[it], run.classes[it]) if run is not None else
                   pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng))

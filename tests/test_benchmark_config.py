@@ -23,12 +23,15 @@ def test_benchmark_config_refuses_a_bad_override_by_name(overrides):
 
 
 def test_run_settings_refuses_a_bad_setting_before_training(tiny_corpus, monkeypatch):
+    # Alone, and after a good setting on three seeds: nothing trains at all.
     trained = []
     monkeypatch.setattr(benchmark, "train", lambda *args, **kwargs: trained.append(args))
-    with pytest.raises(ConfigError, match="'lam'"):
-        run_settings("axis", {"bad": {"lam": "1"}}, benchmark_config(), tiny_corpus,
-                     (1,), validate_each_epoch=False)
-    assert trained == []
+    for settings, seeds in (({"bad": {"lam": "1"}}, (1,)),
+                            ({"ok": {}, "bad": {"lam": "1"}}, (1, 2, 3))):
+        with pytest.raises(ConfigError, match="'lam'"):
+            run_settings("axis", settings, benchmark_config(), tiny_corpus, seeds,
+                         validate_each_epoch=False)
+        assert trained == []
 
 
 def test_overrides_keep_their_values():

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from crosscam.cli import main
+from crosscam.cli import build_parser, main
 from crosscam.trainer import TRAINLOG_COLUMNS
 
 
@@ -402,3 +402,14 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert (tmp_path / "g" / "train.txt").exists()
         assert "wrote" in proc.stdout
+
+
+def test_dataclass_flags_parse_to_their_field_types():
+    args = build_parser().parse_args(
+        ["train", "--data", "d.npz", "--out", "o", "--mask-same-camera", "no", "--lam", "2",
+         "--n-p", "8", "--inter-mode", "D"])
+    assert (args.mask_same_camera, args.lam, args.n_p, args.inter_mode) == (False, 2.0, 8, "D")
+    assert type(args.lam) is float and type(args.n_p) is int
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["train", "--data", "d.npz", "--out", "o",
+                                   "--mask-same-camera", "maybe"])

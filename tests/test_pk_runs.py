@@ -1,23 +1,24 @@
 """A run of PK batches drawn in one generator call gives the bits of one
-pk_sampler call per camera, and train draws runs only in the epochs that
-draw nothing else, on corpora where they settle.
+pk_sampler call per camera, and train draws runs in the epochs that
+draw nothing else.
 
-pk_sampler given a run of cameras draws it through draws.nested_choices
-(one generator call per about draws.CALL_DRAWS draws) and falls back to
-one call per camera from the first batch those calls do not settle.  The
-tests compare classes, sample indices and the generator state afterwards
-(PCG64's buffered half word included) with one call per camera, on PCG64
-and MT19937, and count the fallback calls, so that each case is known to
-take the path it is meant to: runs that settle in full, runs whose first
-batch does not settle (persons with at most n_k samples draw bound-1
-draws, which read no word), cameras with fewer than n_p persons partway
-through a run (numpy draws those through permutation), n_p equal to a
-camera's person count (Floyd's first person draw reads no word), a slot
-word that Lemire's method rejects (written into an MT19937 stream by
-hand) and numpy's tail-shuffle branch.  Where pk_runs_settle holds,
-nothing falls back.  The trainer tests train each schedule twice, once
-with one pk_sampler call per camera patched in, on a corpus where runs
-settle and on one thinned so that they do not, and count pk_sampler
+pk_sampler given a run of cameras draws it through one
+draws.nested_choices call, which ends the run before drawing at the
+first batch it could not decode, and falls back to one call per camera
+from there.  The tests compare classes, sample indices and the
+generator state afterwards (PCG64's buffered half word included) with
+one call per camera, on PCG64 and MT19937, and count the fallback
+calls, so that each case is known to take the path it is meant to: runs
+that settle in full, runs whose first batch cannot (persons with at most
+n_k samples draw bound-1 draws, which read no word), cameras with fewer
+than n_p persons partway through a run (numpy draws those through
+permutation), n_p equal to a camera's person count (Floyd's first person
+draw reads no word), a slot word that Lemire's method rejects (written
+into an MT19937 stream by hand) and numpy's tail-shuffle branch.  Every
+batched call settles all the rows it is given but for a rejected word.
+The trainer tests train each schedule twice, once with one pk_sampler
+call per camera patched in, on a corpus where runs settle and on one
+thinned so that they stop at their first batch, and count pk_sampler
 calls per epoch.
 """
 
@@ -30,8 +31,8 @@ from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
 from crosscam import Dataset, PersonIndex, TrainConfig, draws, train, trainer
-from crosscam.draws import nested_choices, nested_settles, settled_rows
-from crosscam.trainer import PKBatch, pk_runs_settle, pk_sampler
+from crosscam.draws import _decodable, _draw_bounds, lemire, nested_choices, settled_rows
+from crosscam.trainer import PKBatch, pk_sampler
 from slow_references import same_bits
 from test_draws_equivalence import state, twin_generators
 from test_iteration_equivalence import thinned
@@ -60,9 +61,8 @@ def per_camera(dataset, cameras, n_p, n_k, rng):
                    np.array([b.classes for b in batches]).reshape(-1, n_p))
 
 
-def run_and_fallbacks(dataset, cams, n_p, n_k, rng, limit=None):
-    """pk_sampler's run, with generator calls of about limit draws when
-    given, and the number of batches it drew one camera at a time."""
+def run_and_fallbacks(dataset, cams, n_p, n_k, rng):
+    """pk_sampler's run and the number of batches it drew one camera at a time."""
     one_camera, calls = trainer._pk_batch, []
 
     def counted(*args):
@@ -71,8 +71,6 @@ def run_and_fallbacks(dataset, cams, n_p, n_k, rng, limit=None):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "_pk_batch", counted)
-        if limit is not None:
-            mp.setattr(draws, "CALL_DRAWS", limit)
         return pk_sampler(dataset, cams, n_p, n_k, rng), len(calls)
 
 
@@ -82,20 +80,13 @@ def assert_same_run(got, want):
     assert got.classes.tolist() == want.classes.tolist()
 
 
-@SETTINGS
-@given(seed=seeds, bit_generator=bit_generators,
-       case=st.sampled_from(["settles", "first", "short", "mixed"]),
-       limit=st.sampled_from([None, 1, 60]))
-def test_run_matches_one_call_per_camera(seed, bit_generator, case, limit):
-    """"settles": every camera has at least n_p persons (one of them
-    exactly n_p) and every person more than n_k samples, so nothing falls
-    back.  "first": the run's first camera has only persons of 1 to n_k
-    samples, so every batch falls back.  "short": a camera with fewer
-    than n_p persons first comes partway through the run, and every batch
-    from there on falls back.  "mixed": persons of 1 to n_k + 2 samples
-    and cameras of 2 to n_p + 3 persons.  A limit of 1 or 60 draws makes
-    one generator call per batch or about one per 2 batches."""
-    rng = np.random.default_rng(seed)
+def pk_case(rng, case):
+    """(dataset, cameras, n_p, n_k) of a run.  "settles": every camera has
+    at least n_p persons (one of them exactly n_p) and every person more
+    than n_k samples.  "first": the run's first camera has only persons
+    of 1 to n_k samples.  "short": a camera with fewer than n_p persons
+    first comes partway through the run, the last camera.  "mixed":
+    persons of 1 to n_k + 2 samples and cameras of 2 to n_p + 3 persons."""
     n_p, n_k = int(rng.integers(3 if case == "short" else 2, 7)), int(rng.integers(2, 5))
     n_cams = int(rng.integers(2, 5))
     counts = rng.integers(n_p, n_p + 4, size=n_cams)
@@ -118,20 +109,58 @@ def test_run_matches_one_call_per_camera(seed, bit_generator, case, limit):
         cams = [c % (n_cams - 1) for c in cams]
         if len(cams) > 1:
             cams[int(rng.integers(1, len(cams)))] = n_cams - 1
+    return ds, cams, n_p, n_k
+
+
+@SETTINGS
+@given(seed=seeds, bit_generator=bit_generators,
+       case=st.sampled_from(["settles", "first", "short", "mixed"]))
+def test_run_matches_one_call_per_camera(seed, bit_generator, case):
+    """The runs of pk_case: nothing falls back where they settle, every
+    batch where the first camera cannot, and every batch from the short
+    camera on."""
+    rng = np.random.default_rng(seed)
+    ds, cams, n_p, n_k = pk_case(rng, case)
     ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
 
     want = per_camera(ds, cams, n_p, n_k, ref)
-    out, fallbacks = run_and_fallbacks(ds, cams, n_p, n_k, got, limit)
+    out, fallbacks = run_and_fallbacks(ds, cams, n_p, n_k, got)
     assert state(got) == state(ref)
     assert_same_run(out, want)
-    if cams and pk_runs_settle(ds, cams, n_p, n_k):
-        assert fallbacks == 0
-    if case == "short" and n_cams - 1 in cams:
-        assert fallbacks == len(cams) - cams.index(n_cams - 1)
+    short = ds.n_cameras - 1
+    if case == "short" and short in cams:
+        assert fallbacks == len(cams) - cams.index(short)
     elif case in ("settles", "short"):
         assert fallbacks == 0
     elif case == "first":
         assert fallbacks == len(cams)
+
+
+def settled_rows_calls(monkeypatch):
+    """(rows given, rows settled) of every draws.settled_rows call from now on."""
+    calls, real = [], draws.settled_rows
+
+    def recorded(rng, pops, *args):
+        out = real(rng, pops, *args)
+        calls.append((len(pops), out[2]))
+        return out
+
+    monkeypatch.setattr(draws, "settled_rows", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["mixed", "first", "thinned"])
+def test_batched_calls_settle_every_row_they_are_given(monkeypatch, tiny_train, case):
+    # PCG64 on fixed seeds, so that no word is rejected: each batch a run
+    # hands to a batched call settles, whichever persons it chooses.
+    thin = thinned(tiny_train)
+    calls = settled_rows_calls(monkeypatch)
+    for seed in range(30):
+        ds, cams, n_p, n_k = ((thin, [0, 1, 2] * 5, 6, 2) if case == "thinned"
+                              else pk_case(np.random.default_rng(seed), case))
+        pk_sampler(ds, cams, n_p, n_k, np.random.default_rng(seed))
+    assert any(given for given, _ in calls)
+    assert all(settled == given for given, settled in calls)
 
 
 def untemper(words):
@@ -222,44 +251,47 @@ def test_settled_rows_with_any_number_of_follow_ups(seed, bit_generator):
 
 
 @SETTINGS
-@given(seed=seeds, bit_generator=bit_generators, limit=st.sampled_from([1, 20, 1 << 20]))
-def test_nested_choices_match_their_loop(seed, bit_generator, limit):
+@given(seed=seeds, bit_generator=bit_generators)
+def test_nested_choices_match_their_loop(seed, bit_generator):
     """nested_choices' settled rows, followed by the loop of its docstring
-    from the first unsettled row, give the loop's choices and state; with
-    nested_settles, every row before the first population below size
-    settles."""
+    from there, give the loop's choices and state; the rows settle up to
+    the first one the stop rule names (short, or holding a member of at
+    most sub_size), but where a placeholder word is rejected."""
     rng = np.random.default_rng(seed)
     size, sub_size = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     pops = rng.integers(size, size + 4, size=int(rng.integers(0, 9)))
     if pops.size and rng.random() < 0.3:
         pops[rng.integers(pops.size)] = rng.integers(1, size + 1)
-    table = rng.integers(1 if rng.random() < 0.3 else sub_size + 1, sub_size + 4,
-                         size=(pops.size, size))
-    sub_pops = lambda rows, c: table[rows] + c  # noqa: E731
+    first = np.concatenate([[0], np.cumsum(pops)[:-1]]).astype(np.int64)
+    member_pops = rng.integers(1 if rng.random() < 0.3 else sub_size + 1, sub_size + 4,
+                               size=int(pops.sum()))
 
     def loop(gen, rows):
         c = np.zeros((rows.size, size), dtype=np.int64)
         s = np.zeros((rows.size, size, sub_size), dtype=np.int64)
         for i, r in enumerate(rows.tolist()):
             c[i] = gen.choice(int(pops[r]), size, replace=False)
-            for j, p in enumerate(sub_pops(r, c[i]).tolist()):
+            for j, p in enumerate(member_pops[first[r] + c[i]].tolist()):
                 s[i, j] = gen.choice(p, size=sub_size, replace=p < sub_size)
         return c, s
 
-    ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
-    short = pops < size
-    end = int(np.argmax(short)) if short.any() else pops.size
+    twins = int(rng.integers(2**31)), int(rng.integers(0, 4))
+    ref, got = twin_generators(bit_generator, *twins)
+    stop = [pops[r] < size or not _decodable(member_pops[first[r]:first[r] + pops[r]],
+                                              sub_size).all() for r in range(pops.size)]
+    end = stop.index(True) if any(stop) else pops.size
     want_c, want_s = loop(ref, np.arange(end))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(draws, "CALL_DRAWS", limit)
-        chosen, subs, settled = nested_choices(got, pops, size, sub_pops, sub_size)
+    chosen, subs, settled = nested_choices(got, pops, size, first, member_pops, sub_size)
     rest_c, rest_s = loop(got, np.arange(settled, end))
     assert state(got) == state(ref)
     assert np.concatenate([chosen, rest_c]).tolist() == want_c.tolist()
     assert np.concatenate([subs, rest_s]).tolist() == want_s.tolist()
-    if nested_settles(pops[:end], size, (table[:end, :, None] + np.arange(pops.max(initial=1))),
-                      sub_size):
-        assert settled == end
+    if settled < end:  # then row settled's slot words hold a rejected one
+        probe, _ = twin_generators(bit_generator, *twins)
+        loop(probe, np.arange(settled))
+        c = probe.choice(int(pops[settled]), size, replace=False)
+        bounds = _draw_bounds(member_pops[first[settled] + c], sub_size, 0).reshape(-1)
+        assert not lemire(probe.integers(np.full(bounds.size, 2**32)), bounds)[1].all()
 
 
 SCHEDULES = {
@@ -278,9 +310,10 @@ SCHEDULES = {
 def test_trainer_tripwire_against_one_call_per_camera(monkeypatch, tiny_train, schedule, corpus):
     """On the tiny corpus (persons of 4 samples) the hard-mining schedules
     draw their warmup and lam = 0 epochs as runs; thinned to 1-4 samples
-    per person, runs would not settle, so every batch is drawn one camera
-    at a time.  Either way: the same log bytes, parameters, velocities,
-    buffer and generator state as one call per camera."""
+    per person, those runs stop at their first batch, so every batch is
+    drawn one camera at a time.  Either way: the same log bytes,
+    parameters, velocities, buffer and generator state as one call per
+    camera."""
     ds = tiny_train if corpus == "tiny" else thinned(tiny_train)
     config = TrainConfig(hidden_dim=8, embed_dim=4, class_batch_total=12, seed=5,
                          **SCHEDULES[schedule])
@@ -326,28 +359,21 @@ def counted_calls(monkeypatch, dataset, config):
 
 
 def test_pk_sampler_calls_per_epoch(monkeypatch, tiny_train):
-    """One call per batched epoch (every warmup epoch, every epoch with
-    lam = 0) and one per iteration otherwise (joint C+D epochs, random
-    mining, and every epoch of a corpus where pk_runs_settle fails)."""
+    """One call per batched epoch (every hard-mining warmup epoch, every
+    hard-mining epoch with lam = 0), whether or not its run settles, and
+    one per iteration otherwise (joint C+D epochs, random mining)."""
     base = TrainConfig(n_p=6, n_k=2, epochs=4, warmup_epochs=2, decay_epoch=3, hidden_dim=8,
                        embed_dim=4, class_batch_total=12, seed=2)
     iters = -(-len(tiny_train) // 12)
     assert iters == 14
     assert counted_calls(monkeypatch, tiny_train, base)[0] == [1, 1, iters, iters]
     lam0 = dataclasses.replace(base, lam=0.0)
-    calls, log = counted_calls(monkeypatch, tiny_train, lam0)
-    assert calls == [1, 1, 1, 1]
+    assert counted_calls(monkeypatch, tiny_train, lam0)[0] == [1, 1, 1, 1]
     random = dataclasses.replace(lam0, mining_mode="random")
     assert counted_calls(monkeypatch, tiny_train, random)[0] == [iters] * 4
-    # A batch makes 2 * 6 - 1 person draws and 6 * (2 * 2 - 1) slot draws:
-    # 29, so a limit of 120 draws makes generator calls of 4 batches, and
-    # the epoch is still one pk_sampler call that trains the same.
-    monkeypatch.setattr(draws, "CALL_DRAWS", 120)
-    assert counted_calls(monkeypatch, tiny_train, lam0) == ([1, 1, 1, 1], log)
     # Persons of 1-4 samples, and (n_p = 12) a camera of 11 persons.
     ds = thinned(tiny_train)
-    assert not pk_runs_settle(ds, [0, 1, 2], 6, 2)
-    assert counted_calls(monkeypatch, ds, lam0)[0] == [-(-len(ds) // 12)] * 4
+    assert counted_calls(monkeypatch, ds, lam0)[0] == [1, 1, 1, 1]
+    assert counted_calls(monkeypatch, ds, base)[0] == [1, 1] + [-(-len(ds) // 12)] * 2
     short = dataclasses.replace(lam0, n_p=12)
-    assert not pk_runs_settle(tiny_train, [0, 1, 2], 12, 2)
-    assert counted_calls(monkeypatch, tiny_train, short)[0] == [-(-len(tiny_train) // 24)] * 4
+    assert counted_calls(monkeypatch, tiny_train, short)[0] == [1, 1, 1, 1]
