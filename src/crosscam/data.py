@@ -13,8 +13,12 @@ systematically different under different cameras.
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, replace
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -355,61 +359,102 @@ def _dataset_of_blocks(blocks: list, n_cameras: int, split: str) -> Dataset:
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
-    """Write a dataset as self-describing text, atomically."""
-    lines = [
+    """Write a dataset as self-describing text, one line at a time, atomically."""
+    header = (
         f"{DATASET_FORMAT} {DATASET_VERSION}",
         f"split {ds.split}",
         f"n_cameras {ds.n_cameras}",
         f"d_in {ds.d_in}",
         f"n_samples {len(ds)}",
-    ]
+    )
     columns = zip(ds.camera_ids.tolist(), ds.local_ids.tolist(), ds.truth.tolist(), ds.features)
-    lines.extend(" ".join([str(cam), str(loc), "-" if t == -1 else str(t), *map(repr, row.tolist())])
-                 for cam, loc, t, row in columns)
-    lines.append("end")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    records = (" ".join([str(cam), str(loc), "-" if t == -1 else str(t), *map(repr, row.tolist())])
+               for cam, loc, t, row in columns)
+    write_lines_atomic(path, (line + "\n" for line in chain(header, records, ["end"])))
 
 
-def write_text_atomic(path: str | os.PathLike, content: str) -> None:
-    """Write to a temp file in the same directory, then rename into place."""
+def write_lines_atomic(path: str | os.PathLike, lines: Iterable[str]) -> None:
+    """Write lines, each ending in its own newline as with file.writelines,
+    to a temp file in path's directory, then rename it into place.
+
+    Each line is written as it comes, so a generator of lines never holds
+    the whole text.  On any error, one the lines raise included, the temp
+    file is removed and path is left as it was.  A new file gets the mode
+    open() would give it; a file that is replaced keeps its mode.
+    """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}")
+    # 0o666 less the umask, applied by the kernel as for open(); O_EXCL never takes over a file.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            with suppress(FileNotFoundError):
+                os.chmod(tmp, os.stat(path).st_mode & 0o777)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        with suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
 
 
-def read_lines(path: str, fmt: str, version: str) -> list[str]:
-    """The lines of a text file whose first line is 'fmt version'; an
-    unreadable or empty file, another format or another version is refused."""
+def write_text_atomic(path: str | os.PathLike, text: str) -> None:
+    """Write text to path atomically, as write_lines_atomic does."""
+    write_lines_atomic(path, [text])
+
+
+# Where str.splitlines ends a line, once a text file is read with "\r\n"
+# and "\r" turned into "\n".
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@contextmanager
+def read_lines(path: str, fmt: str, version: str) -> Iterator[tuple[Iterator[str], int, int]]:
+    """Open a text file whose first line is 'fmt version', and close it on exit.
+
+    Yields an iterator over the lines after the first, read one at a time,
+    with the file's line count and character count.  Those are taken in one
+    pass before any line is handed out, so that a loader can check a size
+    the file declares against them before it allocates; so the file must
+    be one that can be read twice, not a pipe.  Lines end where
+    str.splitlines ends them: at a newline and at the other breaks it knows.
+    A file that cannot be opened or read, in either pass, an empty file,
+    another format or another version is refused.
+    """
     try:
         with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
+            n_lines = n_chars = 0
+            last = "\n"
+            for chunk in iter(partial(fh.read, 1 << 16), ""):
+                for brk in _LINE_BREAKS:
+                    if brk in chunk:  # a fast scan: most breaks are never counted
+                        n_lines += chunk.count(brk)
+                n_chars += len(chunk)
+                last = chunk[-1]
+            n_lines += last not in _LINE_BREAKS  # a last line without a break
+            fh.seek(0)
+            lines = (line for physical in fh for line in physical.splitlines())
+            first = next(lines, None)
+            if first is None:
+                raise FormatError(path, 1, "empty file")
+            head = first.split()
+            if len(head) != 2 or head[0] != fmt:
+                raise FormatError(path, 1, f"not a {fmt} file: {first!r}")
+            if head[1] != version:
+                raise VersionError(path, 1, f"unsupported version {head[1]!r}, expected {version}")
+            yield lines, n_lines, n_chars  # a read error while the loader parses comes back here
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(path, None, f"cannot read file: {e}") from e
-    if not lines:
-        raise FormatError(path, 1, "empty file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != fmt:
-        raise FormatError(path, 1, f"not a {fmt} file: {lines[0]!r}")
-    if head[1] != version:
-        raise VersionError(path, 1, f"unsupported version {head[1]!r}, expected {version}")
-    return lines
 
 
-def _expect_header(path: str, lines: list[str], lineno: int, key: str, count: bool = False):
-    """The value of header line lineno, 'key value'; with count, an int >= 0."""
-    if lineno >= len(lines):
+def _expect_header(path: str, line: str | None, lineno: int, key: str, count: bool = False):
+    """The value of header line lineno (0-based), 'key value', or None at
+    the end of the file; with count, an int >= 0."""
+    if line is None:
         raise FormatError(path, lineno + 1, f"missing '{key}' header line")
-    parts = lines[lineno].split(maxsplit=1)
+    parts = line.split(maxsplit=1)
     if len(parts) != 2 or parts[0] != key:
-        raise FormatError(path, lineno + 1, f"expected '{key} <value>', got {lines[lineno]!r}")
+        raise FormatError(path, lineno + 1, f"expected '{key} <value>', got {line!r}")
     if count and not (parts[1].isascii() and parts[1].isdigit()):
         raise FormatError(path, lineno + 1, f"'{key}' must be an integer >= 0, got {parts[1]!r}")
     return int(parts[1]) if count else parts[1]
@@ -417,52 +462,54 @@ def _expect_header(path: str, lines: list[str], lineno: int, key: str, count: bo
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
     path = os.fspath(path)
-    lines = read_lines(path, DATASET_FORMAT, DATASET_VERSION)
-    split = _expect_header(path, lines, 1, "split")
-    if split not in SPLITS:
-        raise FormatError(path, 2, f"unknown split {split!r}")
-    n_cameras, d_in, n_samples = (_expect_header(path, lines, i, key, count=True)
-                                  for i, key in enumerate(("n_cameras", "d_in", "n_samples"), 2))
-    # Every size is checked, against its limit or the records, before anything is allocated.
-    if n_cameras > MAX_CAMERAS:
-        raise FormatError(path, 3, f"n_cameras {n_cameras} is above MAX_CAMERAS = {MAX_CAMERAS}")
-    first_record = 5
-    if n_samples > len(lines) - first_record:
-        raise FormatError(path, 5, f"n_samples {n_samples}, but only "
-                                   f"{len(lines) - first_record} lines follow the header")
-    width = len(lines[first_record].split()) - 3 if n_samples else d_in
-    if width != d_in:
-        raise FormatError(path, 4, f"d_in {d_in}, but record 0 has {width} feature values")
-    try:
-        features = np.zeros((n_samples, d_in), dtype=np.float64)
-    except ValueError as e:  # with no record to bound it, d_in can pass any array's size
-        raise FormatError(path, 4, f"d_in {d_in}: {e}") from e
-    cams = np.zeros(n_samples, dtype=np.int64)
-    locs = np.zeros(n_samples, dtype=np.int64)
-    truth = np.full(n_samples, -1, dtype=np.int64)
-    for r in range(n_samples):
-        lineno = first_record + r
-        parts = lines[lineno].split()
-        if len(parts) != 3 + d_in:
-            raise FormatError(
-                path, lineno + 1,
-                f"record {r}: expected {3 + d_in} fields, got {len(parts)}",
-            )
+    with read_lines(path, DATASET_FORMAT, DATASET_VERSION) as (lines, n_lines, _):
+        split = _expect_header(path, next(lines, None), 1, "split")
+        if split not in SPLITS:
+            raise FormatError(path, 2, f"unknown split {split!r}")
+        n_cameras, d_in, n_samples = (_expect_header(path, next(lines, None), i, key, count=True)
+                                      for i, key in enumerate(("n_cameras", "d_in", "n_samples"), 2))
+        # Every size is checked, against its limit or the records, before anything is allocated.
+        if n_cameras > MAX_CAMERAS:
+            raise FormatError(path, 3, f"n_cameras {n_cameras} is above MAX_CAMERAS = {MAX_CAMERAS}")
+        first_record = 5
+        if n_samples > n_lines - first_record:
+            raise FormatError(path, 5, f"n_samples {n_samples}, but only "
+                                       f"{n_lines - first_record} lines follow the header")
+        parts = next(lines, "").split() if n_samples else []
+        width = len(parts) - 3 if n_samples else d_in
+        if width != d_in:
+            raise FormatError(path, 4, f"d_in {d_in}, but record 0 has {width} feature values")
         try:
-            cams[r] = int(parts[0])
-            locs[r] = int(parts[1])
-            truth[r] = -1 if parts[2] == "-" else int(parts[2])
-            features[r] = [float(v) for v in parts[3:]]
-        except (ValueError, OverflowError) as e:
-            raise FormatError(path, lineno + 1, f"record {r}: {e}") from e
+            features = np.zeros((n_samples, d_in), dtype=np.float64)
+        except ValueError as e:  # with no record to bound it, d_in can pass any array's size
+            raise FormatError(path, 4, f"d_in {d_in}: {e}") from e
+        cams = np.zeros(n_samples, dtype=np.int64)
+        locs = np.zeros(n_samples, dtype=np.int64)
+        truth = np.full(n_samples, -1, dtype=np.int64)
+        for r in range(n_samples):
+            lineno = first_record + r
+            if r:
+                parts = next(lines, "").split()
+            if len(parts) != 3 + d_in:
+                raise FormatError(
+                    path, lineno + 1,
+                    f"record {r}: expected {3 + d_in} fields, got {len(parts)}",
+                )
+            try:
+                cams[r] = int(parts[0])
+                locs[r] = int(parts[1])
+                truth[r] = -1 if parts[2] == "-" else int(parts[2])
+                features[r] = [float(v) for v in parts[3:]]
+            except (ValueError, OverflowError) as e:
+                raise FormatError(path, lineno + 1, f"record {r}: {e}") from e
 
-    bad = first_non_finite(features)
-    if bad is not None:
-        raise FormatError(path, first_record + bad + 1, f"record {bad}: non-finite feature value")
+        bad = first_non_finite(features)
+        if bad is not None:
+            raise FormatError(path, first_record + bad + 1, f"record {bad}: non-finite feature value")
 
-    endline = first_record + n_samples
-    if endline >= len(lines) or lines[endline] != "end":
-        raise FormatError(path, endline + 1, "missing 'end' marker (truncated file?)")
+        if next(lines, None) != "end":
+            raise FormatError(path, first_record + n_samples + 1,
+                              "missing 'end' marker (truncated file?)")
 
     try:
         return Dataset(features, cams, locs, truth, n_cameras, split)

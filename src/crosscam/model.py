@@ -10,11 +10,12 @@ epoch.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import first_non_finite, read_lines, write_text_atomic
+from .data import first_non_finite, read_lines, write_lines_atomic
 from .errors import ContractError, FormatError, TrainingError
 
 CHECKPOINT_FORMAT = "crosscam-checkpoint"
@@ -252,11 +253,11 @@ def sgd_step(
             state.velocities[name] = vel
 
 
-def _emit_array(lines: list[str], name: str, a: np.ndarray) -> None:
+def _array_lines(name: str, a: np.ndarray) -> Iterator[str]:
     a = np.atleast_2d(np.asarray(a))
-    lines.append(f"array {name} {a.shape[0]} {a.shape[1]}")
+    yield f"array {name} {a.shape[0]} {a.shape[1]}\n"
     for row in a:
-        lines.append(" ".join(repr(float(v)) for v in row))
+        yield " ".join(repr(float(v)) for v in row) + "\n"
 
 
 def save_checkpoint(
@@ -283,21 +284,24 @@ def save_checkpoint(
                 f"extra checkpoint name {name!r}: names must be nonempty, without whitespace, "
                 f"not repeated, and not start with {', '.join(RESERVED_PREFIXES)}"
             )
-    lines = [f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}"]
-    for name, a in model.params().items():
-        _emit_array(lines, f"model.{name}", a)
-    for name, a in head.params().items():
-        _emit_array(lines, f"head.{name}", a)
-    for name, a in state.velocities.items():
-        _emit_array(lines, f"velocity.{name}", a)
-    for f in fields(optimizer):
-        lines.append(f"scalar optimizer.{f.name} {repr(float(getattr(optimizer, f.name)))}")
-    for name, a in (extra_arrays or {}).items():
-        _emit_array(lines, name, a)
-    for name, v in (extra_scalars or {}).items():
-        lines.append(f"scalar {name} {repr(float(v))}")
-    lines.append("end")
-    write_text_atomic(path, "\n".join(lines) + "\n")
+
+    def lines() -> Iterator[str]:
+        yield f"{CHECKPOINT_FORMAT} {CHECKPOINT_VERSION}\n"
+        for name, a in model.params().items():
+            yield from _array_lines(f"model.{name}", a)
+        for name, a in head.params().items():
+            yield from _array_lines(f"head.{name}", a)
+        for name, a in state.velocities.items():
+            yield from _array_lines(f"velocity.{name}", a)
+        for f in fields(optimizer):
+            yield f"scalar optimizer.{f.name} {repr(float(getattr(optimizer, f.name)))}\n"
+        for name, a in (extra_arrays or {}).items():
+            yield from _array_lines(name, a)
+        for name, v in (extra_scalars or {}).items():
+            yield f"scalar {name} {repr(float(v))}\n"
+        yield "end\n"
+
+    write_lines_atomic(path, lines())
 
 
 @dataclass
@@ -312,55 +316,62 @@ class Checkpoint:
 
 def load_checkpoint(path: str | os.PathLike) -> Checkpoint:
     path = os.fspath(path)
-    lines = read_lines(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     arrays: dict[str, np.ndarray] = {}
     scalars: dict[str, float] = {}
     where: dict[str, int] = {}  # line of each array header and scalar
-    i, end_line = 1, None
-    while i < len(lines):
-        line = lines[i]
-        if line == "end":
-            end_line = i + 1
-            break
-        parts = line.split()
-        name = parts[1] if len(parts) > 1 and parts[0] in ("array", "scalar") else None
-        if name in where:
-            raise FormatError(path, i + 1, f"repeated name {name!r}, first on line {where[name]}")
-        if len(parts) == 4 and parts[0] == "array":
-            try:
-                rows, cols = int(parts[2]), int(parts[3])
-            except ValueError as e:
-                raise FormatError(path, i + 1, f"bad array header: {e}") from e
-            if min(rows, cols) < 0:
-                raise FormatError(path, i + 1, f"array {name!r}: negative shape {rows} x {cols}")
-            if i + rows >= len(lines):
-                raise FormatError(path, i + 1, f"truncated array {name!r}")
-            values = []
-            for r in range(rows):
-                vals = lines[i + 1 + r].split()
-                if len(vals) != cols:
-                    raise FormatError(path, i + 2 + r, f"array {name!r}: expected {cols} values")
-                try:
-                    values.append([float(v) for v in vals])
-                except ValueError as e:
-                    raise FormatError(path, i + 2 + r, f"array {name!r}: {e}") from e
-            arrays[name] = np.array(values, dtype=np.float64).reshape(rows, cols)
-            bad = first_non_finite(arrays[name])
-            if bad is not None:
-                raise FormatError(path, i + 2 + bad, f"array {name!r}: non-finite value")
-            where[name] = i + 1
-            i += 1 + rows
-        elif len(parts) == 3 and parts[0] == "scalar":
-            try:
-                scalars[name] = float(parts[2])
-            except ValueError as e:
-                raise FormatError(path, i + 1, f"bad scalar: {e}") from e
-            where[name] = i + 1
+    end_line = None
+    with read_lines(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION) as (lines, n_lines, n_chars):
+        i = 0  # 0-based index of the line in hand
+        for line in lines:
             i += 1
-        else:
-            raise FormatError(path, i + 1, f"unrecognized line: {line!r}")
+            if line == "end":
+                end_line = i + 1
+                break
+            parts = line.split()
+            name = parts[1] if len(parts) > 1 and parts[0] in ("array", "scalar") else None
+            if name in where:
+                raise FormatError(path, i + 1, f"repeated name {name!r}, first on line {where[name]}")
+            if len(parts) == 4 and parts[0] == "array":
+                try:
+                    rows, cols = int(parts[2]), int(parts[3])
+                except ValueError as e:
+                    raise FormatError(path, i + 1, f"bad array header: {e}") from e
+                if min(rows, cols) < 0:
+                    raise FormatError(path, i + 1, f"array {name!r}: negative shape {rows} x {cols}")
+                if i + rows >= n_lines:
+                    raise FormatError(path, i + 1, f"truncated array {name!r}")
+                # A row of cols values takes at least 2 * cols characters, so the file
+                # holds at most n_chars // (2 * cols) of them: an array with more rows is
+                # refused at one of those, and only they are allocated.
+                held = min(rows, n_chars // (2 * cols)) if cols else rows
+                try:
+                    a = np.empty((rows, cols) if held == rows else (held, min(cols, n_chars)))
+                except ValueError as e:  # no rows, and a width no array can have
+                    raise FormatError(path, i + 1, f"array {name!r}: {e}") from e
+                for r in range(rows):
+                    vals = next(lines, "").split()
+                    if len(vals) != cols:
+                        raise FormatError(path, i + 2 + r, f"array {name!r}: expected {cols} values")
+                    try:
+                        a[r] = [float(v) for v in vals]
+                    except (ValueError, IndexError) as e:  # IndexError: the file grew since its count
+                        raise FormatError(path, i + 2 + r, f"array {name!r}: {e}") from e
+                bad = first_non_finite(a)
+                if bad is not None:
+                    raise FormatError(path, i + 2 + bad, f"array {name!r}: non-finite value")
+                arrays[name] = a
+                where[name] = i + 1
+                i += rows
+            elif len(parts) == 3 and parts[0] == "scalar":
+                try:
+                    scalars[name] = float(parts[2])
+                except ValueError as e:
+                    raise FormatError(path, i + 1, f"bad scalar: {e}") from e
+                where[name] = i + 1
+            else:
+                raise FormatError(path, i + 1, f"unrecognized line: {line!r}")
     if end_line is None:
-        raise FormatError(path, len(lines), "missing 'end' marker (truncated file?)")
+        raise FormatError(path, n_lines, "missing 'end' marker (truncated file?)")
 
     def take(name: str, *shape: int | None) -> np.ndarray:
         """Pop an array of the given shape (None: any size); a 1-d shape is stored as one row."""

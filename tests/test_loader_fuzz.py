@@ -16,6 +16,12 @@ The 10**11 header sizes that would not fit in memory (or, for n_cameras,
 exceed data.MAX_CAMERAS) are checked explicitly: the loaders refuse them
 before allocating anything.  So is a file with no records and a d_in too
 large for any array.
+
+Lines end where str.splitlines ends them, not only at newlines: a break
+such as \\x0c or \\u2028 inside a line ends it there, which str.split alone
+would read as a space.  The expected refusals of those cases were taken
+from the loaders that read a whole file and split it with str.splitlines.
+A file with \\r\\n or \\r line ends loads as its \\n twin.
 """
 
 import numpy as np
@@ -163,3 +169,43 @@ def test_bad_optimizer_scalar_names_its_line(valid_files, tmp_path, name, value)
         load_checkpoint(path)
     assert err.value.line == at + 1
     assert err.value.reason.startswith(f"optimizer.{name} must be")
+
+
+# Every character but "\n" and "\r" at which str.splitlines ends a line.
+LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS, ids=[f"U+{ord(b):04X}" for b in LINE_BREAKS])
+@pytest.mark.parametrize("kind, at, after, line, reason", [
+    ("dataset", 5, 3, 4, "d_in 3, but record 0 has 1 feature values"),
+    ("dataset", 7, 2, 8, "record 2: expected 6 fields, got 3"),
+    ("dataset", 2, 0, 3, "expected 'n_cameras <value>', got 'n_cameras'"),
+    ("checkpoint", 1, 1, 2, "unrecognized line: 'array model.W1'"),
+    ("checkpoint", 2, 0, 3, "array 'model.W1': expected 3 values"),
+], ids=["record-0", "record-2", "header", "array-header", "value-row"])
+def test_line_break_inside_a_line_ends_it(valid_files, tmp_path, brk, kind, at, after, line,
+                                          reason):
+    # The break replaces the space after token `after` of line `at`.
+    lines = list(valid_files[kind])
+    tokens = lines[at].split(" ")
+    lines[at] = " ".join(tokens[:after + 1]) + brk + " ".join(tokens[after + 1:])
+    path = tmp_path / f"{kind}.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as err:
+        LOADERS[kind](path)
+    assert type(err.value) is FormatError
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_carriage_return_file_loads_as_its_newline_twin(valid_files, tmp_path, kind, newline):
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes((newline.join(valid_files[kind]) + newline).encode())
+    loaded, again = LOADERS[kind](path), tmp_path / "again.txt"
+    if kind == "dataset":
+        save_dataset(loaded, again)
+    else:
+        save_checkpoint(again, loaded.model, loaded.head, loaded.optimizer, loaded.state,
+                        loaded.arrays, loaded.scalars)
+    assert again.read_text().splitlines() == valid_files[kind]
