@@ -35,7 +35,7 @@ from typing import Callable, Iterator
 from .data import Dataset, SynthSpec, dataclass_from_dict, generate_synthetic
 from .errors import ConfigError, ContractError
 from .evaluation import evaluate
-from .trainer import TrainConfig, TrainLog, train
+from .trainer import TrainConfig, TrainLog, check_corpus, train
 
 BENCHMARK_SPEC = SynthSpec()  # 200 identities, 4 cameras, generator defaults
 
@@ -191,13 +191,16 @@ def run_settings(
     validate_each_epoch, the query/gallery scores of every epoch go into
     the log as well.  seeds must be nonempty and distinct: each is one
     paired comparison.  Every setting's config is built and checked on
-    every seed before the first one trains.
+    every seed, and against the train split (trainer.check_corpus), before
+    the first one trains.
     """
     if not seeds or len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must name at least one seed, each once; got {list(seeds)}")
     splits = (corpus["query"], corpus["gallery"])
     configs = {label: [dataclass_from_dict(TrainConfig, {**overrides, "seed": seed}, base=base)
                        for seed in seeds] for label, overrides in settings.items()}
+    for label_configs in configs.values():
+        check_corpus(corpus["train"], label_configs[0])  # the seed does not enter the checks
     rows = []
     for label, overrides in settings.items():
         runs = []

@@ -166,6 +166,12 @@ class Dataset:
             self._by_class = (order, starts)
         return self._by_class
 
+    def class_samples(self, classes: np.ndarray, places: np.ndarray) -> np.ndarray:
+        """The sample index at each place of each class's members
+        (class_members order), classes and places broadcast together."""
+        members, starts = self.class_members()
+        return members[starts[classes] + places]
+
     def camera_members(self) -> tuple[np.ndarray, ...]:
         """Each camera's sample indices in file order, read-only, one
         array per camera."""
@@ -367,10 +373,19 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
         f"d_in {ds.d_in}",
         f"n_samples {len(ds)}",
     )
-    columns = zip(ds.camera_ids.tolist(), ds.local_ids.tolist(), ds.truth.tolist(), ds.features)
-    records = (" ".join([str(cam), str(loc), "-" if t == -1 else str(t), *map(repr, row.tolist())])
-               for cam, loc, t, row in columns)
+    columns = zip(ds.camera_ids.tolist(), ds.local_ids.tolist(), ds.truth.tolist(),
+                  float_fields(ds.features))
+    records = (" ".join([str(cam), str(loc), "-" if t == -1 else str(t), *values])
+               for cam, loc, t, values in columns)
     write_lines_atomic(path, (line + "\n" for line in chain(header, records, ["end"])))
+
+
+def float_fields(a: np.ndarray) -> Iterator[Iterator[str]]:
+    """The values of each row of a 2-d array as repr() of Python floats,
+    the shortest text that reads back to the same float64, one row at a
+    time; the dataset and checkpoint writers share it."""
+    for row in np.asarray(a, dtype=np.float64):
+        yield map(repr, row.tolist())
 
 
 def write_lines_atomic(path: str | os.PathLike, lines: Iterable[str]) -> None:

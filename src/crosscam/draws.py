@@ -39,13 +39,11 @@ size > pop // 50) on takes the loop as well.
 
 `settled_rows` is that batched call alone: it stops at the first
 unsettled row and leaves the rest to its caller, and its then may
-return any fixed number of follow-up bounds per row.  `nested_choices`
-uses it for follow-up draws that are themselves choices (the PK
-sampler's persons, then each person's samples): each chosen member's
-choice gets one placeholder word per draw, and `_picks` decodes them
-once the members are known.  It ends its rows, before drawing, at the
-first one whose words it could not decode that way, so only a rejected
-word stops a row earlier.
+return any fixed number of follow-up bounds per row.  `placed_draws`
+decodes draws from raw words already drawn, at positions the caller
+counted with `word_counts`; the epoch plans of `crosscam.plan` decode a
+whole epoch's draws that way, and `_picks` turns their choice draws
+into picks.
 """
 
 from __future__ import annotations
@@ -91,14 +89,6 @@ def _tail_shuffled(pops: np.ndarray, size: int) -> np.ndarray:
     return (pops >= size) & (pops > 10_000) & (size > pops // 50)
 
 
-def _decodable(pops: np.ndarray, size: int) -> np.ndarray:
-    """Where a choice of size from pops reads one word per draw, so its
-    values can be decoded from placeholder words: Floyd's algorithm with
-    pop > size (pop == size starts with a draw in [0, 1), which reads no
-    word, and pop < size draws with replacement and pads with such draws)."""
-    return (pops > size) & ~_tail_shuffled(pops, size)
-
-
 def _picks(values: np.ndarray, pops: np.ndarray, size: int) -> np.ndarray:
     """Each row's choice from its draw values: the draws themselves with
     replacement, else Floyd's selection followed by its shuffle.  The
@@ -134,10 +124,39 @@ def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarra
     if words.shape != bounds.shape:
         raise ContractError(f"{words.shape} words for bounds of shape {bounds.shape}")
     n = bounds.astype(np.uint64)
-    m = words.astype(np.uint64) * n  # below 2**64 wherever n <= 2**32
+    m = words.astype(np.uint64)
+    m *= n  # below 2**64 wherever n <= 2**32
     low = m & np.uint64(WORD - 1)
-    settled = (low >= np.uint64(WORD) % n) & (n > 1) & (n <= WORD)
-    return (m >> np.uint64(32)).astype(np.int64), settled
+    settled = low >= n  # 2**32 mod n < n, so only a low part below n needs the threshold
+    near = ~settled
+    if near.any():
+        settled[near] = low[near] >= np.uint64(WORD) % n[near]
+    settled &= (n > 1) & (n <= WORD)
+    m >>= np.uint64(32)
+    return m.astype(np.int64), settled
+
+
+def word_counts(bounds: np.ndarray) -> np.ndarray:
+    """The 32-bit words each row of draws in [0, bounds) reads when no
+    word is rejected: one per draw, none for a bound of 1."""
+    return np.count_nonzero(np.asarray(bounds) > 1, axis=-1)
+
+
+def placed_draws(words: np.ndarray, starts: np.ndarray,
+                 bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, settled) of (R, m) draws in [0, bounds) read from a stream
+    of raw 32-bit words, row r's from words[starts[r]] on, one word per
+    draw but none for a bound-1 draw (value 0, settled); elsewhere as
+    lemire.  A position past the stream reads its last word (or 0 from
+    an empty one), which a caller that counted the words never keeps."""
+    reads = bounds > 1
+    at = np.cumsum(reads, axis=1)
+    at -= reads
+    at += np.asarray(starts)[:, None]
+    values, settled = lemire(words.take(at, mode="clip") if words.size else np.zeros_like(at),
+                             bounds)
+    settled |= ~reads
+    return values, settled
 
 
 def settled_rows(
@@ -195,41 +214,3 @@ def choice_rows(
             row_bounds = _follow_up_bounds(then, np.array([r]), out[r:r + 1], size)[0].tolist()
             drawn[r] = [rng.integers(h) for h in row_bounds]
     return out, drawn
-
-
-def nested_choices(
-    rng: np.random.Generator, pops: np.ndarray, size: int, first: np.ndarray,
-    member_pops: np.ndarray, sub_size: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(choices, sub-choices, settled): the (settled, size) choices and
-    (settled, size, sub_size) sub-choices of this loop over its first
-    settled rows; rng ends in the state the loop leaves after them:
-
-        for r in range(R):
-            c[r] = rng.choice(pops[r], size, replace=False)
-            for i, j in enumerate(c[r]):
-                p = member_pops[first[r] + j]
-                s[r, i] = rng.choice(p, size=sub_size, replace=p < sub_size)
-
-    The rows end, before anything is drawn, at the first row r that is
-    short (pops[r] < size), in numpy's tail-shuffle branch, or holds a
-    member in member_pops[first[r]:first[r] + pops[r]] that _decodable
-    rejects; one settled_rows call draws the rows before it and settles
-    them all but from a rejected placeholder word on."""
-    pops = np.asarray(pops, dtype=np.int64)
-    first, member_pops = np.asarray(first, dtype=np.int64), np.asarray(member_pops, dtype=np.int64)
-    undecodable = np.concatenate([[0], np.cumsum(~_decodable(member_pops, sub_size))])  # before i
-    stop = ((pops < size) | _tail_shuffled(pops, size)
-            | (undecodable[first + pops] > undecodable[first]))
-    end = int(np.argmax(stop)) if stop.any() else pops.size
-    per = 2 * sub_size - 1  # Floyd's sub_size draws and its sub_size - 1 shuffle draws
-
-    def members(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-        return member_pops[first[rows, None] + chosen].reshape(-1)
-
-    def then(rows: np.ndarray, chosen: np.ndarray) -> np.ndarray:
-        return _draw_bounds(members(rows, chosen), sub_size, 0).reshape(rows.size, size * per)
-
-    chosen, drawn, settled = settled_rows(rng, pops[:end], size, then, size * per)
-    subs = _picks(drawn.reshape(-1, per), members(np.arange(settled), chosen), sub_size)
-    return chosen, subs.reshape(settled, size, sub_size), settled

@@ -158,13 +158,15 @@ def intra_triplet_loss(batch: TripletBatch, margin: float) -> LossValue:
     return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], neg_d)
 
 
-def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Generator) -> LossValue:
+def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Generator,
+                        drawn: np.ndarray | None = None) -> LossValue:
     """Triplet hinge with uniformly random positive and negative per anchor.
 
     The positive is drawn among the anchor's other same-person
     embeddings, the negative among all different-person embeddings.
     Exists as the mining-strategy control; same gradient structure as the
-    hard-mined loss.
+    hard-mined loss.  drawn, when given, holds the (anchors, 2) draws
+    (of an epoch plan) in place of rng's.
     """
     E, labels = _validate_triplet_batch(batch)
     D = squared_distances(E, E)
@@ -175,7 +177,8 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     # One draw per anchor among its other same-person indices, then one
     # among the different-person ones, interleaved in anchor order; the
     # k-th (0-based) True of a row is where its running count passes k.
-    k = rng.integers(np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1))
+    k = drawn if drawn is not None else rng.integers(
+        np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1))
     pos_pick = np.argmax(np.cumsum(same, axis=1) > k[:, :1], axis=1)
     neg_pick = np.argmax(np.cumsum(other, axis=1) > k[:, 1:], axis=1)
     rows = np.arange(E.shape[0])
@@ -242,6 +245,38 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
     )
 
 
+def nearest_positions(table: SoftLabelTable, classes: np.ndarray, n_k: int) -> np.ndarray:
+    """(len(classes), n_k) places in each class's candidate row of its n_k
+    top affinities, in descending order (ties to the lower place), padded
+    cyclically; every class must have a candidate."""
+    pops = table.count[classes]
+    real = np.arange(table.index.shape[1]) < pops[:, None]
+    order = np.argsort(np.where(real, -table.weights[classes], np.inf), axis=1, kind="stable")
+    return np.take_along_axis(order, np.arange(n_k) % pops[:, None], axis=1)
+
+
+def draw_positives(
+    drawing: np.ndarray, table: SoftLabelTable, dataset: Dataset, n_k: int,
+    rng: np.random.Generator, positive_sampling: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(at, slot): the draws of select_positives for the anchor classes
+    drawing, none of them degenerate, anchor after anchor: each anchor's
+    n_k places in its candidate row ("random": a choice without
+    replacement, with replacement when fewer than n_k candidates exist,
+    through draws.choice_rows; "nearest": nearest_positions, no draw),
+    and then, per place, a uniform slot among that person's samples."""
+    index, pops = table.index[drawing], table.count[drawing]
+    starts = dataset.class_members()[1]
+    if positive_sampling == "random":
+        def sample_counts(rows, at):
+            person = index[rows[:, None], at]
+            return starts[person + 1] - starts[person]
+        return choice_rows(rng, pops, n_k, then=sample_counts)
+    at = nearest_positions(table, drawing, n_k)
+    drawn = np.take_along_axis(index, at, axis=1)
+    return at, rng.integers(starts[drawn + 1] - starts[drawn])
+
+
 def select_positives(
     anchor_classes: np.ndarray,
     aff: AffinityMatrix,
@@ -250,6 +285,7 @@ def select_positives(
     rng: np.random.Generator,
     weighting_mode: str = "AW",
     positive_sampling: str = "random",
+    drawn: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Choose n_k cross-camera positive samples and their weights per anchor.
 
@@ -259,7 +295,8 @@ def select_positives(
     affinities ("nearest", padded cyclically).  One uniformly random
     sample of each drawn person is used.  Weights are 1/n_k in mode
     "AW", or the drawn affinities renormalized to sum 1 in mode "W".
-    Anchors draw in order, persons first, through draws.choice_rows.
+    The draws are draw_positives'; drawn, when given, holds them (an
+    epoch plan's (at, slot)) in place of rng's.
 
     anchor_classes is (A,).  Returns the (V, n_k) dataset sample indices
     and (V, n_k) weights of the V anchors that draw, in anchor order, and
@@ -278,23 +315,11 @@ def select_positives(
     table = aff.candidates
     valid = table.count[anchor_classes] > 0
     drawing = anchor_classes[valid]
-    index, pops = table.index[drawing], table.count[drawing]
-    members, starts = dataset.class_members()
-    if positive_sampling == "random":
-        def sample_counts(rows, at):
-            person = index[rows[:, None], at]
-            return starts[person + 1] - starts[person]
-        at, slot = choice_rows(rng, pops, n_k, then=sample_counts)
-        drawn = np.take_along_axis(index, at, axis=1)
-    else:
-        real = np.arange(index.shape[1]) < pops[:, None]
-        order = np.argsort(np.where(real, -table.weights[drawing], np.inf), axis=1, kind="stable")
-        at = np.take_along_axis(order, np.arange(n_k) % pops[:, None], axis=1)
-        drawn = np.take_along_axis(index, at, axis=1)
-        slot = rng.integers(starts[drawn + 1] - starts[drawn])
-    picks = members[starts[drawn] + slot]
+    at, slot = drawn if drawn is not None else draw_positives(drawing, table, dataset, n_k, rng,
+                                                              positive_sampling)
+    picks = dataset.class_samples(table.index[drawing[:, None], at], slot)
     if weighting_mode == "W":
-        w = np.take_along_axis(table.weights[drawing], at, axis=1)
+        w = table.weights[drawing[:, None], at]
         w /= w.sum(axis=1, keepdims=True)
     else:
         w = np.full(picks.shape, 1.0 / n_k)
@@ -372,7 +397,8 @@ def select_hardest_negative(
     ii, jj = np.divmod(np.flatnonzero(keep), keep.shape[1])  # row-major, as np.nonzero
     diffs = batch_embeddings[jj] - anchors[ii]
     dist = np.full(keep.shape, np.inf)
-    dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))
+    with np.errstate(over="ignore"):  # an overflowing pair is +inf, handled below
+        dist[ii, jj] = np.sqrt(np.sum(diffs * diffs, axis=1))
     picks = np.argmin(dist, axis=1)
     far = np.flatnonzero(dist[rows, picks] == np.inf)
     if far.size:  # the first pair under the per-pair bound E_ij
@@ -418,7 +444,8 @@ def weighted_triplet_loss(
     pos_d = np.sqrt(np.sum(to_pos * to_pos, axis=2))
     to_neg = anchor - negative
     neg_d = _row_lengths(to_neg)
-    hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN hinge, which the loss shows
+        hinge = np.sum(weights * pos_d, axis=1) - neg_d + margin
     active = hinge > 0.0
     # Every row is computed, row by row as an active row alone would be,
     # and the inactive rows, whose values may overflow, are then zeroed.

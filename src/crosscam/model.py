@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .data import first_non_finite, read_lines, write_lines_atomic
+from .data import first_non_finite, float_fields, read_lines, write_lines_atomic
 from .errors import ContractError, FormatError, TrainingError
 
 CHECKPOINT_FORMAT = "crosscam-checkpoint"
@@ -256,8 +256,8 @@ def sgd_step(
 def _array_lines(name: str, a: np.ndarray) -> Iterator[str]:
     a = np.atleast_2d(np.asarray(a))
     yield f"array {name} {a.shape[0]} {a.shape[1]}\n"
-    for row in a:
-        yield " ".join(repr(float(v)) for v in row) + "\n"
+    for values in float_fields(a):
+        yield " ".join(values) + "\n"
 
 
 def save_checkpoint(

@@ -18,7 +18,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .affinity import (  # noqa: F401
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, field_accepts
-from .draws import choice_rows, nested_choices
+from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -57,6 +57,7 @@ from .model import (  # noqa: F401
     init_model,
     sgd_step,
 )
+from .plan import Draws, plan_epoch
 
 INTER_MODES = ("C", "D", "C+D")
 WEIGHTING_MODES = ("AW", "W")
@@ -238,64 +239,43 @@ def _camera_persons(dataset: Dataset, camera_id: int) -> tuple[int, int]:
     return first, stop - first
 
 
-def _pk_batch(dataset: Dataset, camera_id: int, n_p: int, n_k: int,
-              rng: np.random.Generator) -> PKBatch:
-    """One PK batch of a checked camera, through Generator.choice and
-    draws.choice_rows."""
+def _pk_draws(dataset: Dataset, camera_id: int, n_p: int, n_k: int,
+              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(classes, slots) of one PK batch of a checked camera, through
+    Generator.choice and draws.choice_rows: each person's places in its
+    class_members list."""
     persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
     if persons.size >= n_p:
         chosen = rng.choice(persons, size=n_p, replace=False)
     else:
         extra = rng.choice(persons, size=n_p - persons.size, replace=True)
         chosen = np.concatenate([rng.permutation(persons), extra])
-    members, starts = dataset.class_members()
-    first = starts[chosen]
-    slots, _ = choice_rows(rng, starts[chosen + 1] - first, n_k)
-    picks = members[first[:, None] + slots]
-    return PKBatch(sample_indices=picks, classes=chosen.astype(np.int64))
+    starts = dataset.class_members()[1]
+    slots, _ = choice_rows(rng, starts[chosen + 1] - starts[chosen], n_k)
+    return chosen, slots
 
 
 def pk_sampler(
-    dataset: Dataset, cameras: int | Sequence[int], n_p: int, n_k: int, rng: np.random.Generator
+    dataset: Dataset, camera_id: int, n_p: int, n_k: int, rng: np.random.Generator,
+    drawn: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> PKBatch:
-    """Draw n_p persons of one camera, n_k samples each; given a run of
-    cameras, the batches of one call per camera in turn, stacked on a
-    leading axis ((T, n_p, n_k) sample indices, (T, n_p) classes).
+    """Draw n_p persons of one camera, n_k samples each.
 
     Persons are drawn without replacement; when the camera has fewer than
     n_p persons, every person is included once and the remainder is drawn
     with replacement.  Samples per person are drawn without replacement,
     falling back to replacement when the person has fewer than n_k, one
-    person after another through draws.choice_rows.
-
-    A run leaves rng where one call per camera would, but draws its
-    batches in one draws.nested_choices call and maps the chosen persons
-    and slots to classes and samples.  That call decides before drawing
-    where the run stops: at the first camera with fewer than n_p persons
-    (which numpy draws through permutation), with a person of at most n_k
-    samples (whose slot draws include draws in [0, 1), which read no
-    word), or whose persons or a person's samples numpy would draw
-    through its tail-shuffle branch; a rejected slot word can stop it
-    earlier.  The batches from there on are drawn one camera at a time.  Every camera of a run is checked before anything is drawn.
-    train draws every epoch that draws nothing but its PK batches as one
-    run; the others draw between their batches, so take one call per
-    iteration.  Either way the generator's state at each epoch boundary
-    is the same; after a mid-epoch TrainingError, a run epoch's
-    generator is already past the epoch's PK draws.
+    person after another through draws.choice_rows, whose places
+    Dataset.class_samples maps to samples.  drawn, when given, holds the
+    (classes, sample indices) of an epoch plan, mapped the same way, in
+    place of rng's draws (crosscam.plan tells where a plan stops); the
+    camera is checked either way.
     """
-    if np.ndim(cameras) == 0:
-        _camera_persons(dataset, int(cameras))
-        return _pk_batch(dataset, int(cameras), n_p, n_k, rng)
-    cams = [int(c) for c in cameras]
-    first, pops = np.array([_camera_persons(dataset, c) for c in cams],
-                           dtype=np.int64).reshape(-1, 2).T
-    members, starts = dataset.class_members()
-    chosen, slots, settled = nested_choices(rng, pops, n_p, first, np.diff(starts), n_k)
-    classes = first[:settled, None] + chosen
-    picks = members[starts[classes][..., None] + slots]
-    rest = [_pk_batch(dataset, c, n_p, n_k, rng) for c in cams[settled:]]
-    return PKBatch(np.concatenate([picks] + [b.sample_indices[None] for b in rest]),
-                   np.concatenate([classes] + [b.classes[None] for b in rest]))
+    _camera_persons(dataset, camera_id)
+    if drawn is None:
+        classes, slots = _pk_draws(dataset, camera_id, n_p, n_k, rng)
+        drawn = classes, dataset.class_samples(classes[:, None], slots)
+    return PKBatch(sample_indices=drawn[1], classes=drawn[0])
 
 
 def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -318,15 +298,20 @@ def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.nda
 
 
 def classification_sampler(
-    dataset: Dataset, rng: np.random.Generator, batch_total: int = 64
+    dataset: Dataset, rng: np.random.Generator, batch_total: int = 64,
+    drawn: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Camera-balanced sample draw: camera_shares' quota from each camera.
+    """Camera-balanced sample draw: camera_shares' quota from each camera,
+    one Generator.choice each (with replacement when the camera has fewer
+    samples).  drawn, when given, holds each camera's places in its sample
+    list, drawn by an epoch plan in place of rng.
 
     Returns dataset sample indices in camera order.
     """
     quota, cameras = camera_shares(dataset, batch_total)
-    return np.concatenate([rng.choice(idx, size=quota, replace=idx.size < quota)
-                           for idx in cameras])
+    if drawn is None:
+        drawn = [rng.choice(idx.size, size=quota, replace=idx.size < quota) for idx in cameras]
+    return np.concatenate([idx[p] for idx, p in zip(cameras, drawn)])
 
 
 @dataclass
@@ -376,9 +361,12 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
 # merge order); a step without terms returns loss 0.0 and no gradients.
 # Each backward takes the hidden activations of its batch's forward in the
 # same iteration, before sgd_step changes the parameters.  The soft-label
-# steps read the epoch's affinity from state.final_affinity.
+# steps read the epoch's affinity from state.final_affinity.  Each step
+# takes its iteration's planned draws, None where its sampler draws from
+# state.rng.
 
-def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PKBatch) -> tuple:
+def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PKBatch,
+                drawn: np.ndarray | None = None) -> tuple:
     """Within-camera triplet on one PK batch: (X, its hidden activations,
     its TripletBatch, step result); the D step reuses the first three."""
     X = dataset.features[pk.sample_indices.reshape(-1)]
@@ -387,19 +375,20 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PK
     if config.mining_mode == "hard":
         lv = intra_triplet_loss(tb, config.margin)
     else:
-        lv = random_triplet_loss(tb, config.margin, state.rng)
+        lv = random_triplet_loss(tb, config.margin, state.rng, drawn)
     n = E.shape[0]
     dE = lv.grads["embeddings"].reshape(n, -1)
     dE /= n
     return X, H, tb, (lv.loss, n, 0, [backward(state.model, X, dE, H)])
 
 
-def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig) -> tuple:
+def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
+                  drawn: np.ndarray | None = None) -> tuple:
     """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
     soft-label row is degenerate add no term and get a zero score
     gradient row.  The loss's own gradient array, scaled in place, is the
     score gradient; the batch's forward activations go to its backward."""
-    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
+    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total, drawn)
     Xc = dataset.features[cls_idx]
     Vc, Hc = forward_with_hidden(state.model, Xc)
     probs = softmax_probs(head_forward(state.head, Vc))
@@ -415,7 +404,8 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig) -> t
 
 
 def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
-            H: np.ndarray, tb: TripletBatch) -> tuple:
+            H: np.ndarray, tb: TripletBatch,
+            drawn: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
     """Weighted soft triplet ("D") with every row of the intra batch an
     anchor: X, its hidden activations H and tb are the intra step's, and
     the positives' activations come from their own forward.  An anchor
@@ -425,6 +415,7 @@ def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndar
     picks, weights, valid = select_positives(
         labels, state.final_affinity, dataset, config.n_k, state.rng,
         weighting_mode=config.weighting_mode, positive_sampling=config.positive_sampling,
+        drawn=drawn,
     )
     anchors = np.flatnonzero(valid)
     if not anchors.size:
@@ -470,39 +461,32 @@ def _update_buffer(buf: PersonBuffer, tb: TripletBatch) -> None:
 EpochCallback = Callable[[int, TrainState], None]
 
 
-def train(
-    dataset: Dataset,
-    config: TrainConfig,
-    query: Dataset | None = None,
-    gallery: Dataset | None = None,
-    epoch_callback: EpochCallback | None = None,
-) -> TrainState:
-    """Run the full schedule on a training dataset.
+def _soft_terms(config: TrainConfig) -> tuple[bool, bool]:
+    """Whether the joint epochs take the C term and the D term."""
+    active = config.epochs > config.warmup_epochs and config.lam > 0.0
+    return active and config.inter_mode in ("C", "C+D"), active and config.inter_mode in ("D", "C+D")
 
-    When query and gallery are given, retrieval metrics are computed
-    after every epoch and logged.  epoch_callback, when given, observes
-    the live state after each epoch (used for checkpointing).
 
-    An epoch that draws nothing but its PK batches (hard mining and no C
-    or D term: every warmup epoch, and every epoch when lam = 0) draws
-    them in one pk_sampler call over the epoch's cameras, and other
-    epochs one call per iteration; the pk_sampler docstring tells where
-    such a run stops and where a mid-epoch TrainingError leaves the
-    generator.
-    """
+def check_corpus(dataset: Dataset, config: TrainConfig) -> list[int]:
+    """The camera of each iteration of an epoch (the cameras of at least
+    two persons in turn, from the first), once config and dataset are
+    known to train together: refused with a ConfigError or ContractError
+    are an invalid config, a split other than train, an empty dataset, a
+    C term whose camera-balanced batch cannot be drawn (camera_shares),
+    no camera of two persons and, with joint epochs, a one-person camera
+    or fewer batches per epoch than such cameras.  train calls it before
+    anything is drawn, and benchmark.run_settings for every setting
+    before the first one trains.  (Whether the warmup epochs reached
+    every person is known only once they have drawn; the first joint
+    epoch checks it.)"""
     config.validate()
     if dataset.split != "train":
         raise ContractError(f"training expects the train split, got {dataset.split!r}")
     if len(dataset) == 0:
         raise ContractError("cannot train on an empty dataset")
-
-    joint_epochs = config.epochs > config.warmup_epochs
-    inter_active = joint_epochs and config.lam > 0.0
-    use_c = inter_active and config.inter_mode in ("C", "C+D")
-    use_d = inter_active and config.inter_mode in ("D", "C+D")
-    if use_c:
+    if _soft_terms(config)[0]:
         camera_shares(dataset, config.class_batch_total)
-
+    joint_epochs = config.epochs > config.warmup_epochs
     counts = dataset.index.counts
     eligible_cams = [c for c in range(dataset.n_cameras) if counts[c] >= 2]
     if not eligible_cams:
@@ -521,7 +505,36 @@ def train(
             f"camera each in turn from the first, so camera {eligible_cams[iters_per_epoch]} never "
             "gets one and its buffer columns stay empty; lower n_p or n_k"
         )
+    return [eligible_cams[it % len(eligible_cams)] for it in range(iters_per_epoch)]
 
+
+def train(
+    dataset: Dataset,
+    config: TrainConfig,
+    query: Dataset | None = None,
+    gallery: Dataset | None = None,
+    epoch_callback: EpochCallback | None = None,
+) -> TrainState:
+    """Run the full schedule on a training dataset.
+
+    When query and gallery are given, retrieval metrics are computed
+    after every epoch and logged.  epoch_callback, when given, observes
+    the live state after each epoch (used for checkpointing).
+
+    Every epoch draws its batches through one epoch plan
+    (plan.plan_epoch), made after the epoch's affinity and before its
+    first iteration; each iteration hands its planned draws to
+    pk_sampler, random_triplet_loss, classification_sampler and
+    select_positives, one call each, and from the first iteration the
+    plan does not settle on (the crosscam.plan docstring tells where)
+    those draw from the generator themselves.  The generator's state at
+    each epoch boundary is the one the per-iteration draws leave.  A
+    TrainingError in an iteration the plan settled leaves the generator
+    past all of the epoch's planned draws; in a later one, past that
+    iteration's draws up to the failing step.
+    """
+    cams = check_corpus(dataset, config)
+    use_c, use_d = _soft_terms(config)
     init_seed, train_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng_init = np.random.default_rng(init_seed)
     state = TrainState(
@@ -532,27 +545,31 @@ def train(
         rng=np.random.default_rng(train_seed),
     )
 
-    cams = [eligible_cams[it % len(eligible_cams)] for it in range(iters_per_epoch)]
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         joint = epoch > config.warmup_epochs
         degenerate_rows, affinity_map = _epoch_start(state, dataset, config) if joint else (0, None)
         intra, inter = [0.0, 0], [0.0, 0]  # loss sum and terms of each phase
         skipped = 0
-        run = (pk_sampler(dataset, cams, config.n_p, config.n_k, state.rng)
-               if config.mining_mode == "hard" and not (joint and (use_c or use_d)) else None)
+        plan = plan_epoch(
+            state.rng, dataset, cams, config.n_p, config.n_k,
+            random_mining=config.mining_mode == "random",
+            shares=camera_shares(dataset, config.class_batch_total) if joint and use_c else None,
+            candidates=state.final_affinity.candidates if joint and use_d else None,
+            nearest=config.positive_sampling == "nearest",
+        )
         for it, cam in enumerate(cams):
-            pk = (PKBatch(run.sample_indices[it], run.classes[it]) if run is not None else
-                  pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng))
-            X, H, tb, out = _intra_step(state, dataset, config, pk)
+            drawn = plan[it] if it < len(plan) else Draws()
+            pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng, drawn.pk)
+            X, H, tb, out = _intra_step(state, dataset, config, pk, drawn.mining)
             # In merge order; a step runs only once the one before it passed the check.
             steps = [(intra, "intra loss", lambda: out)]
             if joint and use_c:
                 steps.append((inter, "soft cross-entropy",
-                              lambda: _soft_ce_step(state, dataset, config)))
+                              lambda: _soft_ce_step(state, dataset, config, drawn.cls)))
             if joint and use_d:
                 steps.append((inter, "weighted triplet loss",
-                              lambda: _d_step(state, dataset, config, X, H, tb)))
+                              lambda: _d_step(state, dataset, config, X, H, tb, drawn.positives)))
             grads: dict[str, np.ndarray] = {}
             for sums, what, step in steps:
                 loss, terms, skip, step_grads = step()

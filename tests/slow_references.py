@@ -267,7 +267,8 @@ def select_hardest_negative(anchor_embedding, batch_embeddings, batch_classes, a
     if eligible.size == 0:
         raise SelectionError(f"no same-camera negative available for class {anchor_class}")
     diffs = np.asarray(batch_embeddings, dtype=np.float64)[eligible] - anchor_embedding[None, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=1))
+    with np.errstate(over="ignore"):  # an overflowing distance is +inf
+        dists = np.sqrt(np.sum(diffs * diffs, axis=1))
     return int(eligible[np.argmin(dists)])
 
 
@@ -276,7 +277,8 @@ def weighted_triplet_loss(anchor, positives, weights, negative, margin):
     diffs = positives - anchor[None, :]
     pos_d = np.sqrt(np.sum(diffs * diffs, axis=1))
     neg_d = float(np.linalg.norm(anchor - negative))
-    hinge = float(np.sum(weights * pos_d) - neg_d + margin)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN hinge
+        hinge = float(np.sum(weights * pos_d) - neg_d + margin)
     g_anchor = np.zeros_like(anchor)
     g_pos = np.zeros_like(positives)
     g_neg = np.zeros_like(negative)
@@ -481,6 +483,38 @@ def pk_sampler(dataset, camera_id, n_p, n_k, rng):
         idxs = order[starts[cls]:starts[cls + 1]]
         picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
     return picks, chosen
+
+
+def epoch_draws(dataset, cams, n_p, n_k, rng, random_mining=False, batch_total=None, aff=None,
+                weighting_mode="AW", positive_sampling="random"):
+    """Each iteration's draws in train's order, one numpy call per person,
+    anchor and camera: [(PK sample indices, classes, random mining draws
+    or None, C sample indices or None, D (picks, weights) of the anchors
+    that draw or None)] for the cameras cams in turn.  Mining draws, per
+    anchor, a place among its other same-person rows, then one among the
+    other persons' rows; C, batch_total // n_cameras samples of each
+    camera; D, select_positives of each anchor whose row of aff is not
+    zero."""
+    out = []
+    for cam in cams:
+        picks, chosen = pk_sampler(dataset, cam, n_p, n_k, rng)
+        labels = np.repeat(chosen, n_k)
+        mining = cls = positives = None
+        if random_mining:
+            mining = np.array([[rng.integers(np.count_nonzero(labels == c) - 1),
+                                rng.integers(np.count_nonzero(labels != c))]
+                               for c in labels.tolist()], dtype=np.int64).reshape(-1, 2)
+        if batch_total is not None:
+            quota = batch_total // dataset.n_cameras
+            cls = np.concatenate([rng.choice(idx, size=quota, replace=idx.size < quota)
+                                  for idx in dataset.camera_members()])
+        if aff is not None:
+            rows = [select_positives(c, aff, dataset, n_k, rng, weighting_mode, positive_sampling)
+                    for c in labels.tolist() if aff.A[c].any()]
+            positives = (np.array([[p for p, _ in r] for r in rows], dtype=np.int64).reshape(-1, n_k),
+                         np.array([[w for _, w in r] for r in rows]).reshape(-1, n_k))
+        out.append((picks, chosen, mining, cls, positives))
+    return out
 
 
 def person_counts(camera_ids, local_ids, n_cameras):

@@ -222,8 +222,9 @@ def thinned(tiny_train):
 def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
     """A few warmup and joint epochs of C+D training, once through the
     package and once with the slow references in place of the intra loss,
-    the buffer update, the per-row draws and the momentum update: the
-    same log bytes, parameters, velocities, buffer and generator state.
+    the buffer update, the per-row draws (with no epoch plan, so every
+    draw goes through them) and the momentum update: the same log bytes,
+    parameters, velocities, buffer and generator state.
     The cameras hold 16, 13 and 11 persons, so n_p = 13 puts repeated
     persons in every batch of the last one and distinct ones in the
     others.  Persons keep 1-4 of their 4 samples, so n_k = 4 draws some
@@ -247,6 +248,7 @@ def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
     monkeypatch.setattr(trainer, "choice_rows", slow.choice_rows)
     monkeypatch.setattr(losses, "choice_rows", slow.choice_rows)
     monkeypatch.setattr(trainer, "sgd_step", slow.sgd_step)
+    monkeypatch.setattr(trainer, "plan_epoch", lambda *args, **kwargs: [])
     want = train(ds, config)
     assert got.log.to_json() == want.log.to_json()
     assert any(r.inter_loss for r in got.log.records)

@@ -1,25 +1,25 @@
-"""A run of PK batches drawn in one generator call gives the bits of one
-pk_sampler call per camera, and train draws runs in the epochs that
-draw nothing else.
+"""The PK batches of an epoch plan give the bits of one pk_sampler call
+per camera, and train plans every epoch.
 
-pk_sampler given a run of cameras draws it through one
-draws.nested_choices call, which ends the run before drawing at the
-first batch it could not decode, and falls back to one call per camera
-from there.  The tests compare classes, sample indices and the
-generator state afterwards (PCG64's buffered half word included) with
-one call per camera, on PCG64 and MT19937, and count the fallback
-calls, so that each case is known to take the path it is meant to: runs
-that settle in full, runs whose first batch cannot (persons with at most
-n_k samples draw bound-1 draws, which read no word), cameras with fewer
-than n_p persons partway through a run (numpy draws those through
+crosscam.plan.plan_epoch draws an epoch's PK batches (with no other
+draws here) in one generator call, ends its iterations before drawing at
+the first camera it could not decode, and pk_sampler maps its values;
+from there on pk_sampler draws one camera at a time.  The tests compare
+classes, sample indices and the generator state afterwards (PCG64's
+buffered half word included) with one call per camera, on PCG64 and
+MT19937, and count the fallback draws, so that each case is known to
+take the path it is meant to: plans that settle in full, plans whose
+first batch holds persons with at most n_k samples (whose bound-1 draws
+read no word, which the plan counts), cameras with fewer than n_p
+persons partway through an epoch (numpy draws those through
 permutation), n_p equal to a camera's person count (Floyd's first person
 draw reads no word), a slot word that Lemire's method rejects (written
 into an MT19937 stream by hand) and numpy's tail-shuffle branch.  Every
-batched call settles all the rows it is given but for a rejected word.
-The trainer tests train each schedule twice, once with one pk_sampler
-call per camera patched in, on a corpus where runs settle and on one
-thinned so that they stop at their first batch, and count pk_sampler
-calls per epoch.
+plan settles all the iterations its stop rule leaves it but for a
+rejected word.  The trainer tests train each schedule twice, once with
+the plan taken out (every draw one iteration at a time), on a corpus of
+4-sample persons and on one thinned to 1-4 samples per person, and count
+pk_sampler calls and fallback draws per epoch.
 """
 
 import dataclasses
@@ -30,8 +30,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
-from crosscam import Dataset, PersonIndex, TrainConfig, draws, train, trainer
-from crosscam.draws import _decodable, _draw_bounds, lemire, nested_choices, settled_rows
+from crosscam import Dataset, PersonIndex, TrainConfig, train, trainer
+from crosscam.draws import settled_rows
+from crosscam.plan import plan_epoch
 from crosscam.trainer import PKBatch, pk_sampler
 from slow_references import same_bits
 from test_draws_equivalence import state, twin_generators
@@ -53,25 +54,20 @@ def pk_dataset(rng, counts, samples):
 
 
 def per_camera(dataset, cameras, n_p, n_k, rng):
-    """One pk_sampler call per camera of the run, stacked as a run is."""
-    if np.ndim(cameras) == 0:
-        return pk_sampler(dataset, cameras, n_p, n_k, rng)
+    """One pk_sampler call per camera, stacked on a leading axis."""
     batches = [pk_sampler(dataset, int(c), n_p, n_k, rng) for c in cameras]
     return PKBatch(np.array([b.sample_indices for b in batches]).reshape(-1, n_p, n_k),
                    np.array([b.classes for b in batches]).reshape(-1, n_p))
 
 
 def run_and_fallbacks(dataset, cams, n_p, n_k, rng):
-    """pk_sampler's run and the number of batches it drew one camera at a time."""
-    one_camera, calls = trainer._pk_batch, []
-
-    def counted(*args):
-        calls.append(1)
-        return one_camera(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(trainer, "_pk_batch", counted)
-        return pk_sampler(dataset, cams, n_p, n_k, rng), len(calls)
+    """The batches of a PK-only epoch plan over cams, pk_sampler drawing
+    those after its last settled iteration, and how many it drew."""
+    plan = plan_epoch(rng, dataset, cams, n_p, n_k)
+    batches = [pk_sampler(dataset, int(c), n_p, n_k, rng, plan[i].pk if i < len(plan) else None)
+               for i, c in enumerate(cams)]
+    return PKBatch(np.array([b.sample_indices for b in batches]).reshape(-1, n_p, n_k),
+                   np.array([b.classes for b in batches]).reshape(-1, n_p)), len(cams) - len(plan)
 
 
 def assert_same_run(got, want):
@@ -81,11 +77,11 @@ def assert_same_run(got, want):
 
 
 def pk_case(rng, case):
-    """(dataset, cameras, n_p, n_k) of a run.  "settles": every camera has
-    at least n_p persons (one of them exactly n_p) and every person more
-    than n_k samples.  "first": the run's first camera has only persons
+    """(dataset, cameras, n_p, n_k) of an epoch.  "settles": every camera
+    has at least n_p persons (one of them exactly n_p) and every person
+    more than n_k samples.  "first": the first camera has only persons
     of 1 to n_k samples.  "short": a camera with fewer than n_p persons
-    first comes partway through the run, the last camera.  "mixed":
+    first comes partway through the epoch, the last camera.  "mixed":
     persons of 1 to n_k + 2 samples and cameras of 2 to n_p + 3 persons."""
     n_p, n_k = int(rng.integers(3 if case == "short" else 2, 7)), int(rng.integers(2, 5))
     n_cams = int(rng.integers(2, 5))
@@ -116,9 +112,8 @@ def pk_case(rng, case):
 @given(seed=seeds, bit_generator=bit_generators,
        case=st.sampled_from(["settles", "first", "short", "mixed"]))
 def test_run_matches_one_call_per_camera(seed, bit_generator, case):
-    """The runs of pk_case: nothing falls back where they settle, every
-    batch where the first camera cannot, and every batch from the short
-    camera on."""
+    """The epochs of pk_case: nothing falls back before the first camera
+    with fewer than n_p persons, and every batch from there on."""
     rng = np.random.default_rng(seed)
     ds, cams, n_p, n_k = pk_case(rng, case)
     ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
@@ -127,40 +122,27 @@ def test_run_matches_one_call_per_camera(seed, bit_generator, case):
     out, fallbacks = run_and_fallbacks(ds, cams, n_p, n_k, got)
     assert state(got) == state(ref)
     assert_same_run(out, want)
-    short = ds.n_cameras - 1
-    if case == "short" and short in cams:
-        assert fallbacks == len(cams) - cams.index(short)
-    elif case in ("settles", "short"):
+    short = [i for i, c in enumerate(cams) if ds.index.counts[c] < n_p]
+    assert fallbacks == (len(cams) - short[0] if short else 0)
+    if case in ("settles", "first"):
         assert fallbacks == 0
-    elif case == "first":
-        assert fallbacks == len(cams)
-
-
-def settled_rows_calls(monkeypatch):
-    """(rows given, rows settled) of every draws.settled_rows call from now on."""
-    calls, real = [], draws.settled_rows
-
-    def recorded(rng, pops, *args):
-        out = real(rng, pops, *args)
-        calls.append((len(pops), out[2]))
-        return out
-
-    monkeypatch.setattr(draws, "settled_rows", recorded)
-    return calls
 
 
 @pytest.mark.parametrize("case", ["mixed", "first", "thinned"])
-def test_batched_calls_settle_every_row_they_are_given(monkeypatch, tiny_train, case):
-    # PCG64 on fixed seeds, so that no word is rejected: each batch a run
-    # hands to a batched call settles, whichever persons it chooses.
+def test_batched_calls_settle_every_row_they_are_given(tiny_train, case):
+    # PCG64 on fixed seeds, so that no word is rejected: each plan settles
+    # every iteration up to its first camera with fewer than n_p persons,
+    # whichever persons it chooses.
     thin = thinned(tiny_train)
-    calls = settled_rows_calls(monkeypatch)
+    planned = 0
     for seed in range(30):
         ds, cams, n_p, n_k = ((thin, [0, 1, 2] * 5, 6, 2) if case == "thinned"
                               else pk_case(np.random.default_rng(seed), case))
-        pk_sampler(ds, cams, n_p, n_k, np.random.default_rng(seed))
-    assert any(given for given, _ in calls)
-    assert all(settled == given for given, settled in calls)
+        short = [i for i, c in enumerate(cams) if ds.index.counts[c] < n_p]
+        plan = plan_epoch(np.random.default_rng(seed), ds, cams, n_p, n_k)
+        assert len(plan) == (short[0] if short else len(cams))
+        planned += len(plan)
+    assert planned
 
 
 def untemper(words):
@@ -252,19 +234,28 @@ def test_settled_rows_with_any_number_of_follow_ups(seed, bit_generator):
 
 @SETTINGS
 @given(seed=seeds, bit_generator=bit_generators)
-def test_nested_choices_match_their_loop(seed, bit_generator):
-    """nested_choices' settled rows, followed by the loop of its docstring
-    from there, give the loop's choices and state; the rows settle up to
-    the first one the stop rule names (short, or holding a member of at
-    most sub_size), but where a placeholder word is rejected."""
+def test_plan_pk_draws_match_their_loop(seed, bit_generator):
+    """A PK-only plan over one camera per row, followed by this loop from
+    its first unsettled row, gives the loop's choices and state; the rows
+    settle up to the first short one (pops[r] < size), whatever the
+    member populations, one-sample members and members of at most
+    sub_size included:
+
+        for r in range(R):
+            c[r] = rng.choice(pops[r], size, replace=False)
+            for i, j in enumerate(c[r]):
+                p = member_pops[first[r] + j]
+                s[r, i] = rng.choice(p, size=sub_size, replace=p < sub_size)
+    """
     rng = np.random.default_rng(seed)
     size, sub_size = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    pops = rng.integers(size, size + 4, size=int(rng.integers(0, 9)))
-    if pops.size and rng.random() < 0.3:
+    pops = rng.integers(size, size + 4, size=int(rng.integers(1, 9)))
+    if rng.random() < 0.3:
         pops[rng.integers(pops.size)] = rng.integers(1, size + 1)
     first = np.concatenate([[0], np.cumsum(pops)[:-1]]).astype(np.int64)
     member_pops = rng.integers(1 if rng.random() < 0.3 else sub_size + 1, sub_size + 4,
                                size=int(pops.sum()))
+    ds = pk_dataset(rng, pops, member_pops)
 
     def loop(gen, rows):
         c = np.zeros((rows.size, size), dtype=np.int64)
@@ -275,58 +266,67 @@ def test_nested_choices_match_their_loop(seed, bit_generator):
                 s[i, j] = gen.choice(p, size=sub_size, replace=p < sub_size)
         return c, s
 
-    twins = int(rng.integers(2**31)), int(rng.integers(0, 4))
-    ref, got = twin_generators(bit_generator, *twins)
-    stop = [pops[r] < size or not _decodable(member_pops[first[r]:first[r] + pops[r]],
-                                              sub_size).all() for r in range(pops.size)]
-    end = stop.index(True) if any(stop) else pops.size
+    ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
+    short = np.flatnonzero(pops < size)
+    end = int(short[0]) if short.size else pops.size
     want_c, want_s = loop(ref, np.arange(end))
-    chosen, subs, settled = nested_choices(got, pops, size, first, member_pops, sub_size)
-    rest_c, rest_s = loop(got, np.arange(settled, end))
+    plan = plan_epoch(got, ds, list(range(pops.size)), size, sub_size)
+    assert len(plan) == end
+    rest_c, rest_s = loop(got, np.arange(len(plan), end))
     assert state(got) == state(ref)
-    assert np.concatenate([chosen, rest_c]).tolist() == want_c.tolist()
-    assert np.concatenate([subs, rest_s]).tolist() == want_s.tolist()
-    if settled < end:  # then row settled's slot words hold a rejected one
-        probe, _ = twin_generators(bit_generator, *twins)
-        loop(probe, np.arange(settled))
-        c = probe.choice(int(pops[settled]), size, replace=False)
-        bounds = _draw_bounds(member_pops[first[settled] + c], sub_size, 0).reshape(-1)
-        assert not lemire(probe.integers(np.full(bounds.size, 2**32)), bounds)[1].all()
+    chosen = [(d.pk[0] - first[r]).tolist() for r, d in enumerate(plan)]
+    assert chosen + rest_c.tolist() == want_c.tolist()
+
+    def samples(c, s, offset):
+        return [ds.class_samples((first[r] + cr)[:, None], sr).tolist()
+                for r, cr, sr in zip(range(offset, end), c, s)]
+
+    got = [d.pk[1].tolist() for d in plan] + samples(rest_c, rest_s, len(plan))
+    assert got == samples(want_c, want_s, 0)
 
 
 SCHEDULES = {
-    # 4 batched warmup epochs, then C+D epochs drawn one batch at a time.
+    # 4 warmup epochs, then C+D epochs.
     "warmup then C+D": dict(n_p=2, n_k=2, epochs=6, warmup_epochs=4, decay_epoch=5,
                             inter_mode="C+D"),
-    # Every epoch batched; the 11-person camera, third in the rotation, has n_p persons.
+    # The 11-person camera, third in the rotation, has n_p persons.
     "lam = 0": dict(n_p=11, n_k=2, epochs=5, warmup_epochs=2, decay_epoch=4, lam=0.0),
     "random mining": dict(n_p=4, n_k=2, epochs=4, warmup_epochs=4, decay_epoch=3,
                           lam=0.0, mining_mode="random"),
+    # Random mining and both soft terms, with weighted nearest positives.
+    "random mining C+D nearest W": dict(n_p=3, n_k=3, epochs=6, warmup_epochs=4, decay_epoch=5,
+                                        inter_mode="C+D", mining_mode="random",
+                                        positive_sampling="nearest", weighting_mode="W"),
 }
+
+
+def no_plan(*args, **kwargs):
+    """An epoch plan of no iterations: every draw one iteration at a time."""
+    return []
 
 
 @pytest.mark.parametrize("corpus", ["tiny", "thinned"])
 @pytest.mark.parametrize("schedule", list(SCHEDULES))
 def test_trainer_tripwire_against_one_call_per_camera(monkeypatch, tiny_train, schedule, corpus):
-    """On the tiny corpus (persons of 4 samples) the hard-mining schedules
-    draw their warmup and lam = 0 epochs as runs; thinned to 1-4 samples
-    per person, those runs stop at their first batch, so every batch is
-    drawn one camera at a time.  Either way: the same log bytes,
-    parameters, velocities, buffer and generator state as one call per
-    camera."""
+    """Each schedule trained with its epoch plans and with the plan taken
+    out: the same log bytes, parameters, velocities, buffer and generator
+    state.  On the tiny corpus (persons of 4 samples) the plans settle
+    every iteration; thinned to 1-4 samples per person, they still do but
+    in the D epochs with random positives, whose candidate rows mix
+    one-sample persons with others."""
     ds = tiny_train if corpus == "tiny" else thinned(tiny_train)
     config = TrainConfig(hidden_dim=8, embed_dim=4, class_batch_total=12, seed=5,
                          **SCHEDULES[schedule])
-    one_camera, calls = trainer._pk_batch, Counter()
+    one_camera, calls = trainer._pk_draws, Counter()
 
     def counted(*args):
         calls["one camera"] += 1
         return one_camera(*args)
 
     with monkeypatch.context() as mp:
-        mp.setattr(trainer, "_pk_batch", counted)
+        mp.setattr(trainer, "_pk_draws", counted)
         got = train(ds, config)
-    monkeypatch.setattr(trainer, "pk_sampler", per_camera)
+    monkeypatch.setattr(trainer, "plan_epoch", no_plan)
     want = train(ds, config)
     assert got.log.to_json() == want.log.to_json()
     for name in ("model", "head"):
@@ -338,42 +338,52 @@ def test_trainer_tripwire_against_one_call_per_camera(monkeypatch, tiny_train, s
     assert got.buffer.initialized.tolist() == want.buffer.initialized.tolist()
     assert state(got.rng) == state(want.rng)
     iters = -(-len(ds) // (config.n_p * config.n_k))
-    one_camera_epochs = {"warmup then C+D": config.epochs - config.warmup_epochs,
-                         "lam = 0": 0, "random mining": config.epochs}[schedule]
-    if corpus == "thinned":
-        one_camera_epochs = config.epochs
-    assert calls["one camera"] == one_camera_epochs * iters
+    if corpus == "thinned" and schedule == "warmup then C+D":
+        assert 0 < calls["one camera"] <= (config.epochs - config.warmup_epochs) * iters
+    else:
+        assert calls["one camera"] == 0
 
 
 def counted_calls(monkeypatch, dataset, config):
-    """pk_sampler calls per epoch of one training run, and its log."""
-    calls, epochs = [], []
+    """pk_sampler calls and the draws it made itself, per epoch of one
+    training run."""
+    calls, drew, epochs = [], [], []
+    one_camera = trainer._pk_draws
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return pk_sampler(*args)
+        return pk_sampler(*args, **kwargs)
+
+    def counted_draws(*args):
+        drew.append(1)
+        return one_camera(*args)
 
     monkeypatch.setattr(trainer, "pk_sampler", counted)
-    state_ = train(dataset, config, epoch_callback=lambda epoch, s: epochs.append(len(calls)))
-    return np.diff([0] + epochs).tolist(), state_.log.to_json()
+    monkeypatch.setattr(trainer, "_pk_draws", counted_draws)
+    train(dataset, config, epoch_callback=lambda epoch, s: epochs.append((len(calls), len(drew))))
+    return (np.diff([0] + [c for c, _ in epochs]).tolist(),
+            np.diff([0] + [d for _, d in epochs]).tolist())
 
 
 def test_pk_sampler_calls_per_epoch(monkeypatch, tiny_train):
-    """One call per batched epoch (every hard-mining warmup epoch, every
-    hard-mining epoch with lam = 0), whether or not its run settles, and
-    one per iteration otherwise (joint C+D epochs, random mining)."""
+    """One pk_sampler call per iteration in every epoch, warmup, joint,
+    lam = 0 or random mining; it draws a batch itself only from the first
+    iteration the plan does not settle, here from the first batch of the
+    camera with fewer than n_p persons."""
     base = TrainConfig(n_p=6, n_k=2, epochs=4, warmup_epochs=2, decay_epoch=3, hidden_dim=8,
                        embed_dim=4, class_batch_total=12, seed=2)
     iters = -(-len(tiny_train) // 12)
     assert iters == 14
-    assert counted_calls(monkeypatch, tiny_train, base)[0] == [1, 1, iters, iters]
+    assert counted_calls(monkeypatch, tiny_train, base) == ([iters] * 4, [0] * 4)
     lam0 = dataclasses.replace(base, lam=0.0)
-    assert counted_calls(monkeypatch, tiny_train, lam0)[0] == [1, 1, 1, 1]
+    assert counted_calls(monkeypatch, tiny_train, lam0) == ([iters] * 4, [0] * 4)
     random = dataclasses.replace(lam0, mining_mode="random")
-    assert counted_calls(monkeypatch, tiny_train, random)[0] == [iters] * 4
-    # Persons of 1-4 samples, and (n_p = 12) a camera of 11 persons.
+    assert counted_calls(monkeypatch, tiny_train, random) == ([iters] * 4, [0] * 4)
+    # Persons of 1-4 samples, and (n_p = 12) a camera of 11 persons, third in the rotation.
     ds = thinned(tiny_train)
-    assert counted_calls(monkeypatch, ds, lam0)[0] == [1, 1, 1, 1]
-    assert counted_calls(monkeypatch, ds, base)[0] == [1, 1] + [-(-len(ds) // 12)] * 2
+    thin_iters = -(-len(ds) // 12)
+    assert counted_calls(monkeypatch, ds, lam0) == ([thin_iters] * 4, [0] * 4)
     short = dataclasses.replace(lam0, n_p=12)
-    assert counted_calls(monkeypatch, tiny_train, short)[0] == [1, 1, 1, 1]
+    assert tiny_train.index.counts[2] == 11
+    iters = -(-len(tiny_train) // 24)
+    assert counted_calls(monkeypatch, tiny_train, short) == ([iters] * 4, [iters - 2] * 4)

@@ -174,8 +174,11 @@ def test_weighted_triplet_loss_matches_gathered_rows(seed, case):
 
 def test_tiny_c_plus_d_run_calls_each_d_layer_once_per_joint_iteration(monkeypatch, tiny_train):
     """perfbench counts the D layers per call, so each runs once per joint
-    iteration: the positives (one choice_rows call with follow-up draws),
-    the hardest negatives and the weighted triplet loss of the whole batch."""
+    iteration: the positives, the hardest negatives and the weighted
+    triplet loss of the whole batch.  The positives' draws come from the
+    epoch plan, so select_positives draws nothing itself (no
+    draw_positives or choice_rows call) where the plan settles, here
+    every iteration."""
     calls = Counter()
 
     def counted(module, name):
@@ -190,10 +193,11 @@ def test_tiny_c_plus_d_run_calls_each_d_layer_once_per_joint_iteration(monkeypat
     for name in ("select_positives", "select_hardest_negative", "weighted_triplet_loss"):
         counted(trainer, name)
     counted(losses, "choice_rows")
+    counted(losses, "draw_positives")
     config = TrainConfig(n_p=4, n_k=2, epochs=4, warmup_epochs=2, decay_epoch=4, hidden_dim=8,
                          embed_dim=4, class_batch_total=12, inter_mode="C+D", seed=3)
     train(tiny_train, config)
     joint = (config.epochs - config.warmup_epochs) * -(-len(tiny_train) // (config.n_p * config.n_k))
     assert joint > 0
     assert calls == {name: joint for name in ("select_positives", "select_hardest_negative",
-                                              "weighted_triplet_loss", "choice_rows")}
+                                              "weighted_triplet_loss")}

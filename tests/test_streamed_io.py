@@ -252,3 +252,43 @@ def test_checkpoint_grown_since_its_count_is_refused(small_files, monkeypatch):
         load_checkpoint(small_files / "checkpoint.txt")
     assert err.value.line == 3
     assert err.value.reason.startswith("array 'model.W1': index 0 is out of bounds")
+
+
+def test_value_text_is_the_per_value_repr(tiny_train, tmp_path):
+    """Both writers format values through data.float_fields: every value
+    line of a checkpoint is the per-value " ".join(repr(float(v)) for v
+    in row) the checkpoint writer used before, and every dataset record's
+    features are its own per-value repr, byte for byte, for float64,
+    float32, integer and bool arrays, -0.0, subnormals and the extremes."""
+    rng = np.random.default_rng(1)
+    model_, head = init_model(3, 4, 2, rng), init_head(2, 5, rng)
+    state = OptimizerState()
+    state.velocities["Wc"] = rng.standard_normal((5, 2))
+    special = np.array([-0.0, 5e-324, 1.7976931348623157e308, -2.2250738585072014e-308,
+                        0.1, 1 / 3, -1e-310, 123456789.0])
+    extra = {"f32": rng.standard_normal((2, 3)).astype(np.float32),
+             "ints": np.arange(-3, 3).reshape(2, 3), "mask": np.array([True, False, True]),
+             "special": special}
+    path = tmp_path / "values.ckpt"
+    save_checkpoint(path, model_, head, Optimizer(), state, extra)
+    arrays = {**{f"model.{k}": v for k, v in model_.params().items()},
+              **{f"head.{k}": v for k, v in head.params().items()},
+              **{f"velocity.{k}": v for k, v in state.velocities.items()}, **extra}
+    lines = path.read_text().splitlines()
+    checked = 0
+    for i, line in enumerate(lines):
+        if line.startswith("array "):
+            rows = np.atleast_2d(np.asarray(arrays[line.split()[1]]))
+            assert lines[i + 1:i + 1 + len(rows)] == [
+                " ".join(repr(float(v)) for v in row) for row in rows]
+            checked += 1
+    assert checked == len(arrays)
+
+    features = tiny_train.features.copy()
+    features[0, :special.size // 4] = special[:special.size // 4]
+    ds = data.Dataset(features, tiny_train.camera_ids, tiny_train.local_ids, tiny_train.truth,
+                      tiny_train.n_cameras, "train")
+    save_dataset(ds, tmp_path / "values.txt")
+    records = (tmp_path / "values.txt").read_text().splitlines()[5:-1]
+    assert [r.split(" ", 3)[3] for r in records] == [
+        " ".join(map(repr, row.tolist())) for row in ds.features]
