@@ -123,17 +123,16 @@ def lemire(words: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarra
     words, bounds = np.asarray(words), np.asarray(bounds)
     if words.shape != bounds.shape:
         raise ContractError(f"{words.shape} words for bounds of shape {bounds.shape}")
-    n = bounds.astype(np.uint64)
     m = words.astype(np.uint64)
-    m *= n  # below 2**64 wherever n <= 2**32
-    low = m & np.uint64(WORD - 1)
-    settled = low >= n  # 2**32 mod n < n, so only a low part below n needs the threshold
+    np.multiply(m, bounds, out=m, dtype=np.uint64, casting="unsafe")  # < 2**64 where n <= 2**32
+    low = m.astype(np.uint32)  # m mod 2**32
+    settled = low >= bounds  # 2**32 mod n < n, so only a low part below n needs the threshold
     near = ~settled
     if near.any():
-        settled[near] = low[near] >= np.uint64(WORD) % n[near]
-    settled &= (n > 1) & (n <= WORD)
+        settled[near] = low[near] >= WORD % bounds[near]
+    settled &= (bounds > 1) & (bounds <= WORD)
     m >>= np.uint64(32)
-    return m.astype(np.int64), settled
+    return m.view(np.int64), settled
 
 
 def word_counts(bounds: np.ndarray) -> np.ndarray:
@@ -153,8 +152,9 @@ def placed_draws(words: np.ndarray, starts: np.ndarray,
     at = np.cumsum(reads, axis=1)
     at -= reads
     at += np.asarray(starts)[:, None]
-    values, settled = lemire(words.take(at, mode="clip") if words.size else np.zeros_like(at),
-                             bounds)
+    read = words.take(at, mode="clip") if words.size else np.zeros(at.shape, dtype=np.uint32)
+    del at  # the positions go before lemire's temporaries come
+    values, settled = lemire(read, bounds)
     settled |= ~reads
     return values, settled
 

@@ -12,8 +12,9 @@ gallery grouped by identity, and only each row's items up to its farthest
 relevant item are sorted and binary-searched; items whose distance ties
 another item's get their earlier ties counted from the unsorted row.
 The distances come in blocks of query rows (squared_distance_blocks),
-each ranked and dropped before the next, so no query x gallery matrix
-is held.  Non-finite embeddings or distances are refused.
+each ranked in row sub-blocks and dropped before the next, so evaluation
+holds one product block plus one sub-block's temporaries, never a query x
+gallery matrix.  Non-finite embeddings or distances are refused.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .affinity import squared_distance_blocks
 from .data import Dataset
 from .errors import ContractError, EvaluationError
 from .model import EmbeddingModel, forward_batch
-from .ranking import BLOCK_ELEMENTS, hit_aps, identity_pairs
+from .ranking import BLOCK_ELEMENTS, RANK_ELEMENTS, hit_aps, identity_pairs
 
 CMC_KS = (1, 5, 10, 20)
 
@@ -39,13 +40,12 @@ class RetrievalResult:
     n_skipped: int
 
 
-def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
-                   op: np.ufunc) -> np.ndarray:
-    """Per pair, the number of leading items x of ranked[rows] with op(x, t).
+def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Per pair, the number of leading items x of ranked[rows] with x < t.
 
-    Rows are sorted ascending (NaN or +inf last), so op = np.less or np.less_equal
-    holds on a prefix of each row; one vectorised binary search over all
-    pairs, a power of two per step, finds its length.
+    Rows are sorted ascending (+inf last), so x < t holds on a prefix of
+    each row; one vectorised binary search over all pairs, a power of two
+    per step, finds its length.
     """
     n = ranked.shape[1]
     flat = ranked.reshape(-1)  # ranked is C-contiguous: item k of a row sits at row * n + k
@@ -57,41 +57,55 @@ def _prefix_counts(ranked: np.ndarray, rows: np.ndarray, t: np.ndarray,
         inside = at <= n
         np.minimum(at, n, out=at)
         at += last
-        count += step * (inside & op(flat.take(at), t))
+        count += step * (inside & (flat.take(at) < t))
         step >>= 1
     return count
 
 
-def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Place of item g[i] in the stable ascending sort of row q[i] of d2.
-
-    The place is counted: the items of the row below d2[q, g], plus those
-    equal to it at a lower column (an item at NaN has place 0, and no item
-    is ever below NaN).  Only the items at or below a row's farthest
-    non-NaN pair value are sorted, packed in a block padded with +inf, and
-    searched; the earlier equal items are counted only for pairs whose
-    value ties another item of its row, in blocks of pairs.
-    """
+def _rank_rows(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """rank_positions of the pairs of one sub-block of rows."""
     t = d2[q, g]
     far = np.full(d2.shape[0], -np.inf)
     np.fmax.at(far, q, t)
     near = d2 <= far[:, None]
     width = np.count_nonzero(near, axis=1)
     ranked = np.full((d2.shape[0], width.max(initial=0)), np.inf)
-    filled = np.arange(ranked.shape[1]) < width[:, None]
-    # The near values move over in row blocks of ranked, so that no more
-    # than a block of BLOCK_ELEMENTS of them is copied at once.
-    rows = max(1, BLOCK_ELEMENTS // max(ranked.shape[1], 1))
-    for lo in range(0, d2.shape[0], rows):
-        ranked[lo:lo + rows][filled[lo:lo + rows]] = d2[lo:lo + rows][near[lo:lo + rows]]
+    ranked[np.arange(ranked.shape[1]) < width[:, None]] = d2[near]
     ranked.sort(axis=1)
-    pos = _prefix_counts(ranked, q, t, np.less)
-    tied = np.flatnonzero(_prefix_counts(ranked, q, t, np.less_equal) - pos > 1)
+    pos = _prefix_counts(ranked, q, t)
+    # Equal items sit together in a sorted row, from place pos on for a
+    # pair's own value, so it ties another item when place pos + 1 holds it.
+    n = ranked.shape[1]
+    tied = np.flatnonzero(pos + 1 < n)
+    tied = tied[ranked.reshape(-1).take(q[tied] * n + pos[tied] + 1) == t[tied]]
     column = np.arange(d2.shape[1])
     step = max(1, BLOCK_ELEMENTS // d2.shape[1])
     for lo in range(0, tied.size, step):
         p = tied[lo:lo + step]
         pos[p] += np.count_nonzero((d2[q[p]] == t[p, None]) & (column < g[p, None]), axis=1)
+    return pos
+
+
+def rank_positions(d2: np.ndarray, q: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Place of item g[i] in the stable ascending sort of row q[i] of d2;
+    q is nondecreasing.
+
+    The place is counted: the items of the row below d2[q, g], plus those
+    equal to it at a lower column (an item at NaN has place 0, and no item
+    is ever below NaN).  The rows are ranked in sub-blocks of at most
+    RANK_ELEMENTS elements (or one row), each with its own temporaries:
+    only the items at or below a row's farthest non-NaN pair value are
+    sorted, packed in a block padded with +inf, and searched; the earlier
+    equal items are counted only for pairs whose value ties another item
+    of its row (the sorted item after the pair's place equals it), in
+    blocks of pairs.
+    """
+    pos = np.empty(q.size, dtype=np.int64)
+    rows = max(1, RANK_ELEMENTS // max(d2.shape[1], 1))
+    for lo in range(0, d2.shape[0], rows):
+        a, b = np.searchsorted(q, (lo, lo + rows))
+        if a < b:
+            pos[a:b] = _rank_rows(d2[lo:lo + rows], q[a:b] - lo, g[a:b])
     return pos
 
 
@@ -103,6 +117,13 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
     near and earlier in gallery file order (rank_positions).  Junk items
     count as infinitely far, which matches the sort because every
     distance is refused unless finite.
+
+    The embeddings are checked finite, and |q.g| <= (|q|^2 + |g|^2) / 2,
+    so when max |q|^2 + max |g|^2 <= 2**1020 each distance's 2 q.g, norm
+    sum and difference stay below 2**1022 and none can overflow.  The
+    squared norms summed over all query rows and over all gallery rows
+    bound those maxima (two dot products, cheaper than the rows' norms);
+    only past 2**1020 are the product blocks scanned for overflow.
     """
     if query.d_in != gallery.d_in:
         raise ContractError(
@@ -121,13 +142,14 @@ def evaluate(model: EmbeddingModel, query: Dataset, gallery: Dataset) -> Retriev
             f"{bad_q} of {len(query)} query and {bad_g} of {len(gallery)} gallery embeddings "
             "are not finite; the model's parameters are non-finite or too large"
         )
+    scan = np.vdot(Vq, Vq) + np.vdot(Vg, Vg) > 2.0**1020
     # Each product block of query rows is ranked against the whole gallery
     # with its slice of the pairs (q ascends), and dropped before the next.
     q, g = identity_pairs(query.truth, gallery.truth)
     overflow, ranked = 0, []
     for lo, d2 in squared_distance_blocks(Vq, Vg):
         # The clipped block is >= 0 or NaN, and its max is NaN or +inf wherever an entry is.
-        if not np.isfinite(d2.max()):
+        if scan and not np.isfinite(d2.max()):
             overflow += int(np.count_nonzero(~np.isfinite(d2)))
         if not overflow:  # after the first overflow, the rest is only counted
             a, b = np.searchsorted(q, (lo, lo + d2.shape[0]))

@@ -185,31 +185,39 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], D[rows, neg_pick])
 
 
-def softmax_probs(scores: np.ndarray) -> np.ndarray:
+def softmax_probs(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis, computed with max subtraction.
 
-    Only the result is allocated: the shifted scores, exponentiated and
-    divided by their sums in place.  Non-finite scores are refused from
-    the row maxima (a NaN or +inf shows there) and the minimum (a -inf);
-    scores is left untouched.
+    The shifted scores are written to out (a fresh array by default, or
+    a float64 array of scores' shape, scores itself included), then
+    exponentiated and divided by their sums in place, so nothing else of
+    scores' size is allocated.  Non-finite scores are refused from the
+    row maxima (a NaN or +inf shows there) and the minimum (a -inf)
+    before out is written; without out, scores is left untouched.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if out is not None and (out.shape != scores.shape or out.dtype != np.float64):
+        raise ContractError(f"softmax out of shape {out.shape} and dtype {out.dtype} "
+                            f"for scores of shape {scores.shape}")
     top = scores.max(axis=-1, keepdims=True)
     if not (np.isfinite(top).all() and scores.min(initial=np.inf) > -np.inf):
         raise ContractError("softmax requires finite scores")
-    probs = scores - top
+    probs = np.subtract(scores, top, out=out)
     np.exp(probs, out=probs)
     probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossValue:
+def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable,
+                           out: np.ndarray | None = None) -> LossValue:
     """Sum over samples of -sum_c w(c) log p(c), with score gradients.
 
     probs is (B, C) with one table row per sample.  As weights sum to
-    one, the score gradient is the softmax identity probs - w, returned as
-    a fresh (B, C) array (probs is not modified) that the caller may scale
-    in place.  A degenerate row (no weights) adds no loss term and gets a
+    one, the score gradient is the softmax identity probs - w, written to
+    out and returned (a fresh (B, C) array by default, so probs is not
+    modified; out may be probs itself, which then becomes the gradient
+    once the loss terms are read), and the caller may scale it in place.
+    A degenerate row (no weights) adds no loss term and gets a
     zero gradient row, so a batch with such rows gives the bits of its
     other rows alone.  Probabilities
     are clamped at LOG_FLOOR inside the log only; each clamp is counted.
@@ -221,6 +229,9 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
     P = np.asarray(probs, dtype=np.float64)
     if P.shape != (labels.count.size, labels.n_classes):
         raise ContractError(f"probs shape {P.shape} != {labels.count.size} rows of {labels.n_classes}")
+    if out is not None and (out.shape != P.shape or out.dtype != np.float64):
+        raise ContractError(f"gradient out of shape {out.shape} and dtype {out.dtype} "
+                            f"for probs of shape {P.shape}")
     real = np.arange(labels.index.shape[1]) < labels.count[:, None]
     p = np.take_along_axis(P, labels.index, axis=1)
     terms = labels.weights * np.log(np.maximum(p, LOG_FLOOR))
@@ -230,7 +241,9 @@ def weighted_cross_entropy(probs: np.ndarray, labels: SoftLabelTable) -> LossVal
     loss = 0.0
     for s in sums.tolist():
         loss -= s
-    grad = P.copy()
+    grad = P.copy() if out is None else out
+    if out is not None and out is not P:
+        np.copyto(out, P)
     grad[labels.degenerate] = 0.0  # its sum above is 0.0, which leaves the loss as it was
     r, c = np.nonzero(real)
     grad[r, labels.index[r, c]] -= labels.weights[r, c]

@@ -12,17 +12,18 @@ the epoch, and each population is known once the iteration's PK persons
 are.
 
 plan_epoch draws the raw 32-bit words of an epoch's iterations in one
-Generator.integers call and decodes them level by level with
+Generator.integers call, as uint32, and decodes them level by level with
 draws.placed_draws and draws._picks (numpy reads one word per draw of a
-bound above 1, see draws).  Where an iteration's word count depends on
-its persons (D anchors of a degenerate row draw nothing, candidate rows
-have different lengths, persons different sample counts), their Floyd
-draws are decoded first, one iteration after another, to find where the
-next iteration's words start; the call draws as many words as the
-dearest persons would take.  Where the settled iterations read fewer
-words than were drawn, the generator goes back to its state before the
-call and one more call reads exactly theirs, so it ends where the
-per-iteration samplers would leave it after them.
+bound above 1, see draws), the D rows in blocks of DECODE_ROWS.  Where
+an iteration's word count depends on its persons (D anchors of a
+degenerate row draw nothing, candidate rows have different lengths,
+persons different sample counts), their Floyd draws are decoded first,
+one iteration after another, to find where the next iteration's words
+start; the call draws as many words as the dearest persons would take.
+Where the settled iterations read fewer words than were drawn, the
+generator goes back to its state before the call and one more call
+reads exactly theirs, so it ends where the per-iteration samplers would
+leave it after them.
 
 The plan ends, before drawing, at the first iteration whose camera has
 fewer than n_p persons (numpy draws those through a permutation), or
@@ -47,6 +48,11 @@ from .affinity import SoftLabelTable
 from .data import Dataset
 from .draws import WORD, _draw_bounds, _picks, _tail_shuffled, placed_draws, word_counts
 from .losses import nearest_positions
+
+# The D positives of an epoch are decoded in blocks of this many anchor
+# rows, so the decode's temporaries stay a few tens of KB however many
+# anchors the epoch has.
+DECODE_ROWS = 256
 
 
 class Draws(NamedTuple):
@@ -78,6 +84,29 @@ def _segment_starts(counts: np.ndarray) -> np.ndarray:
     """Where each of an (R, m) array's cells starts when each row's cells
     follow each other: counts' exclusive cumulative sum along rows."""
     return np.cumsum(counts, axis=-1) - counts
+
+
+def _positive_draws(
+    words: np.ndarray, rows: np.ndarray, row_at: np.ndarray, candidates: SoftLabelTable,
+    samples: np.ndarray, n_k: int, near: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(places, slots, failed) of the D positives of candidate rows rows,
+    each row's draws read from words[row_at] on: the n_k places in the
+    row (near[rows] with nearest positives, else a choice), then a sample
+    slot of each place's person; failed where a word is rejected."""
+    if near is None:
+        pops = candidates.count[rows]
+        choice_bounds = _draw_bounds(pops, n_k, 0)
+        values, ok = placed_draws(words, row_at, choice_bounds)
+        places = _picks(values, pops, n_k)
+        failed = ~ok.all(axis=1)
+        row_at = row_at + word_counts(choice_bounds)
+        del values, ok, choice_bounds  # before the slots' draws
+    else:
+        places, failed = near[rows], np.zeros(rows.size, dtype=bool)
+    persons = np.take_along_axis(candidates.index[rows], places, axis=1)
+    picked, ok = placed_draws(words, row_at, samples[persons])
+    return places, picked, failed | ~ok.all(axis=1)
 
 
 def plan_epoch(
@@ -158,7 +187,7 @@ def plan_epoch(
     high = np.maximum.reduceat(np.append(per_person, 0), first[:-1])[cams]
     spans = person_words + fixed + n_p * high
     snapshot = rng.bit_generator.state
-    words = rng.integers(0, WORD, size=int(spans.sum()))
+    words = rng.integers(0, WORD, size=int(spans.sum()), dtype=np.uint32)
     # Each iteration's first word; where a camera's persons differ in
     # cost, the chosen ones tell where the next iteration starts.
     begin = np.zeros(end + 1, dtype=np.int64)
@@ -201,23 +230,21 @@ def plan_epoch(
         settled &= ok.reshape(end, -1).all(axis=1)
         at = at + int(class_words.sum())
     if candidates is not None:
-        anchor = np.repeat(classes, n_k, axis=1)
-        iteration, col = np.nonzero(candidates.count[anchor])
-        rows = anchor[iteration, col]
+        # Each PK person's n_k anchors draw in turn, those of a person with candidates.
+        iteration, person = np.nonzero(candidates.count[classes])
+        rows = np.repeat(classes[iteration, person], n_k)
+        iteration = np.repeat(iteration, n_k)
         row_at = _segment_starts(per_row[rows])  # then from each iteration's first row
         row_at += at[iteration] - row_at[np.searchsorted(iteration, iteration)]
-        failed = np.zeros(rows.size, dtype=bool)
-        if nearest:
-            places = near[rows]
-        else:
-            choice_bounds = _draw_bounds(candidates.count[rows], n_k, 0)
-            values, ok = placed_draws(words, row_at, choice_bounds)
-            places = _picks(values, candidates.count[rows], n_k)
-            failed |= ~ok.all(axis=1)
-            row_at += word_counts(choice_bounds)
-        persons = np.take_along_axis(candidates.index[rows], places, axis=1)
-        picked, ok = placed_draws(words, row_at, samples[persons])
-        failed |= ~ok.all(axis=1)
+        # Places and slots index short rows, so 32 bits hold them.
+        places = np.empty((rows.size, n_k), dtype=np.int32)
+        picked = np.empty_like(places)
+        failed = np.empty(rows.size, dtype=bool)
+        for lo in range(0, rows.size, DECODE_ROWS):
+            block = slice(lo, lo + DECODE_ROWS)
+            places[block], picked[block], failed[block] = _positive_draws(
+                words, rows[block], row_at[block], candidates, samples, n_k,
+                near if nearest else None)
         settled &= np.bincount(iteration[failed], minlength=end) == 0
         row = np.searchsorted(iteration, np.arange(end + 1))
         positives = [(places[a:b], picked[a:b]) for a, b in zip(row[:-1], row[1:])]
@@ -225,7 +252,7 @@ def plan_epoch(
     done = int(np.argmin(settled)) if not settled.all() else end
     if begin[done] != words.size:
         rng.bit_generator.state = snapshot
-        rng.integers(0, WORD, size=int(begin[done]))
+        rng.integers(0, WORD, size=int(begin[done]), dtype=np.uint32)
     return [Draws((classes[i], picks[i]), None if mining is None else mining[i],
                   None if cls is None else cls[i], None if positives is None else positives[i])
             for i in range(done)]

@@ -15,6 +15,11 @@ import numpy as np
 # once stay a small part of any quadratic array they come from.
 BLOCK_ELEMENTS = 1 << 14
 
+# evaluation ranks each product block in row sub-blocks of at most this
+# many elements (2 MB per float64 array), so the near values it sorts and
+# its masks stay a quarter of the block they come from.
+RANK_ELEMENTS = 1 << 18
+
 
 def hit_aps(rows: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rows with a hit, AP of each) from the 0-based positions of relevant items.

@@ -386,17 +386,19 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
                   drawn: np.ndarray | None = None) -> tuple:
     """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
     soft-label row is degenerate add no term and get a zero score
-    gradient row.  The loss's own gradient array, scaled in place, is the
-    score gradient; the batch's forward activations go to its backward."""
+    gradient row.  The head's scores become the probabilities and then
+    the score gradient in place, scaled in place, so the step holds one
+    batch x C array; the batch's forward activations go to its backward."""
     cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total, drawn)
     Xc = dataset.features[cls_idx]
     Vc, Hc = forward_with_hidden(state.model, Xc)
-    probs = softmax_probs(head_forward(state.head, Vc))
+    scores = head_forward(state.head, Vc)
+    probs = softmax_probs(scores, out=scores)
     labels = state.final_affinity.soft_labels.take(dataset.class_ids[cls_idx])
     n = int(np.count_nonzero(labels.count))  # the rows that are not degenerate
     if not n:
         return 0.0, 0, cls_idx.size, []
-    wce = weighted_cross_entropy(probs, labels)
+    wce = weighted_cross_entropy(probs, labels, out=probs)
     dS = wce.grads["scores"]
     dS *= config.lam / n
     head_grads, dVc = head_backward(state.head, Vc, dS)

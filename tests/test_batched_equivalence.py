@@ -164,12 +164,20 @@ def test_soft_cross_entropy_matches_per_sample_loop(seed):
     assert int(np.count_nonzero(keep)) == contributing and keep.size - contributing == skipped
     if not contributing:
         return
-    got = weighted_cross_entropy(probs[keep], table.take(sample_classes[keep]))
+    labels = table.take(sample_classes[keep])
+    got = weighted_cross_entropy(probs[keep], labels)
     got_dS = np.zeros_like(probs)
     got_dS[keep] = got.grads["scores"]
     assert same_bits(got.loss, loss)
     assert same_bits(got_dS, dS)
     assert got.counters == {"clamped_logs": clamped, "own_class_zero_weight": own_zero}
+    # Into out: a separate array, or the probabilities themselves.
+    kept = probs[keep]
+    for out in (np.full_like(kept, np.nan), kept):
+        into = weighted_cross_entropy(kept if out is kept else kept.copy(), labels, out=out)
+        assert into.grads["scores"] is out
+        assert same_bits(into.loss, got.loss) and same_bits(out, got.grads["scores"])
+        assert into.counters == got.counters
 
 
 @SETTINGS

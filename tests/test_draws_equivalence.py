@@ -97,6 +97,19 @@ def test_tail_shuffle_rows_are_exact(size):
     assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox,
+                                           np.random.SFC64])
+@pytest.mark.parametrize("skip", [0, 1])
+@pytest.mark.parametrize("size", [0, 1, 7, 1001])
+def test_uint32_words_are_the_int64_words(bit_generator, skip, size):
+    """The epoch plan draws its raw words as uint32: the same words, and
+    the same generator state after them, as the int64 call."""
+    ref, got = twin_generators(bit_generator, 5, skip)
+    want = ref.integers(0, 2**32, size=size)
+    assert got.integers(0, 2**32, size=size, dtype=np.uint32).tolist() == want.tolist()
+    assert state(got) == state(ref)
+
+
 def test_lemire_on_hand_made_words():
     # A draw in [0, 3) takes 3 * 2**31 >> 32 = 1 from word 2**31, and a
     # draw in [0, 5) takes 7 * 5 >> 32 = 0 from word 7; word 0 is rejected

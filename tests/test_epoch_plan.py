@@ -16,6 +16,7 @@ it is meant to, and check where a TrainingError leaves the generator.
 
 import copy
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,11 +26,12 @@ import slow_references as slow
 from crosscam import (
     Dataset, TrainConfig, TrainingError, build_affinity, new_buffer, plan, train, trainer,
 )
-from crosscam.benchmark import BENCHMARK_SETTINGS
+from crosscam.benchmark import BENCHMARK_SETTINGS, benchmark_config, benchmark_corpus
 from crosscam.losses import TripletBatch, random_triplet_loss, select_positives
 from crosscam.plan import Draws, plan_epoch
 from crosscam.trainer import camera_shares, classification_sampler, pk_sampler
 from slow_references import same_bits
+from conftest import traced_peak
 from test_batched_equivalence import sparse_affinity
 from test_draws_equivalence import state, twin_generators
 from test_pk_runs import pk_dataset
@@ -37,6 +39,7 @@ from test_pk_runs import pk_dataset
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
 bit_generators = st.sampled_from([np.random.PCG64, np.random.MT19937])
+decode_rows = st.sampled_from([1, 5, plan.DECODE_ROWS])  # D rows decoded per block
 
 
 @dataclasses.dataclass
@@ -158,12 +161,13 @@ def mixed_row_cameras(epoch):
 
 @pytest.mark.parametrize("setting", list(BENCHMARK_SETTINGS))
 @SETTINGS
-@given(seed=seeds, bit_generator=bit_generators)
-def test_plan_matches_the_per_iteration_loop(setting, seed, bit_generator):
+@given(seed=seeds, bit_generator=bit_generators, decode=decode_rows)
+def test_plan_matches_the_per_iteration_loop(setting, seed, bit_generator, decode):
     """Two epochs of a setting's draws: every iteration's PK batch, mining
     draws, C picks and D picks and weights, and the generator state at
-    each epoch boundary, as the per-iteration loop; the plan settles up
-    to the first camera with a mixed candidate row."""
+    each epoch boundary, as the per-iteration loop, whatever block of D
+    rows the plan decodes at once; the plan settles up to the first
+    camera with a mixed candidate row."""
     rng = np.random.default_rng(seed)
     epoch = epoch_case(rng, BENCHMARK_SETTINGS[setting], ones=rng.random() < 0.5)
     mixed = mixed_row_cameras(epoch)
@@ -171,11 +175,44 @@ def test_plan_matches_the_per_iteration_loop(setting, seed, bit_generator):
     ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
     for _ in range(2):
         want = epoch.reference(ref)
-        out, planned = epoch.package(got)
+        with mock.patch.object(plan, "DECODE_ROWS", decode):
+            out, planned = epoch.package(got)
         assert state(got) == state(ref)
         assert planned == (stops[0] if stops else len(epoch.cams))
         for g, w in zip(out, want):
             assert_same_iteration(g, w, epoch.n_k)
+
+
+def plan_values(planned):
+    """Every value of a plan's iterations, as nested lists."""
+    return [[None if v is None else [np.asarray(a).tolist() for a in v]
+             if isinstance(v, tuple) else v.tolist() for v in d] for d in planned]
+
+
+def test_a_joint_plan_peaks_at_a_block_of_its_d_rows(monkeypatch):
+    """The full setting's joint epoch on the benchmark corpus (23
+    iterations, about 2,900 D rows): the plan holds its words as 32-bit
+    integers and decodes its D rows in blocks of DECODE_ROWS, so its
+    traced peak stays under 0.6 MB, half of what decoding every D row
+    at once takes; one block of every row gives the same plan."""
+    ds = benchmark_corpus()["train"]
+    config = benchmark_config(**BENCHMARK_SETTINGS["full"])
+    cams = trainer.check_corpus(ds, config)
+    buf = new_buffer(config.embed_dim, ds.index.total)
+    buf.P[:] = np.random.default_rng(3).standard_normal(buf.P.shape)
+    buf.initialized[:] = True
+    aff = build_affinity(buf, ds.index, config.k, config.mask_same_camera)
+    shares = camera_shares(ds, config.class_batch_total)
+
+    def planned():
+        return plan_epoch(np.random.default_rng(1), ds, cams, config.n_p, config.n_k,
+                          shares=shares, candidates=aff.candidates)
+
+    got, peak, _ = traced_peak(planned)
+    assert len(got) == len(cams) and all(d.positives is not None for d in got)
+    assert peak <= 0.6 * 2**20
+    monkeypatch.setattr(plan, "DECODE_ROWS", len(cams) * config.n_p * config.n_k)
+    assert plan_values(got) == plan_values(planned())
 
 
 def check_epoch(epoch, planned_want, bit_generator=np.random.PCG64, seed=7):

@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -19,12 +17,13 @@ from crosscam import (
     run_ablation,
     train,
 )
-from crosscam import affinity
-from crosscam.affinity import PRODUCT_ELEMENTS
+from crosscam import affinity, evaluation
+from crosscam.affinity import PRODUCT_ELEMENTS, squared_distance_blocks
 from crosscam.benchmark import ABLATION_AXES, ABLATION_SETTINGS, parse_seeds
 from crosscam.evaluation import CMC_KS
 from crosscam.model import forward_batch
-from crosscam.ranking import hit_aps
+from crosscam.ranking import RANK_ELEMENTS, hit_aps
+from conftest import traced_peak
 from oracles import oracle_average_precision, oracle_retrieval
 from slow_references import hit_ap
 
@@ -199,10 +198,37 @@ class TestEvaluate:
                 pytest.raises(EvaluationError, match=r"^6 query-gallery squared distances overflow"):
             evaluate(identity_model(2), query, gallery)
 
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_overflow_scan_only_past_the_norm_bound(self, outside):
+        """When the squared norms of the query and gallery rows sum to
+        2**1020 no distance can overflow (the farthest pair, opposite
+        points, is at 2**1021), so the blocks are not scanned; with the
+        query's coordinates one ulp larger the sum is past it, they are,
+        and an infinite distance planted in a block is counted."""
+        big = np.nextafter(2.0**509, np.inf) if outside else 2.0**509
+        query = eval_split("query", ([big, big], 0, 0, 3))
+        gallery = eval_split("gallery", ([-2.0**509, -2.0**509], 1, 0, 3), ([0.0, 0.0], 1, 1, 4))
+        model = identity_model(2)
+        # The relevant item at 2**1021 (or just past it) ranks behind the distractor.
+        assert evaluate(model, query, gallery).map == 0.5
+
+        def planted(a, b):
+            for lo, d2 in squared_distance_blocks(a, b):
+                d2[0, 1] = np.inf
+                yield lo, d2
+
+        with mock.patch.object(evaluation, "squared_distance_blocks", planted):
+            if outside:
+                with pytest.raises(EvaluationError, match=r"^1 query-gallery squared distances"):
+                    evaluate(model, query, gallery)
+            else:
+                assert evaluate(model, query, gallery).map == 1.0
+
     def test_peak_far_under_a_query_gallery_matrix(self):
-        """Distances come one product block of query rows at a time: with
-        relevant items deep in each row (random features), the peak is that
-        block plus its sorted near prefix, far under Q x G."""
+        """Distances come one product block of query rows at a time, each
+        ranked in row sub-blocks: with relevant items deep in each row
+        (random features), the peak is that block plus one sub-block's
+        sorted near prefix and masks, far under Q x G."""
         Q, G, d, n_cameras = 1500, 6000, 4, 3
         rng = np.random.default_rng(3)
 
@@ -214,16 +240,10 @@ class TestEvaluate:
             return Dataset(rng.standard_normal((n, d)), cams, local, truth, n_cameras, name)
 
         query, gallery, model = split(Q, "query"), split(G, "gallery"), identity_model(d)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            evaluate(model, query, gallery)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # Two float blocks (the block and its sorted near values, which move
-        # over in row blocks of BLOCK_ELEMENTS), two masks of a block, and the pairs.
-        assert peak <= 2 * PRODUCT_ELEMENTS * 8 + 2 * PRODUCT_ELEMENTS + (1 << 21)
+        peak = traced_peak(evaluate, model, query, gallery).peak
+        # One float block; per sub-block its near values (copied out, then
+        # padded and sorted) and two masks; and the pairs.
+        assert peak <= PRODUCT_ELEMENTS * 8 + 18 * RANK_ELEMENTS + (1 << 21)
         assert peak <= 0.5 * Q * G * 8
 
     def test_contract_violations(self, tiny_corpus, rng):

@@ -153,6 +153,34 @@ def test_head_scores_and_softmax_match_allocating_forms(seed):
     assert same_bits(scores, before)
 
 
+@SETTINGS
+@given(seed=seeds)
+def test_softmax_into_out_matches_allocating_form(seed):
+    """Into out, a separate array or the scores themselves, the softmax
+    writes the allocating form's bits and returns out."""
+    rng = np.random.default_rng(seed)
+    n, C = int(rng.integers(1, 20)), int(rng.integers(1, 60))
+    scores = rng.standard_normal((n, C)) * float(rng.choice([1.0, 50.0]))
+    scores[:, : C // 2] = np.round(scores[:, : C // 2])  # tied probabilities
+    want = slow.softmax_probs(scores)
+    out = np.full_like(scores, np.nan)
+    assert softmax_probs(scores, out=out) is out and same_bits(out, want)
+    row = scores[0].copy()
+    assert softmax_probs(row, out=row) is row and same_bits(row, want[0])
+    assert softmax_probs(scores, out=scores) is scores and same_bits(scores, want)
+
+
+def test_softmax_out_refusals_leave_out_untouched():
+    scores = np.array([[0.0, 1.0], [2.0, np.inf]])
+    out = np.zeros((2, 2))
+    with pytest.raises(ContractError, match="finite"):
+        softmax_probs(scores, out=out)
+    assert not out.any()
+    for bad in (np.zeros((2, 3)), np.zeros((2, 2), dtype=np.float32)):
+        with pytest.raises(ContractError, match="out"):
+            softmax_probs(np.zeros((2, 2)), out=bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", [(0, 0), (1, 2), (2, 4)])
 def test_softmax_refuses_every_non_finite_score(bad, where):
@@ -178,6 +206,14 @@ def test_weighted_cross_entropy_leaves_probs_untouched(rng):
     lv = weighted_cross_entropy(probs, slow.label_table(soft_label_weights(rng, 5, 3)))
     assert same_bits(probs, before)
     assert not np.shares_memory(lv.grads["scores"], probs)
+
+
+def test_weighted_cross_entropy_refuses_a_mismatched_out(rng):
+    probs = softmax_probs(rng.standard_normal((5, 5)))
+    labels = slow.label_table(soft_label_weights(rng, 5, 3))
+    for bad in (np.zeros((5, 4)), np.zeros((5, 5), dtype=np.float32)):
+        with pytest.raises(ContractError, match="out"):
+            weighted_cross_entropy(probs, labels, out=bad)
 
 
 def sgd_case(rng):

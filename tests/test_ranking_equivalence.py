@@ -15,7 +15,7 @@ counts, rank positions (with infinite and NaN distances too), the pairs,
 the candidates table as bytes and the quality mAP.  Points sit on a
 coarse grid and rows are duplicated, so exact distance and affinity ties
 are common; block sizes down to one pair per block, and product blocks
-down to one row, are drawn too.
+and rank sub-blocks down to one row, are drawn too.
 """
 
 import warnings
@@ -48,6 +48,7 @@ SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
 blocks = st.sampled_from([1, 7, 64, 1 << 16])
 products = st.sampled_from([1, 7, 64, 1 << 20])  # PRODUCT_ELEMENTS: one row up to one block
+ranks = st.sampled_from([1, 7, 64, 1 << 18])  # RANK_ELEMENTS: one row up to one sub-block
 
 
 def rows_per_product(product, n_columns):
@@ -86,8 +87,8 @@ def split(rng, n, n_ids, n_cameras, d, name):
 
 
 @SETTINGS
-@given(seed=seeds, block=blocks, product=products)
-def test_evaluate_matches_per_query_sort(seed, block, product):
+@given(seed=seeds, block=blocks, product=products, rank=ranks)
+def test_evaluate_matches_per_query_sort(seed, block, product, rank):
     rng = np.random.default_rng(seed)
     d, n_ids, n_cameras = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(2, 4))
     query = split(rng, int(rng.integers(1, 16)), n_ids, n_cameras, d, "query")
@@ -100,10 +101,12 @@ def test_evaluate_matches_per_query_sort(seed, block, product):
         try:
             want = slow.evaluate(model, query, gallery, rows_per_product(product, len(gallery)))
         except EvaluationError:
-            with pytest.raises(EvaluationError), mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+            with pytest.raises(EvaluationError), mock.patch.object(evaluation, "BLOCK_ELEMENTS", block), \
+                    mock.patch.object(evaluation, "RANK_ELEMENTS", rank):
                 evaluate(model, query, gallery)
             return
-        with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+        with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block), \
+                mock.patch.object(evaluation, "RANK_ELEMENTS", rank):
             got = evaluate(model, query, gallery)
     assert same_bits(got.map, want[0])
     assert list(got.cmc) == list(want[1])
@@ -112,8 +115,8 @@ def test_evaluate_matches_per_query_sort(seed, block, product):
 
 
 @SETTINGS
-@given(seed=seeds, block=blocks)
-def test_rank_positions_match_per_pair_scan(seed, block):
+@given(seed=seeds, block=blocks, rank=ranks)
+def test_rank_positions_match_per_pair_scan(seed, block, rank):
     rng = np.random.default_rng(seed)
     Q, G = int(rng.integers(1, 9)), int(rng.integers(1, 40))
     # Integer-valued distances tie often; inf stands for junk, NaN for a broken distance.
@@ -122,7 +125,8 @@ def test_rank_positions_match_per_pair_scan(seed, block):
     d2[rng.random((Q, G)) < 0.05] = np.nan
     q, g = np.nonzero(rng.random((Q, G)) < 0.4)
     want = slow.rank_positions(d2, q, g)
-    with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block):
+    with mock.patch.object(evaluation, "BLOCK_ELEMENTS", block), \
+            mock.patch.object(evaluation, "RANK_ELEMENTS", rank):
         got = evaluation.rank_positions(d2, q, g)
     assert same_bits(got, want)
 

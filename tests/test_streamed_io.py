@@ -15,7 +15,6 @@ import dataclasses
 import itertools
 import os
 import stat
-import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -36,6 +35,7 @@ from crosscam import (
 from crosscam import data, model
 from crosscam.benchmark import BENCHMARK_SPEC
 from crosscam.data import write_text_atomic
+from conftest import traced_peak
 
 MiB = 2**20
 
@@ -59,16 +59,6 @@ def checkpoint_parts():
     return model, head, Optimizer(), state, {"buffer.P": rng.standard_normal((32, classes))}
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak of the memory traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def train_file(train_split, tmp_path_factory):
     path = tmp_path_factory.mktemp("train") / "train.txt"
@@ -85,14 +75,14 @@ def checkpoint_file(checkpoint_parts, tmp_path_factory):
 
 def test_save_dataset_holds_no_file_text(train_split, train_file, tmp_path):
     path = tmp_path / "train.txt"
-    _, peak = traced_peak(save_dataset, train_split, path)
+    peak = traced_peak(save_dataset, train_split, path).peak
     assert os.path.getsize(path) > 4 * MiB
     assert peak <= 2 * MiB
     assert path.read_bytes() == train_file.read_bytes()
 
 
 def test_load_dataset_holds_its_arrays_not_its_text(train_split, train_file):
-    loaded, peak = traced_peak(load_dataset, train_file)
+    loaded, peak, _ = traced_peak(load_dataset, train_file)
     assert loaded == train_split
     arrays = sum(a.nbytes for a in (loaded.features, loaded.camera_ids, loaded.local_ids,
                                     loaded.truth))
@@ -101,7 +91,7 @@ def test_load_dataset_holds_its_arrays_not_its_text(train_split, train_file):
 
 def test_save_checkpoint_holds_no_file_text(checkpoint_parts, checkpoint_file, tmp_path):
     path = tmp_path / "ck.txt"
-    _, peak = traced_peak(save_checkpoint, path, *checkpoint_parts)
+    peak = traced_peak(save_checkpoint, path, *checkpoint_parts).peak
     assert os.path.getsize(path) > 4 * MiB
     assert peak <= 2 * MiB
     assert path.read_bytes() == checkpoint_file.read_bytes()
@@ -109,7 +99,7 @@ def test_save_checkpoint_holds_no_file_text(checkpoint_parts, checkpoint_file, t
 
 def test_load_checkpoint_holds_its_arrays_not_its_text(checkpoint_parts, checkpoint_file):
     _, _, _, state, extra = checkpoint_parts
-    ck, peak = traced_peak(load_checkpoint, checkpoint_file)
+    ck, peak, _ = traced_peak(load_checkpoint, checkpoint_file)
     assert np.array_equal(ck.arrays["buffer.P"], extra["buffer.P"])
     assert np.array_equal(ck.state.velocities["Wc"], state.velocities["Wc"])
     held = [*ck.model.params().values(), *ck.head.params().values(),

@@ -1,6 +1,4 @@
 import dataclasses
-import gc
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,6 +24,7 @@ from crosscam.data import dataclass_from_dict
 from crosscam.model import Optimizer, OptimizerState, init_head, init_model
 from crosscam.ranking import BLOCK_ELEMENTS
 from crosscam.trainer import TRAINLOG_COLUMNS, TrainState
+from conftest import traced_peak
 
 
 def fast_config(**overrides):
@@ -432,13 +431,7 @@ def test_epoch_start_leaves_only_the_sparse_tables(monkeypatch):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(trainer, "build_affinity", checked_build)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = trainer._epoch_start(state, ds, config)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
+    out, _, held = traced_peak(trainer._epoch_start, state, ds, config)
     aff = state.final_affinity
     tables = [aff.candidates, aff.soft_labels]
     assert released == [True]
@@ -460,23 +453,30 @@ def test_epoch_start_peaks_at_one_product_block():
     ds, state = epoch_start_case(C, n_cameras, d, rng)
     config = TrainConfig(k=6)
     trainer._epoch_start(state, ds, config)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        out = trainer._epoch_start(state, ds, config)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    out, peak, held = traced_peak(trainer._epoch_start, state, ds, config)
     assert out[0] == 0 and state.final_affinity.n_classes == C
     tables = 4 * C * config.k * 16  # the kept (position, distance) pairs and both tables
     assert peak <= PRODUCT_ELEMENTS * 8 + 16 * BLOCK_ELEMENTS * 8 + tables
     assert held <= tables
 
     a, b = rng.standard_normal((300, d)), rng.standard_normal((2000, d))
-    tracemalloc.start()
-    try:
-        d2 = squared_distances(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    d2, peak, _ = traced_peak(squared_distances, a, b)
     assert peak <= 1.1 * d2.nbytes + BLOCK_ELEMENTS * 8
+
+
+def test_soft_ce_step_holds_one_batch_by_class_array():
+    """The C step turns the head's scores into the probabilities and then
+    into the score gradient in place: at C = 2,000 its traced peak is one
+    batch x C array beyond the head-sized gradient it returns, where a
+    second batch x C array would exceed the bound."""
+    C, n_cameras, d = 2000, 4, 8
+    rng = np.random.default_rng(5)
+    ds, state = epoch_start_case(C, n_cameras, d, rng)
+    config = TrainConfig(k=6)
+    trainer._epoch_start(state, ds, config)
+    trainer._soft_ce_step(state, ds, config)
+    out, peak, _ = traced_peak(trainer._soft_ce_step, state, ds, config)
+    assert out[1] == config.class_batch_total  # every sampled row adds a term
+    batch_by_class = config.class_batch_total * C * 8
+    head = state.head.Wc.nbytes + state.head.bc.nbytes
+    assert peak <= batch_by_class + head + (1 << 16)
