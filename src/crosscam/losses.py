@@ -20,7 +20,6 @@ from .affinity import (
     AffinityMatrix, SoftLabelTable, squared_distances, squared_distances_and_norms,
 )
 from .data import Dataset
-from .draws import choice_rows
 from .errors import ContractError, SelectionError
 
 LOG_FLOOR = 1e-12
@@ -158,15 +157,14 @@ def intra_triplet_loss(batch: TripletBatch, margin: float) -> LossValue:
     return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], neg_d)
 
 
-def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Generator,
-                        drawn: np.ndarray | None = None) -> LossValue:
+def random_triplet_loss(batch: TripletBatch, margin: float, places: np.ndarray) -> LossValue:
     """Triplet hinge with uniformly random positive and negative per anchor.
 
-    The positive is drawn among the anchor's other same-person
-    embeddings, the negative among all different-person embeddings.
-    Exists as the mining-strategy control; same gradient structure as the
-    hard-mined loss.  drawn, when given, holds the (anchors, 2) draws
-    (of an epoch plan) in place of rng's.
+    places (anchors, 2) holds each anchor's draws (an epoch plan's): the
+    place of its positive among its other same-person embeddings, then
+    that of its negative among all different-person embeddings.  Exists
+    as the mining-strategy control; same gradient structure as the
+    hard-mined loss.
     """
     E, labels = _validate_triplet_batch(batch)
     D = squared_distances(E, E)
@@ -174,13 +172,9 @@ def random_triplet_loss(batch: TripletBatch, margin: float, rng: np.random.Gener
     same = labels[:, None] == labels[None, :]
     np.fill_diagonal(same, False)
     other = labels[:, None] != labels[None, :]
-    # One draw per anchor among its other same-person indices, then one
-    # among the different-person ones, interleaved in anchor order; the
-    # k-th (0-based) True of a row is where its running count passes k.
-    k = drawn if drawn is not None else rng.integers(
-        np.stack([same.sum(axis=1), other.sum(axis=1)], axis=1))
-    pos_pick = np.argmax(np.cumsum(same, axis=1) > k[:, :1], axis=1)
-    neg_pick = np.argmax(np.cumsum(other, axis=1) > k[:, 1:], axis=1)
+    # The k-th (0-based) True of a row is where its running count passes k.
+    pos_pick = np.argmax(np.cumsum(same, axis=1) > places[:, :1], axis=1)
+    neg_pick = np.argmax(np.cumsum(other, axis=1) > places[:, 1:], axis=1)
     rows = np.arange(E.shape[0])
     return _triplet_terms(batch, E, margin, pos_pick, neg_pick, D[rows, pos_pick], D[rows, neg_pick])
 
@@ -268,71 +262,47 @@ def nearest_positions(table: SoftLabelTable, classes: np.ndarray, n_k: int) -> n
     return np.take_along_axis(order, np.arange(n_k) % pops[:, None], axis=1)
 
 
-def draw_positives(
-    drawing: np.ndarray, table: SoftLabelTable, dataset: Dataset, n_k: int,
-    rng: np.random.Generator, positive_sampling: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(at, slot): the draws of select_positives for the anchor classes
-    drawing, none of them degenerate, anchor after anchor: each anchor's
-    n_k places in its candidate row ("random": a choice without
-    replacement, with replacement when fewer than n_k candidates exist,
-    through draws.choice_rows; "nearest": nearest_positions, no draw),
-    and then, per place, a uniform slot among that person's samples."""
-    index, pops = table.index[drawing], table.count[drawing]
-    starts = dataset.class_members()[1]
-    if positive_sampling == "random":
-        def sample_counts(rows, at):
-            person = index[rows[:, None], at]
-            return starts[person + 1] - starts[person]
-        return choice_rows(rng, pops, n_k, then=sample_counts)
-    at = nearest_positions(table, drawing, n_k)
-    drawn = np.take_along_axis(index, at, axis=1)
-    return at, rng.integers(starts[drawn + 1] - starts[drawn])
-
-
 def select_positives(
     anchor_classes: np.ndarray,
     aff: AffinityMatrix,
     dataset: Dataset,
-    n_k: int,
-    rng: np.random.Generator,
+    places: np.ndarray,
+    slots: np.ndarray,
     weighting_mode: str = "AW",
-    positive_sampling: str = "random",
-    drawn: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Choose n_k cross-camera positive samples and their weights per anchor.
+    """n_k cross-camera positive samples and their weights per anchor.
 
-    Persons come from the nonzero entries of each anchor's affinity row:
-    either a uniform draw without replacement ("random", falling back to
+    Persons come from the nonzero entries of each anchor's affinity row
+    (its candidate row), at places, an epoch plan's (V, n_k) draws: a
+    uniform draw without replacement ("random" positives, with
     replacement when fewer than n_k candidates exist) or the top
-    affinities ("nearest", padded cyclically).  One uniformly random
-    sample of each drawn person is used.  Weights are 1/n_k in mode
-    "AW", or the drawn affinities renormalized to sum 1 in mode "W".
-    The draws are draw_positives'; drawn, when given, holds them (an
-    epoch plan's (at, slot)) in place of rng's.
+    affinities ("nearest", nearest_positions).  slots (V, n_k) holds the
+    uniformly drawn sample of each place's person.  Weights are 1/n_k in
+    mode "AW", or the places' affinities renormalized to sum 1 in mode
+    "W".
 
     anchor_classes is (A,).  Returns the (V, n_k) dataset sample indices
     and (V, n_k) weights of the V anchors that draw, in anchor order, and
     an (A,) mask, False where the anchor's row is degenerate: such an
     anchor draws nothing.
     """
+    n_k = places.shape[1]
     if n_k < 1:
         raise ContractError("n_k must be >= 1")
     if weighting_mode not in ("AW", "W"):
         raise ContractError(f"unknown weighting_mode {weighting_mode!r}")
-    if positive_sampling not in ("random", "nearest"):
-        raise ContractError(f"unknown positive_sampling {positive_sampling!r}")
     if aff.n_classes != dataset.index.total:
         raise ContractError(f"affinity over {aff.n_classes} classes, dataset has {dataset.index.total}")
     anchor_classes = np.asarray(anchor_classes, dtype=np.int64)
     table = aff.candidates
     valid = table.count[anchor_classes] > 0
     drawing = anchor_classes[valid]
-    at, slot = drawn if drawn is not None else draw_positives(drawing, table, dataset, n_k, rng,
-                                                              positive_sampling)
-    picks = dataset.class_samples(table.index[drawing[:, None], at], slot)
+    if places.shape != (drawing.size, n_k) or slots.shape != places.shape:
+        raise ContractError(f"draws of shapes {places.shape} and {slots.shape} for "
+                            f"{drawing.size} anchors with candidates")
+    picks = dataset.class_samples(table.index[drawing[:, None], places], slots)
     if weighting_mode == "W":
-        w = table.weights[drawing[:, None], at]
+        w = table.weights[drawing[:, None], places]
         w /= w.sum(axis=1, keepdims=True)
     else:
         w = np.full(picks.shape, 1.0 / n_k)

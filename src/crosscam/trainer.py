@@ -29,7 +29,6 @@ from .affinity import (  # noqa: F401
 )
 from .buffer import PersonBuffer, new_buffer, update_person
 from .data import Dataset, field_accepts
-from .draws import choice_rows
 from .errors import ConfigError, ContractError, TrainingError
 from .losses import (
     TripletBatch,
@@ -57,7 +56,7 @@ from .model import (  # noqa: F401
     init_model,
     sgd_step,
 )
-from .plan import Draws, plan_epoch
+from .plan import plan_epoch
 
 INTER_MODES = ("C", "D", "C+D")
 WEIGHTING_MODES = ("AW", "W")
@@ -239,43 +238,16 @@ def _camera_persons(dataset: Dataset, camera_id: int) -> tuple[int, int]:
     return first, stop - first
 
 
-def _pk_draws(dataset: Dataset, camera_id: int, n_p: int, n_k: int,
-              rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """(classes, slots) of one PK batch of a checked camera, through
-    Generator.choice and draws.choice_rows: each person's places in its
-    class_members list."""
-    persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
-    if persons.size >= n_p:
-        chosen = rng.choice(persons, size=n_p, replace=False)
-    else:
-        extra = rng.choice(persons, size=n_p - persons.size, replace=True)
-        chosen = np.concatenate([rng.permutation(persons), extra])
-    starts = dataset.class_members()[1]
-    slots, _ = choice_rows(rng, starts[chosen + 1] - starts[chosen], n_k)
-    return chosen, slots
-
-
-def pk_sampler(
-    dataset: Dataset, camera_id: int, n_p: int, n_k: int, rng: np.random.Generator,
-    drawn: tuple[np.ndarray, np.ndarray] | None = None,
-) -> PKBatch:
-    """Draw n_p persons of one camera, n_k samples each.
-
-    Persons are drawn without replacement; when the camera has fewer than
-    n_p persons, every person is included once and the remainder is drawn
-    with replacement.  Samples per person are drawn without replacement,
-    falling back to replacement when the person has fewer than n_k, one
-    person after another through draws.choice_rows, whose places
-    Dataset.class_samples maps to samples.  drawn, when given, holds the
-    (classes, sample indices) of an epoch plan, mapped the same way, in
-    place of rng's draws (crosscam.plan tells where a plan stops); the
-    camera is checked either way.
+def pk_sampler(dataset: Dataset, camera_id: int, classes: np.ndarray,
+               samples: np.ndarray) -> PKBatch:
+    """One camera's PK batch from an epoch plan's draws: classes, its n_p
+    persons (every person once and the rest with replacement when the
+    camera has fewer than n_p), and samples, the (n_p, n_k) sample
+    indices of each person's n_k draws among its samples (with
+    replacement when it has fewer than n_k).  The camera is checked.
     """
     _camera_persons(dataset, camera_id)
-    if drawn is None:
-        classes, slots = _pk_draws(dataset, camera_id, n_p, n_k, rng)
-        drawn = classes, dataset.class_samples(classes[:, None], slots)
-    return PKBatch(sample_indices=drawn[1], classes=drawn[0])
+    return PKBatch(sample_indices=samples, classes=classes)
 
 
 def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.ndarray, ...]]:
@@ -297,29 +269,25 @@ def camera_shares(dataset: Dataset, batch_total: int) -> tuple[int, tuple[np.nda
     return quota, cameras
 
 
-def classification_sampler(
-    dataset: Dataset, rng: np.random.Generator, batch_total: int = 64,
-    drawn: np.ndarray | None = None,
-) -> np.ndarray:
-    """Camera-balanced sample draw: camera_shares' quota from each camera,
-    one Generator.choice each (with replacement when the camera has fewer
-    samples).  drawn, when given, holds each camera's places in its sample
-    list, drawn by an epoch plan in place of rng.
+def classification_sampler(dataset: Dataset, batch_total: int, places: np.ndarray) -> np.ndarray:
+    """Camera-balanced batch: camera_shares' quota from each camera, at
+    its row of places in its sample list (an epoch plan's draws: one
+    choice per camera, with replacement when the camera has fewer
+    samples).
 
     Returns dataset sample indices in camera order.
     """
-    quota, cameras = camera_shares(dataset, batch_total)
-    if drawn is None:
-        drawn = [rng.choice(idx.size, size=quota, replace=idx.size < quota) for idx in cameras]
-    return np.concatenate([idx[p] for idx, p in zip(cameras, drawn)])
+    _, cameras = camera_shares(dataset, batch_total)
+    return np.concatenate([idx[p] for idx, p in zip(cameras, places)])
 
 
 @dataclass
 class TrainState:
     """Everything a run carries between iterations; train mutates one, the
-    epoch callback sees it live.  rng draws the batches, the epoch is
-    len(log.records) and final_affinity is the latest joint epoch's; it is
-    None while the next one is built, so the two are never held at once."""
+    epoch callback sees it live.  rng draws the batches, one epoch plan
+    per epoch, the epoch is len(log.records) and final_affinity is the
+    latest joint epoch's; it is None while the next one is built, so the
+    two are never held at once."""
 
     model: EmbeddingModel
     head: ClassifierHead
@@ -362,20 +330,20 @@ def _epoch_start(state: TrainState, dataset: Dataset, config: TrainConfig) -> tu
 # Each backward takes the hidden activations of its batch's forward in the
 # same iteration, before sgd_step changes the parameters.  The soft-label
 # steps read the epoch's affinity from state.final_affinity.  Each step
-# takes its iteration's planned draws, None where its sampler draws from
-# state.rng.
+# takes its iteration's planned draws (plan.Draws).
 
 def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PKBatch,
-                drawn: np.ndarray | None = None) -> tuple:
-    """Within-camera triplet on one PK batch: (X, its hidden activations,
-    its TripletBatch, step result); the D step reuses the first three."""
+                mining: np.ndarray | None = None) -> tuple:
+    """Within-camera triplet on one PK batch, with random mining at the
+    planned mining places: (X, its hidden activations, its TripletBatch,
+    step result); the D step reuses the first three."""
     X = dataset.features[pk.sample_indices.reshape(-1)]
     E, H = forward_with_hidden(state.model, X)
     tb = TripletBatch(E.reshape(config.n_p, config.n_k, -1), pk.classes)
     if config.mining_mode == "hard":
         lv = intra_triplet_loss(tb, config.margin)
     else:
-        lv = random_triplet_loss(tb, config.margin, state.rng, drawn)
+        lv = random_triplet_loss(tb, config.margin, mining)
     n = E.shape[0]
     dE = lv.grads["embeddings"].reshape(n, -1)
     dE /= n
@@ -383,13 +351,14 @@ def _intra_step(state: TrainState, dataset: Dataset, config: TrainConfig, pk: PK
 
 
 def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
-                  drawn: np.ndarray | None = None) -> tuple:
-    """Soft cross-entropy ("C") on one camera-balanced batch; samples whose
-    soft-label row is degenerate add no term and get a zero score
-    gradient row.  The head's scores become the probabilities and then
-    the score gradient in place, scaled in place, so the step holds one
-    batch x C array; the batch's forward activations go to its backward."""
-    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total, drawn)
+                  places: np.ndarray) -> tuple:
+    """Soft cross-entropy ("C") on the camera-balanced batch at the planned
+    places; samples whose soft-label row is degenerate add no term and
+    get a zero score gradient row.  The head's scores become the
+    probabilities and then the score gradient in place, scaled in place,
+    so the step holds one batch x C array; the batch's forward
+    activations go to its backward."""
+    cls_idx = classification_sampler(dataset, config.class_batch_total, places)
     Xc = dataset.features[cls_idx]
     Vc, Hc = forward_with_hidden(state.model, Xc)
     scores = head_forward(state.head, Vc)
@@ -406,19 +375,16 @@ def _soft_ce_step(state: TrainState, dataset: Dataset, config: TrainConfig,
 
 
 def _d_step(state: TrainState, dataset: Dataset, config: TrainConfig, X: np.ndarray,
-            H: np.ndarray, tb: TripletBatch,
-            drawn: tuple[np.ndarray, np.ndarray] | None = None) -> tuple:
+            H: np.ndarray, tb: TripletBatch, positives: tuple[np.ndarray, np.ndarray]) -> tuple:
     """Weighted soft triplet ("D") with every row of the intra batch an
     anchor: X, its hidden activations H and tb are the intra step's, and
-    the positives' activations come from their own forward.  An anchor
+    the positives' activations come from their own forward, at the
+    planned (places, slots) of the positives.  An anchor
     whose affinity row has no candidate is skipped; the gradients on the
     batch and on the positives are scaled by lam / anchors used."""
     E, labels = tb.flat()
     picks, weights, valid = select_positives(
-        labels, state.final_affinity, dataset, config.n_k, state.rng,
-        weighting_mode=config.weighting_mode, positive_sampling=config.positive_sampling,
-        drawn=drawn,
-    )
+        labels, state.final_affinity, dataset, *positives, weighting_mode=config.weighting_mode)
     anchors = np.flatnonzero(valid)
     if not anchors.size:
         return 0.0, 0, valid.size, []
@@ -527,13 +493,10 @@ def train(
     (plan.plan_epoch), made after the epoch's affinity and before its
     first iteration; each iteration hands its planned draws to
     pk_sampler, random_triplet_loss, classification_sampler and
-    select_positives, one call each, and from the first iteration the
-    plan does not settle on (the crosscam.plan docstring tells where)
-    those draw from the generator themselves.  The generator's state at
-    each epoch boundary is the one the per-iteration draws leave.  A
-    TrainingError in an iteration the plan settled leaves the generator
-    past all of the epoch's planned draws; in a later one, past that
-    iteration's draws up to the failing step.
+    select_positives, one call each, which map them to samples and
+    picks.  The generator's state at each epoch boundary is the one
+    numpy's per-iteration calls would leave, and a TrainingError leaves
+    the generator past all of the epoch's planned draws.
     """
     cams = check_corpus(dataset, config)
     use_c, use_d = _soft_terms(config)
@@ -560,9 +523,8 @@ def train(
             candidates=state.final_affinity.candidates if joint and use_d else None,
             nearest=config.positive_sampling == "nearest",
         )
-        for it, cam in enumerate(cams):
-            drawn = plan[it] if it < len(plan) else Draws()
-            pk = pk_sampler(dataset, cam, config.n_p, config.n_k, state.rng, drawn.pk)
+        for it, (cam, drawn) in enumerate(zip(cams, plan)):
+            pk = pk_sampler(dataset, cam, *drawn.pk)
             X, H, tb, out = _intra_step(state, dataset, config, pk, drawn.mining)
             # In merge order; a step runs only once the one before it passed the check.
             steps = [(intra, "intra loss", lambda: out)]

@@ -18,11 +18,15 @@ triplet loss took its square root in place and scattered its terms once
 and the weighted triplet loss took its negative distances from one
 batched dot, before the embedding network's backward pass took the
 forward's hidden activations and gated its ReLU by a bit mask, and
-before the soft-triplet step drew its follow-up words in the same
-integers call as its choice draws, screened the hardest negative with
-one bound per row and computed the weighted triplet gradients on every
-row (those three batched forms are frozen here as replayed_choice_rows,
-screened_hardest_negative and gathered_weighted_triplet_loss).  The
+before the soft-triplet step screened the hardest negative with one
+bound per row and computed the weighted triplet gradients on every row
+(those two batched forms are frozen here as screened_hardest_negative
+and gathered_weighted_triplet_loss).  The per-iteration samplers the
+package drew with before its epoch plans decoded every draw from raw
+words are here as epoch_loop, one numpy call per person, anchor and
+camera: epoch_draws maps its draws to samples, and plan_epoch gives them
+in the package's plan form, so that a whole training run can take them
+in place of the plan.  The
 distance kernel both slow scorers use is a frozen copy of the package's
 one-expression form, applied to the package's product blocks of rows
 (squared_distance_blocks); with one block it is the one-call kernel.
@@ -52,7 +56,6 @@ from crosscam.losses import weighted_cross_entropy as table_cross_entropy
 from crosscam.model import BODY_PARAMS, forward_with_hidden, head_backward
 from crosscam.model import backward as backward_from_hidden
 from crosscam.ranking import hit_aps
-from crosscam.trainer import classification_sampler
 
 LOG_FLOOR = 1e-12
 
@@ -171,11 +174,12 @@ def softmax_probs(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def soft_ce_step(state, dataset, config, table):
-    """The C step with every full-width array it once made: (loss, terms,
-    skipped, [body grads, head grads], score gradient); the kept rows are
-    always copied out and their gradient scattered into zeros."""
-    cls_idx = classification_sampler(dataset, state.rng, config.class_batch_total)
+def soft_ce_step(state, dataset, config, table, places):
+    """The C step with every full-width array it once made, on the batch at
+    each camera's places: (loss, terms, skipped, [body grads, head
+    grads], score gradient); the kept rows are always copied out and
+    their gradient scattered into zeros."""
+    cls_idx = np.concatenate([idx[p] for idx, p in zip(dataset.camera_members(), places)])
     Xc = dataset.features[cls_idx]
     Vc, Hc = forward_with_hidden(state.model, Xc)
     scores = head_forward(state.head, Vc)
@@ -457,63 +461,204 @@ def affinity_quality_map(A, cameras, truth):
     return float(np.mean(aps))
 
 
-def choice_rows(rng, pops, size, then=None, follow=None):
-    """(choices, follow-up draws) of one real choice, then integers, call per
-    row; then gives follow (by default size) follow-up bounds per row."""
+def choice_rows(rng, pops, size):
+    """(R, size) choices, one real Generator.choice call per row."""
     choices = np.zeros((len(pops), size), dtype=np.int64)
-    drawn = np.zeros((len(pops), size if follow is None else follow), dtype=np.int64)
     for r, pop in enumerate(np.asarray(pops).tolist()):
         choices[r] = rng.choice(pop, size=size, replace=pop < size)
-        if then is not None:
-            drawn[r] = [rng.integers(h) for h in then(np.array([r]), choices[r:r + 1])[0].tolist()]
-    return choices, (drawn if then is not None else None)
+    return choices
 
 
-def pk_sampler(dataset, camera_id, n_p, n_k, rng):
-    """(sample indices, classes) of one PK batch, one choice per person."""
+class WordReader:
+    """Generator.choice, permutation and integers (a scalar bound) as numpy
+    makes them, read from a stream of 32-bit words one word at a time:
+    Lemire's bounded method, a rejected word skipped; Floyd's selection
+    and its shuffle, draws with replacement, or the tail shuffle (pop >
+    10,000 and size > pop // 50); and permutation's masked draws, for
+    i = n - 1 .. 1 words until one's lowest i.bit_length() bits are at
+    most i.  pos is the next word's position, and reads lists (call,
+    position, Lemire bound or None when masked) of every word read."""
+
+    def __init__(self, words):
+        self.words = [int(w) for w in words]
+        self.pos = self.calls = 0
+        self.reads = []
+
+    def _word(self, bound):
+        self.reads.append((self.calls, self.pos, bound))
+        self.pos += 1
+        return self.words[self.pos - 1]
+
+    def _bounded(self, n):
+        while n > 1:
+            m = self._word(n) * n
+            if m % 2**32 >= 2**32 % n:
+                return m >> 32
+        return 0
+
+    def _masked(self, i):
+        mask = (1 << i.bit_length()) - 1
+        j = i + 1
+        while j > i:
+            j = self._word(None) & mask
+        return j
+
+    def _called(self, out):
+        self.calls += 1
+        return out
+
+    def integers(self, n):
+        return self._called(self._bounded(int(n)))
+
+    def choice(self, a, size, replace):
+        pop = int(a) if np.ndim(a) == 0 else len(a)
+        if replace:
+            picks = [self._bounded(pop) for _ in range(size)]
+        elif pop > 10_000 and size > pop // 50:
+            picks = list(range(pop))
+            for i in range(pop - 1, pop - size - 1, -1):
+                j = self._bounded(i + 1)
+                picks[i], picks[j] = picks[j], picks[i]
+            picks = picks[pop - size:]
+        else:
+            picks = []
+            for j in range(pop - size, pop):
+                v = self._bounded(j + 1)
+                picks.append(j if v in picks else v)
+            for i in range(size - 1, 0, -1):
+                j = self._bounded(i + 1)
+                picks[i], picks[j] = picks[j], picks[i]
+        picks = np.array(picks, dtype=np.int64)
+        return self._called(picks if np.ndim(a) == 0 else np.asarray(a)[picks])
+
+    def permutation(self, a):
+        out = np.array(a)
+        for i in range(out.size - 1, 0, -1):
+            j = self._masked(i)
+            out[i], out[j] = out[j], out[i]
+        return self._called(out)
+
+
+def pk_draws(dataset, camera_id, n_p, n_k, rng):
+    """(classes, slots) of one PK batch as the package once drew it itself:
+    the camera's persons through one choice (a camera of fewer than n_p:
+    n_p - m more with replacement, then a permutation of all m, the
+    permutation first), then one choice of n_k places per person."""
     persons = np.arange(*dataset.index.offsets[camera_id:camera_id + 2], dtype=np.int64)
     if persons.size >= n_p:
         chosen = rng.choice(persons, size=n_p, replace=False)
     else:
         extra = rng.choice(persons, size=n_p - persons.size, replace=True)
         chosen = np.concatenate([rng.permutation(persons), extra])
-    picks = np.zeros((n_p, n_k), dtype=np.int64)
+    starts = dataset.class_members()[1]
+    return chosen, choice_rows(rng, starts[chosen + 1] - starts[chosen], n_k)
+
+
+def pk_sampler(dataset, camera_id, n_p, n_k, rng):
+    """(sample indices, classes) of one PK batch, one choice per person."""
+    chosen, slots = pk_draws(dataset, camera_id, n_p, n_k, rng)
     order, starts = dataset.class_members()
-    for r, cls in enumerate(chosen):
-        idxs = order[starts[cls]:starts[cls + 1]]
-        picks[r] = rng.choice(idxs, size=n_k, replace=idxs.size < n_k)
-    return picks, chosen
+    return order[starts[chosen][:, None] + slots], chosen
+
+
+def mining_places(labels, rng):
+    """(anchors, 2) random-mining draws, two scalar draws per anchor: a
+    place among its other same-person rows, then among the others'."""
+    labels = np.asarray(labels).tolist()
+    rows = [labels.count(c) for c in labels]  # each anchor's person's rows
+    return np.array([[rng.integers(r - 1), rng.integers(len(labels) - r)] for r in rows],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def classification_places(dataset, batch_total, rng):
+    """Each camera's batch_total // n_cameras places in its sample list, one
+    choice per camera (with replacement when the camera has fewer)."""
+    quota = batch_total // dataset.n_cameras
+    return [rng.choice(idx.size, size=quota, replace=idx.size < quota)
+            for idx in dataset.camera_members()]
+
+
+def positive_places(anchor_classes, table, dataset, n_k, rng, positive_sampling="random"):
+    """(places, slots) of the anchors whose candidate row of table is not
+    empty, one anchor after another: n_k places in the row (a choice,
+    with replacement when it is shorter than n_k; "nearest": the top
+    weights, ties to the lower place, padded cyclically), then one
+    integers draw per place among its person's samples."""
+    starts = dataset.class_members()[1]
+    places, slots = [], []
+    for c in np.asarray(anchor_classes).tolist():
+        count = int(table.count[c])
+        if not count:
+            continue
+        if positive_sampling == "nearest":
+            order = np.argsort(-table.weights[c, :count], kind="stable")
+            at = order[np.arange(n_k) % count]
+        else:
+            at = rng.choice(count, size=n_k, replace=count < n_k)
+        persons = table.index[c, at]
+        places.append(at)
+        slots.append([rng.integers(starts[p + 1] - starts[p]) for p in persons.tolist()])
+    return (np.array(places, dtype=np.int64).reshape(-1, n_k),
+            np.array(slots, dtype=np.int64).reshape(-1, n_k))
+
+
+def epoch_loop(dataset, cams, n_p, n_k, rng, random_mining=False, batch_total=None, table=None,
+               positive_sampling="random"):
+    """Each iteration's draws in train's order, one numpy call per person,
+    anchor and camera, as an epoch plan gives them: [(classes, slots,
+    mining places or None, C places or None, D (places, slots) or None)]
+    for the cameras cams in turn.  table is the affinity's candidate
+    table."""
+    out = []
+    for cam in cams:
+        classes, slots = pk_draws(dataset, cam, n_p, n_k, rng)
+        labels = np.repeat(classes, n_k)
+        mining = mining_places(labels, rng) if random_mining else None
+        cls = None if batch_total is None else classification_places(dataset, batch_total, rng)
+        positives = (None if table is None else
+                     positive_places(labels, table, dataset, n_k, rng, positive_sampling))
+        out.append((classes, slots, mining, cls, positives))
+    return out
+
+
+def plan_epoch(rng, dataset, cams, n_p, n_k, random_mining=False, shares=None, candidates=None,
+               nearest=False):
+    """crosscam.plan.plan_epoch's draws from epoch_loop, one numpy call per
+    draw: the reference a whole training run can take in its place."""
+    from crosscam.plan import Draws
+    batch_total = None if shares is None else shares[0] * dataset.n_cameras
+    loop = epoch_loop(dataset, cams, n_p, n_k, rng, random_mining, batch_total, candidates,
+                      "nearest" if nearest else "random")
+    order, starts = dataset.class_members()
+    return [Draws((c, order[starts[c][:, None] + s]), m, cls, pos) for c, s, m, cls, pos in loop]
 
 
 def epoch_draws(dataset, cams, n_p, n_k, rng, random_mining=False, batch_total=None, aff=None,
                 weighting_mode="AW", positive_sampling="random"):
-    """Each iteration's draws in train's order, one numpy call per person,
-    anchor and camera: [(PK sample indices, classes, random mining draws
-    or None, C sample indices or None, D (picks, weights) of the anchors
-    that draw or None)] for the cameras cams in turn.  Mining draws, per
-    anchor, a place among its other same-person rows, then one among the
-    other persons' rows; C, batch_total // n_cameras samples of each
-    camera; D, select_positives of each anchor whose row of aff is not
-    zero."""
+    """epoch_loop's draws mapped to samples: [(PK sample indices, classes,
+    random mining draws or None, C sample indices or None, D (picks,
+    weights) of the anchors that draw or None)].  C maps each camera's
+    places in its sample list; D each place's person and slot to a
+    sample, weighted 1/n_k ("AW") or by the places' affinities over
+    their sum ("W")."""
+    table = None if aff is None else aff.candidates
+    order, starts = dataset.class_members()
     out = []
-    for cam in cams:
-        picks, chosen = pk_sampler(dataset, cam, n_p, n_k, rng)
-        labels = np.repeat(chosen, n_k)
-        mining = cls = positives = None
-        if random_mining:
-            mining = np.array([[rng.integers(np.count_nonzero(labels == c) - 1),
-                                rng.integers(np.count_nonzero(labels != c))]
-                               for c in labels.tolist()], dtype=np.int64).reshape(-1, 2)
-        if batch_total is not None:
-            quota = batch_total // dataset.n_cameras
-            cls = np.concatenate([rng.choice(idx, size=quota, replace=idx.size < quota)
-                                  for idx in dataset.camera_members()])
-        if aff is not None:
-            rows = [select_positives(c, aff, dataset, n_k, rng, weighting_mode, positive_sampling)
-                    for c in labels.tolist() if aff.A[c].any()]
-            positives = (np.array([[p for p, _ in r] for r in rows], dtype=np.int64).reshape(-1, n_k),
-                         np.array([[w for _, w in r] for r in rows]).reshape(-1, n_k))
-        out.append((picks, chosen, mining, cls, positives))
+    for classes, slots, mining, cls, positives in epoch_loop(
+            dataset, cams, n_p, n_k, rng, random_mining, batch_total, table, positive_sampling):
+        picks = order[starts[classes][:, None] + slots]
+        if cls is not None:
+            cls = np.concatenate([idx[p] for idx, p in zip(dataset.camera_members(), cls)])
+        if positives is not None:
+            labels = np.repeat(classes, n_k)
+            drawing = labels[table.count[labels] > 0]
+            places, slot = positives
+            persons = table.index[drawing[:, None], places]
+            w = table.weights[drawing[:, None], places]
+            weights = w / w.sum(axis=1, keepdims=True) if weighting_mode == "W" else \
+                np.full(places.shape, 1.0 / n_k)
+            positives = order[starts[persons] + slot], weights
+        out.append((picks, classes, mining, cls, positives))
     return out
 
 
@@ -616,100 +761,9 @@ def random_triplet_picks(labels, rng):
     return pos_pick, neg_pick
 
 
-# Frozen batched forms the package ran before its soft-triplet step drew
-# its follow-up words in the same integers call as the choice draws,
-# screened the hardest negative with one bound per row, and computed the
-# weighted triplet gradients on every row.
-
-def _choice_bounds(pops, size):
-    floyd = (pops >= size)[:, None]
-    bounds = np.ones((pops.size, 2 * size - 1), dtype=np.int64)
-    bounds[:, :size] = pops[:, None] + np.where(floyd, np.arange(1 - size, 1), 0)
-    bounds[:, size:] = np.where(floyd, np.arange(size, 1, -1), 1)
-    return bounds
-
-
-def _picks(values, pops, size):
-    out = values[:, :size].copy()
-    floyd = np.flatnonzero(pops >= size)
-    sel = out[floyd]
-    top = pops[floyd, None] + np.arange(-size, 0)
-    for t in range(1, size):
-        np.copyto(sel[:, t], top[:, t], where=(sel[:, :t] == sel[:, t, None]).any(axis=1))
-    flat = sel.reshape(-1)
-    swaps = np.arange(0, flat.size, size)[:, None] + values[floyd, size:]
-    for u, i in enumerate(range(size - 1, 0, -1)):
-        j = swaps[:, u]
-        flat[j], sel[:, i] = sel[:, i], flat[j]
-    out[floyd] = sel
-    return out
-
-
-def replay(words, pops, size, then):
-    """(choices, follow-up draws, rows settled, words they read) of the
-    per-row loop over a raw uint32 word stream, each draw of range above
-    1 and each follow-up draw given the next word."""
-    pops = np.asarray(pops, dtype=np.int64)
-    R, n_choice = pops.size, 2 * size - 1
-    bounds = np.concatenate([_choice_bounds(pops, size), np.ones((R, size), dtype=np.int64)],
-                            axis=1)
-    reads = bounds > 1
-    reads[:, n_choice:] = True
-    pos = np.cumsum(reads).reshape(reads.shape) - 1
-    need = int(reads.sum())
-    if words.size < need:
-        raise ContractError(f"replay needs {need} words, got {words.size}")
-    w = np.zeros(need + 1, dtype=np.uint64)
-    w[:need] = words[:need]
-
-    def draw(cols):
-        n = bounds[:, cols].astype(np.uint64)
-        m = w[pos[:, cols]] * n
-        return (m >> np.uint64(32)).astype(np.int64), m % np.uint64(2**32) >= np.uint64(2**32) % n
-
-    values, ok = draw(slice(0, n_choice))
-    choices = _picks(values, pops, size)
-    bounds[:, n_choice:] = np.asarray(then(np.arange(R), choices))
-    drawn, ok_then = draw(slice(n_choice, None))
-    ok = np.concatenate([ok, ok_then & (bounds[:, n_choice:] > 1)], axis=1)
-    wrong = ~ok.all(axis=1)
-    settled = int(np.argmax(wrong)) if wrong.any() else R
-    return choices, drawn, settled, int(reads[:settled].sum())
-
-
-def replayed_choice_rows(rng, pops, size, then=None):
-    """The word-replay batched choice_rows: one integers call over the
-    choice bounds without follow-up draws; with them, a block of raw
-    words, replay, a generator reset and re-read when the replay read
-    fewer words than it drew, and the per-row loop from the first row
-    the replay did not settle or the first tail-shuffle row."""
-    pops = np.asarray(pops, dtype=np.int64)
-    tail = (pops >= size) & (pops > 10_000) & (size > pops // 50)
-    end = int(np.argmax(tail)) if tail.any() else pops.size
-    if then is None:
-        drawn, settled = None, end
-        choices = _picks(rng.integers(_choice_bounds(pops[:end], size)), pops[:end], size)
-    else:
-        snapshot = rng.bit_generator.state
-        words = rng.integers(0, 2**32, size=end * (3 * size - 1), dtype=np.uint32)
-        choices, drawn, settled, read = replay(words, pops[:end], size, then)
-        if read != words.size:
-            rng.bit_generator.state = snapshot
-            rng.integers(0, 2**32, size=read, dtype=np.uint32)
-    out = np.zeros((pops.size, size), dtype=np.int64)
-    out[:settled] = choices[:settled]
-    follow = None
-    if then is not None:
-        follow = np.zeros_like(out)
-        follow[:settled] = drawn[:settled]
-    for r in range(settled, pops.size):
-        pop = int(pops[r])
-        out[r] = rng.choice(pop, size, replace=pop < size)
-        if then is not None:
-            bounds = np.asarray(then(np.array([r]), out[r:r + 1]))[0].tolist()
-            follow[r] = [rng.integers(h) for h in bounds]
-    return out, follow
-
+# Frozen batched forms the package ran before it screened the hardest
+# negative with one bound per row and computed the weighted triplet
+# gradients on every row.
 
 def screened_hardest_negative(anchors, batch_embeddings, batch_classes, anchor_classes):
     """The per-pair screen: every pair's rounding bound from its own norms,

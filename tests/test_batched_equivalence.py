@@ -200,8 +200,9 @@ def test_select_positives_matches_per_anchor_draws(seed, weighting_mode, positiv
         except SelectionError:
             want.append(None)
     got_rng = np.random.default_rng(draw_seed)
-    picks, weights, valid = select_positives(anchor_classes, aff, ds, n_k, got_rng,
-                                             weighting_mode, positive_sampling)
+    places = slow.positive_places(anchor_classes, aff.candidates, ds, n_k, got_rng,
+                                  positive_sampling)
+    picks, weights, valid = select_positives(anchor_classes, aff, ds, *places, weighting_mode)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
     assert valid.tolist() == [w is not None for w in want]
     drew = [w for w in want if w is not None]  # one row per drawing anchor, in anchor order
@@ -257,10 +258,12 @@ def test_soft_triplet_step_matches_per_anchor_loop(seed, weighting_mode, positiv
         inputs.append((X_in, dV.copy(), H_in))
         return {"call": len(inputs)}
 
+    places = slow.positive_places(labels, aff.candidates, ds, config.n_k, state.rng,
+                                  positive_sampling)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "backward", recording_backward)
         got = trainer._d_step(state, ds, config, X, H,
-                              TripletBatch(E.reshape(n_p, config.n_k, -1), persons))
+                              TripletBatch(E.reshape(n_p, config.n_k, -1), persons), places)
     assert state.rng.bit_generator.state == ref_rng.bit_generator.state
     assert same_bits(got[0], want[0]) and got[1:3] == want[1:3]
     if not want[1]:

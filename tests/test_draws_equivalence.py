@@ -1,16 +1,19 @@
-"""Batched draws, the screened hardest negative and the batched buffer
-update give the bits of their per-row loops.
+"""Draws decoded from raw words, the screened hardest negative and the
+batched buffer update give the bits of their per-row loops.
 
 Each test runs the package's batched form and the loop in
 tests/slow_references.py, which calls numpy's own Generator.choice and
 Generator.integers, and compares picks, values, losses and the
 generator state afterwards (PCG64's buffered half word included), on
-PCG64 and MT19937.  Cases include populations smaller than and equal to
-the draw size (Floyd's first draw then has range 0 and reads nothing),
-persons with one sample, an odd number of words already read, words
+PCG64 and MT19937.  The choice rows are decoded from raw words as the
+epoch plans decode them (draws._draw_bounds, placed_draws and _picks, a
+rejected word taken out of the stream).  Cases include populations
+smaller than and equal to the draw size (Floyd's first draw then has
+range 0 and reads nothing), an odd number of words already read, words
 that Lemire's method rejects, rows in numpy's tail-shuffle branch,
-repeated persons in a batch, near-tied distances and distances whose
-expanded form overflows or underflows.
+cameras with fewer persons than a batch takes, repeated persons in a
+batch, near-tied distances and distances whose expanded form overflows
+or underflows.
 """
 
 import numpy as np
@@ -19,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
 from crosscam import ContractError, new_buffer, select_hardest_negative, update_person
-from crosscam.draws import choice_rows, lemire
+from crosscam.draws import _draw_bounds, _picks, lemire, placed_draws, word_counts
 from crosscam.affinity import squared_distances
 from crosscam.losses import TripletBatch, _triplet_terms, random_triplet_loss
+from crosscam.plan import plan_epoch
 from crosscam.trainer import _update_buffer, pk_sampler
 from slow_references import same_bits
 from test_batched_equivalence import person_dataset, points
@@ -47,42 +51,58 @@ def twin_generators(bit_generator, seed, skip):
     return pair
 
 
+def decoded_choice_rows(rng, pops, size):
+    """(R, size) choices of size from each of pops, decoded from raw words
+    as epoch plans decode them, and the words Lemire's method rejected:
+    each is taken out of the stream and the rows decoded again; rng ends
+    past the words the rows read."""
+    pops = np.asarray(pops, dtype=np.int64)
+    bounds, tail = _draw_bounds(pops, size)
+    counts = word_counts(bounds)
+    snapshot = rng.bit_generator.state
+    words = rng.integers(0, 2**32, size=int(counts.sum()), dtype=np.uint32)
+    skipped = 0
+    while True:
+        values, rejected = placed_draws(words, np.cumsum(counts) - counts, bounds)
+        if not rejected.size:
+            break
+        words = np.append(np.delete(words, rejected.min()), rng.integers(0, 2**32, dtype=np.uint32))
+        skipped += 1
+    rng.bit_generator.state = snapshot
+    rng.integers(0, 2**32, size=int(counts.sum()) + skipped, dtype=np.uint32)
+    return _picks(values, pops, size, tail), skipped
+
+
 @SETTINGS
-@given(seed=seeds, bit_generator=bit_generators, with_then=st.booleans())
-def test_choice_rows_matches_real_calls(seed, bit_generator, with_then):
+@given(seed=seeds, bit_generator=bit_generators)
+def test_choice_rows_matches_real_calls(seed, bit_generator):
     rng = np.random.default_rng(seed)
     size = int(rng.integers(1, 7))
     pops = rng.integers(1, 11, size=int(rng.integers(0, 26)))
     pops[rng.random(pops.size) < 0.25] = size  # Floyd's first draw in [0, 0]
-    ones = float(rng.choice([0.0, 0.02, 0.3]))  # share of persons with one sample
-    table = np.where(rng.random((pops.size, 10)) < ones, 1, rng.integers(2, 6, size=(pops.size, 10)))
-    then = (lambda rows, c: table[rows[:, None], c]) if with_then else None
     ref, got = twin_generators(bit_generator, int(rng.integers(2**31)), int(rng.integers(0, 4)))
 
-    want = slow.choice_rows(ref, pops, size, then)
-    out = choice_rows(got, pops, size, then)
+    want = slow.choice_rows(ref, pops, size)
+    out, _ = decoded_choice_rows(got, pops, size)
     assert state(got) == state(ref)
-    assert out[0].tolist() == want[0].tolist()
-    assert (out[1] is None) == (want[1] is None)
-    if with_then:
-        assert out[1].tolist() == want[1].tolist()
+    assert out.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 def test_choice_rows_with_rejected_words(bit_generator):
-    # Bounds near 3 * 2**30 reject about a quarter of all words.
+    # Populations near 3 * 2**30 reject about a quarter of all words.
+    rejections = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         pops = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=int(rng.integers(1, 12)))
         pops[0] = rng.integers(1, 4)
-        table = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=(pops.size, 3))
-        table[rng.random(table.shape) < 0.3] = 1  # one-sample persons: rows left to numpy
-        then = (lambda rows, c: table[rows, :c.shape[1]])
         ref, got = twin_generators(bit_generator, seed, seed % 3)
-        want = slow.choice_rows(ref, pops, 3, then)
-        out = choice_rows(got, pops, 3, then)
+        want = slow.choice_rows(ref, pops, 3)
+        out, skipped = decoded_choice_rows(got, pops, 3)
         assert state(got) == state(ref)
-        assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
+        assert out.tolist() == want.tolist()
+        rejections += skipped
+    assert rejections > 20  # the cases do reject words
 
 
 @pytest.mark.parametrize("size", [199, 200, 201, 202])
@@ -91,10 +111,10 @@ def test_tail_shuffle_rows_are_exact(size):
     # size > pop // 50: pop 10,001 switches between sizes 200 and 201.
     pops = np.array([3, 10_001, 250, 20_000, 10_001])
     ref, got = twin_generators(np.random.PCG64, size, 1)
-    want = slow.choice_rows(ref, pops, size, then=lambda rows, c: np.full(c.shape, 3))
-    out = choice_rows(got, pops, size, then=lambda rows, c: np.full(c.shape, 3))
+    want = slow.choice_rows(ref, pops, size)
+    out, _ = decoded_choice_rows(got, pops, size)
     assert state(got) == state(ref)
-    assert out[0].tolist() == want[0].tolist() and out[1].tolist() == want[1].tolist()
+    assert out.tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox,
@@ -132,15 +152,14 @@ def test_lemire_on_hand_made_words():
 
 
 def test_choice_rows_without_follow_up_draws_on_hand_made_populations():
-    # Without follow-up draws every bound is known up front: a population
-    # of 1 reads no word, so rows of population 1 leave the generator as
-    # it was, and a row of population 3 reads what Generator.choice reads.
+    # A population of 1 reads no word, so rows of population 1 leave the
+    # generator as it was, and a row of population 3 reads what
+    # Generator.choice reads.
     rng = np.random.default_rng(3)
     before = state(rng)
-    out, follow = choice_rows(rng, np.array([1, 1]), 1)
-    assert out.tolist() == [[0], [0]] and follow is None and state(rng) == before
+    assert decoded_choice_rows(rng, [1, 1], 1)[0].tolist() == [[0], [0]] and state(rng) == before
     ref = np.random.default_rng(3)
-    out, _ = choice_rows(rng, np.array([1, 3, 1]), 1)
+    out, _ = decoded_choice_rows(rng, [1, 3, 1], 1)
     assert out.tolist() == [[0], [int(ref.choice(3, 1, replace=False)[0])], [0]]
     assert state(rng) == state(ref)
 
@@ -148,6 +167,8 @@ def test_choice_rows_without_follow_up_draws_on_hand_made_populations():
 @SETTINGS
 @given(seed=seeds)
 def test_pk_sampler_matches_per_person_choices(seed):
+    """pk_sampler on a one-batch plan, n_p up to two more than the
+    camera's persons (numpy then permutes the camera)."""
     rng = np.random.default_rng(seed)
     ds = person_dataset(rng, int(rng.integers(2, 4)), int(rng.integers(6, 30)))
     cam = int(np.argmax(ds.index.counts))
@@ -155,7 +176,7 @@ def test_pk_sampler_matches_per_person_choices(seed):
     draw_seed = int(rng.integers(2**31))
     ref, got = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
     want_picks, want_classes = slow.pk_sampler(ds, cam, n_p, n_k, ref)
-    batch = pk_sampler(ds, cam, n_p, n_k, got)
+    batch = pk_sampler(ds, cam, *plan_epoch(got, ds, [cam], n_p, n_k)[0].pk)
     assert state(got) == state(ref)
     assert batch.sample_indices.tolist() == want_picks.tolist()
     assert batch.classes.tolist() == want_classes.tolist()
@@ -222,7 +243,7 @@ def test_random_triplet_loss_matches_two_draws_per_anchor(seed):
     pos, neg = slow.random_triplet_picks(labels, ref)
     D, rows = np.sqrt(squared_distances(E, E)), np.arange(E.shape[0])
     want = _triplet_terms(batch, E, 0.3, pos, neg, D[rows, pos], D[rows, neg])
-    out = random_triplet_loss(batch, 0.3, got)
+    out = random_triplet_loss(batch, 0.3, slow.mining_places(labels, got))
     assert state(got) == state(ref)
     assert same_bits(out.loss, want.loss)
     assert same_bits(out.grads["embeddings"], want.grads["embeddings"])

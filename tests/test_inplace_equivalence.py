@@ -93,8 +93,9 @@ def test_soft_ce_step_matches_allocating_step(seed, degenerate, lam):
     head = init_head(config.embed_dim, C, rng)
     head.bc[:] = rng.standard_normal(C) * float(rng.choice([1.0, 30.0]))
     draw_seed = int(rng.integers(2**31))
-    batch = ds.class_ids[trainer.classification_sampler(
-        ds, np.random.default_rng(draw_seed), config.class_batch_total)]
+    places = slow.classification_places(ds, config.class_batch_total,
+                                        np.random.default_rng(draw_seed))
+    batch = ds.class_ids[trainer.classification_sampler(ds, config.class_batch_total, places)]
     W = soft_label_weights(rng, C, int(rng.integers(1, 8)))
     if degenerate == "some":
         W[batch[0]] = 0.0  # the last camera's samples are other persons, so they stay
@@ -110,7 +111,7 @@ def test_soft_ce_step_matches_allocating_step(seed, degenerate, lam):
                           final_affinity=aff)
 
     want_state, got_state = state(), state()
-    want = slow.soft_ce_step(want_state, ds, config, table)
+    want = slow.soft_ce_step(want_state, ds, config, table, places)
     score_grads = []
     head_backward = trainer.head_backward
 
@@ -120,7 +121,7 @@ def test_soft_ce_step_matches_allocating_step(seed, degenerate, lam):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(trainer, "head_backward", recording_head_backward)
-        got = trainer._soft_ce_step(got_state, ds, config)
+        got = trainer._soft_ce_step(got_state, ds, config, places)
     assert got_state.rng.bit_generator.state == want_state.rng.bit_generator.state
     assert same_bits(got[0], want[0]) and got[1:3] == want[1:3]
     if degenerate == "some":
@@ -332,7 +333,8 @@ def test_triplet_losses_take_a_strided_batch(loss, rng):
         batch = TripletBatch(embeddings, classes)
         if loss == "intra":
             return intra_triplet_loss(batch, 5.0)
-        return random_triplet_loss(batch, 5.0, np.random.default_rng(3))
+        return random_triplet_loss(batch, 5.0,
+                                   slow.mining_places(np.repeat(classes, K), np.random.default_rng(3)))
 
     got, want = run(strided), run(np.ascontiguousarray(strided))
     assert want.counters["active_triplets"] > 0

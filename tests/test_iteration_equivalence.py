@@ -5,7 +5,7 @@ tests/slow_references.py keeps the forms the package ran before: the
 batch-hard triplet loss with a square root of every distance as a new
 array, a same-person mask, both masked copies and one scatter per triplet
 end; the buffer update with one update_person call per person; the PK
-draw with one Generator.choice call per person; the momentum update that
+draws with one numpy call per person, anchor and camera; the momentum update that
 makes each velocity anew; and the weighted triplet loss's negative
 distances as a 1-d dot per row.  Each test compares results as bytes, so
 signed zeros and NaN payloads count.  The tripwire at the end trains a
@@ -27,17 +27,16 @@ from crosscam import (
     TrainingError,
     TripletBatch,
     intra_triplet_loss,
-    losses,
     new_buffer,
     train,
     update_person,
     weighted_triplet_loss,
 )
 from crosscam import trainer
-from crosscam.draws import choice_rows
 from crosscam.losses import LossValue, _row_lengths
 from slow_references import same_bits
 from test_batched_equivalence import points
+from test_draws_equivalence import decoded_choice_rows
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -138,9 +137,10 @@ def test_row_lengths_match_row_dots(seed, scale):
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
 def test_choice_rows_without_follow_ups_reject_as_numpy_does(bit_generator):
-    """Without follow-up draws every choice draw goes through one
-    Generator.integers call; bounds near 3 * 2**30 reject about a quarter
-    of all words, and rows in numpy's tail-shuffle branch take the loop."""
+    """Choice rows decoded from raw words, as epoch plans decode them, skip
+    each rejected word as numpy does: bounds near 3 * 2**30 reject about
+    a quarter of all words, and rows in numpy's tail-shuffle branch
+    decode their partial shuffle."""
     for seed in range(40):
         rng = np.random.default_rng(seed)
         size = int(rng.integers(1, 5))
@@ -151,10 +151,10 @@ def test_choice_rows_without_follow_ups_reject_as_numpy_does(bit_generator):
         ref, got = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         for g in (ref, got):
             g.integers(0, 2**32, size=seed % 3, dtype=np.uint32)
-        want, _ = slow.choice_rows(ref, pops, size)
-        out, follow = choice_rows(got, pops, size)
+        want = slow.choice_rows(ref, pops, size)
+        out, _ = decoded_choice_rows(got, pops, size)
         assert plain(got.bit_generator.state) == plain(ref.bit_generator.state)
-        assert out.tolist() == want.tolist() and follow is None
+        assert out.tolist() == want.tolist()
 
 
 def snapshot(state) -> dict:
@@ -222,14 +222,13 @@ def thinned(tiny_train):
 def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
     """A few warmup and joint epochs of C+D training, once through the
     package and once with the slow references in place of the intra loss,
-    the buffer update, the per-row draws (with no epoch plan, so every
-    draw goes through them) and the momentum update: the same log bytes,
-    parameters, velocities, buffer and generator state.
-    The cameras hold 16, 13 and 11 persons, so n_p = 13 puts repeated
-    persons in every batch of the last one and distinct ones in the
-    others.  Persons keep 1-4 of their 4 samples, so n_k = 4 draws some
-    with replacement, and a soft-triplet positive with one sample sends
-    the rest of its batch to the per-row loop."""
+    the buffer update, the epoch plan (one numpy call per draw) and the
+    momentum update: the same log bytes, parameters, velocities, buffer
+    and generator state.  The cameras hold 16, 13 and 11 persons, so
+    n_p = 13 puts repeated persons in every batch of the last one and
+    distinct ones in the others.  Persons keep 1-4 of their 4 samples, so
+    n_k = 4 draws some with replacement, and candidate rows mix
+    one-sample persons with others."""
     ds = thinned(tiny_train)
     config = TrainConfig(n_p=13, n_k=4, epochs=7, warmup_epochs=4, decay_epoch=6, hidden_dim=8,
                          embed_dim=4, class_batch_total=12, inter_mode="C+D", seed=5)
@@ -245,10 +244,8 @@ def test_iteration_tripwire_against_slow_references(monkeypatch, tiny_train):
 
     monkeypatch.setattr(trainer, "intra_triplet_loss", allocating_intra_loss)
     monkeypatch.setattr(trainer, "_update_buffer", per_person_buffer_update)
-    monkeypatch.setattr(trainer, "choice_rows", slow.choice_rows)
-    monkeypatch.setattr(losses, "choice_rows", slow.choice_rows)
     monkeypatch.setattr(trainer, "sgd_step", slow.sgd_step)
-    monkeypatch.setattr(trainer, "plan_epoch", lambda *args, **kwargs: [])
+    monkeypatch.setattr(trainer, "plan_epoch", slow.plan_epoch)
     want = train(ds, config)
     assert got.log.to_json() == want.log.to_json()
     assert any(r.inter_loss for r in got.log.records)

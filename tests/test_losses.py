@@ -101,16 +101,20 @@ class TestIntraTriplet:
             assert relative_error(a, n) <= 1e-4
 
     def test_random_mining_uses_rng_and_matches_hinge_structure(self):
-        rng = np.random.default_rng(0)
         E = np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 0.0], [2.5, 0.0]])
-        lv = random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, rng)
+        places = slow.mining_places([0, 0, 1, 1], np.random.default_rng(0))
+        lv = random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, places)
         assert lv.loss >= 0.0
         assert lv.grads["embeddings"].shape == (2, 2, 2)
-        # With two images per person there is exactly one positive choice,
-        # so only the negative draw varies.
-        a = random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, np.random.default_rng(5))
-        b = random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, np.random.default_rng(5))
-        assert a.loss == b.loss
+        # With two images per person there is exactly one positive place,
+        # so only the negative place varies: place k is the k-th row of the
+        # other person.  Rows 1 (x = 1) and 2 (x = 1.5) as each other's
+        # negatives are the active hinges, 0.3 + 1 - 0.5 = 0.8 each.
+        near = np.array([[0, 0], [0, 0], [0, 1], [0, 1]])
+        lv = random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, near)
+        assert lv.loss == pytest.approx(1.6) and lv.counters["active_triplets"] == 2
+        far = np.array([[0, 1], [0, 1], [0, 0], [0, 0]])
+        assert random_triplet_loss(batch_from_flat(E, [0, 1], 2), 0.3, far).loss == 0.0
 
 
 class TestSoftmax:
@@ -229,28 +233,36 @@ def selection_fixture():
     return ds, aff
 
 
+def positives(anchors, aff, ds, n_k, rng, positive_sampling="random"):
+    """The (places, slots) an epoch plan draws for these anchors."""
+    return slow.positive_places(anchors, aff.candidates, ds, n_k, rng, positive_sampling)
+
+
 class TestSelectPositives:
     """select_positives on one anchor: the batch-of-one case."""
 
     def test_forced_selection_with_exactly_n_k_candidates(self, rng):
         ds, aff = selection_fixture()
-        picks, _, _ = select_positives(np.array([0]), aff, ds, 2, rng)
+        picks, _, _ = select_positives(np.array([0]), aff, ds, *positives([0], aff, ds, 2, rng))
         persons = sorted(int(ds.class_ids[i]) for i in picks[0])
         assert persons == [2, 3]
 
     def test_average_weighting_is_uniform(self, rng):
         ds, aff = selection_fixture()
-        _, weights, _ = select_positives(np.array([0]), aff, ds, 2, rng, weighting_mode="AW")
+        _, weights, _ = select_positives(np.array([0]), aff, ds, *positives([0], aff, ds, 2, rng),
+                                         weighting_mode="AW")
         assert weights[0].tolist() == [0.5, 0.5]
 
     def test_average_weighting_quarter_for_four(self, rng):
         ds, aff = selection_fixture()
-        _, weights, _ = select_positives(np.array([0]), aff, ds, 4, rng, weighting_mode="AW")
+        _, weights, _ = select_positives(np.array([0]), aff, ds, *positives([0], aff, ds, 4, rng),
+                                         weighting_mode="AW")
         assert weights[0].tolist() == [0.25, 0.25, 0.25, 0.25]
 
     def test_affinity_weighting_renormalizes(self, rng):
         ds, aff = selection_fixture()
-        picks, weights, _ = select_positives(np.array([0]), aff, ds, 2, rng, weighting_mode="W")
+        picks, weights, _ = select_positives(np.array([0]), aff, ds,
+                                             *positives([0], aff, ds, 2, rng), weighting_mode="W")
         by_person = {int(ds.class_ids[i]): w for i, w in zip(picks[0], weights[0])}
         a, b = np.exp(-1.0 / 1.5), np.exp(-2.0 / 1.5)
         assert by_person[2] == pytest.approx(a / (a + b), abs=1e-12)
@@ -260,36 +272,36 @@ class TestSelectPositives:
 
     def test_degenerate_row_refused(self, rng):
         ds, aff = selection_fixture()
-        before = rng.bit_generator.state
-        picks, weights, valid = select_positives(np.array([1, 0]), aff, ds, 2, rng)
+        places, slots = positives([1, 0], aff, ds, 2, rng)
+        assert places.shape == (1, 2)  # the degenerate anchor draws nothing
+        picks, weights, valid = select_positives(np.array([1, 0]), aff, ds, places, slots)
         assert valid.tolist() == [False, True]
         assert picks.shape == weights.shape == (1, 2)  # the drawing anchor's row alone
-        after_valid_anchor = rng.bit_generator.state
-        rng.bit_generator.state = before
-        alone_picks, alone_weights, _ = select_positives(np.array([0]), aff, ds, 2, rng)
-        assert rng.bit_generator.state == after_valid_anchor  # the refused anchor drew nothing
+        alone_picks, alone_weights, _ = select_positives(np.array([0]), aff, ds, places, slots)
         assert alone_picks.tolist() == picks.tolist()
         assert alone_weights.tolist() == weights.tolist()
+        with pytest.raises(ContractError):  # draws for the degenerate anchor too
+            select_positives(np.array([1, 0]), aff, ds, np.tile(places, (2, 1)),
+                             np.tile(slots, (2, 1)))
 
     def test_replacement_when_fewer_candidates(self, rng):
         ds, aff = selection_fixture()
-        picks, _, _ = select_positives(np.array([0]), aff, ds, 5, rng)
+        picks, _, _ = select_positives(np.array([0]), aff, ds, *positives([0], aff, ds, 5, rng))
         assert picks.shape == (1, 5)
         assert {int(ds.class_ids[i]) for i in picks[0]} <= {2, 3}
 
     def test_nearest_mode_takes_top_affinities_deterministically(self, rng):
         ds, aff = selection_fixture()
-        picks = [
-            select_positives(np.array([0]), aff, ds, 2, rng, positive_sampling="nearest")[0]
-            for _ in range(5)
-        ]
+        picks = [select_positives(np.array([0]), aff, ds,
+                                  *positives([0], aff, ds, 2, rng, "nearest"))[0]
+                 for _ in range(5)]
         for chosen in picks:
             persons = [int(ds.class_ids[i]) for i in chosen[0]]
             assert persons == [2, 3]  # descending affinity order
 
     def test_drawn_samples_belong_to_drawn_person(self, rng):
         ds, aff = selection_fixture()
-        picks, _, _ = select_positives(np.array([0]), aff, ds, 2, rng)
+        picks, _, _ = select_positives(np.array([0]), aff, ds, *positives([0], aff, ds, 2, rng))
         for idx in picks[0]:
             assert int(ds.class_ids[idx]) in (2, 3)
 

@@ -1,18 +1,14 @@
 """The soft-triplet ("D") layers give the bits of the batched forms they
 replaced, frozen in tests/slow_references.py.
 
-choice_rows, which draws its follow-up words in the same integers call
-as the choice draws, is compared with the word replay and with the
-per-row loop; select_hardest_negative, which screens with one rounding
-bound per row, with the per-pair screen; weighted_triplet_loss, which
+select_hardest_negative, which screens with one rounding bound per row,
+is compared with the per-pair screen; weighted_triplet_loss, which
 computes every row and zeroes the inactive ones, with the gathered
 active rows.  Each test compares values and indices as bytes (signed
-zeros and NaN payloads count) and, for the draws, the generator state
-afterwards, on PCG64 and MT19937.  Cases include bounds near 3 * 2**30
-(about a quarter of all words rejected), persons with one sample, rows in
-numpy's tail-shuffle branch, distances near and past overflow, NaN rows,
-rows whose kept direct distances are all +inf, exact ties, batches whose
-hinges are all inactive, NaN hinges and -0.0 coordinates.
+zeros and NaN payloads count).  Cases include distances near and past
+overflow, NaN rows, rows whose kept direct distances are all +inf, exact
+ties, batches whose hinges are all inactive, NaN hinges and -0.0
+coordinates.
 """
 
 from collections import Counter
@@ -22,53 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import slow_references as slow
 from crosscam import TrainConfig, select_hardest_negative, train, weighted_triplet_loss
-from crosscam import losses, trainer
-from crosscam.draws import choice_rows
+from crosscam import trainer
 from slow_references import same_bits
 from test_batched_equivalence import points
-from test_draws_equivalence import state, twin_generators
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 seeds = st.integers(min_value=0, max_value=2**31)
-bit_generators = st.sampled_from([np.random.PCG64, np.random.MT19937])
-
-
-def _draw_case(rng, case):
-    """(populations, size, follow-up bound table) of one choice_rows case."""
-    size = int(rng.integers(1, 7))
-    pops = rng.integers(1, 12, size=int(rng.integers(0, 20)))
-    pops[rng.random(pops.size) < 0.25] = size  # Floyd's first draw in [0, 0]
-    table = rng.integers(2, 9, size=(pops.size, 12))
-    if case == "rejecting":
-        pops = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=pops.size)
-        table = rng.integers(3 * 2**30 - 50, 3 * 2**30, size=table.shape)
-    elif case == "one_sample":
-        table[rng.random(table.shape) < 0.3] = 1
-    elif case == "tail":  # pop 10,001 takes numpy's tail shuffle at size 201
-        size, pops = 201, np.array([3, 250, 10_001, 250, 10_001])[:int(rng.integers(2, 6))]
-        table = rng.integers(2, 9, size=(pops.size, 12))
-    return pops, size, table
-
-
-@SETTINGS
-@given(seed=seeds, bit_generator=bit_generators,
-       case=st.sampled_from(["plain", "rejecting", "one_sample", "tail"]),
-       with_then=st.booleans())
-def test_choice_rows_matches_word_replay_and_loop(seed, bit_generator, case, with_then):
-    rng = np.random.default_rng(seed)
-    pops, size, table = _draw_case(rng, case)
-    then = (lambda rows, c: table[rows[:, None], c % table.shape[1]]) if with_then else None
-    gen_seed, skip = int(rng.integers(2**31)), int(rng.integers(0, 4))
-    replayed, _ = twin_generators(bit_generator, gen_seed, skip)
-    looped, got = twin_generators(bit_generator, gen_seed, skip)
-    want = slow.replayed_choice_rows(replayed, pops, size, then)
-    loop = slow.choice_rows(looped, pops, size, then)
-    out = choice_rows(got, pops, size, then)
-    assert state(got) == state(replayed) == state(looped)
-    for a, b, c in zip(out, want, loop):
-        assert (a is None) == (b is None) == (c is None)
-        if a is not None:
-            assert same_bits(a, b) and same_bits(a, c)
 
 
 def _negative_case(rng, case):
@@ -175,10 +130,7 @@ def test_weighted_triplet_loss_matches_gathered_rows(seed, case):
 def test_tiny_c_plus_d_run_calls_each_d_layer_once_per_joint_iteration(monkeypatch, tiny_train):
     """perfbench counts the D layers per call, so each runs once per joint
     iteration: the positives, the hardest negatives and the weighted
-    triplet loss of the whole batch.  The positives' draws come from the
-    epoch plan, so select_positives draws nothing itself (no
-    draw_positives or choice_rows call) where the plan settles, here
-    every iteration."""
+    triplet loss of the whole batch."""
     calls = Counter()
 
     def counted(module, name):
@@ -192,8 +144,6 @@ def test_tiny_c_plus_d_run_calls_each_d_layer_once_per_joint_iteration(monkeypat
 
     for name in ("select_positives", "select_hardest_negative", "weighted_triplet_loss"):
         counted(trainer, name)
-    counted(losses, "choice_rows")
-    counted(losses, "draw_positives")
     config = TrainConfig(n_p=4, n_k=2, epochs=4, warmup_epochs=2, decay_epoch=4, hidden_dim=8,
                          embed_dim=4, class_batch_total=12, inter_mode="C+D", seed=3)
     train(tiny_train, config)

@@ -23,7 +23,8 @@ from crosscam.affinity import PRODUCT_ELEMENTS, affinity_quality_map, squared_di
 from crosscam.data import dataclass_from_dict
 from crosscam.model import Optimizer, OptimizerState, init_head, init_model
 from crosscam.ranking import BLOCK_ELEMENTS
-from crosscam.trainer import TRAINLOG_COLUMNS, TrainState
+from crosscam.plan import plan_epoch
+from crosscam.trainer import TRAINLOG_COLUMNS, TrainState, camera_shares
 from conftest import traced_peak
 
 
@@ -62,9 +63,20 @@ def assert_params_equal(a, b):
         assert np.array_equal(a[name], b[name]), f"parameter {name} differs"
 
 
+def planned_pk(dataset, camera_id, n_p, n_k, rng):
+    """pk_sampler on an epoch plan's draws for one batch of the camera."""
+    return pk_sampler(dataset, camera_id, *plan_epoch(rng, dataset, [camera_id], n_p, n_k)[0].pk)
+
+
+def planned_places(dataset, batch_total, rng):
+    """Each camera's places of an epoch plan's camera-balanced batch."""
+    shares = camera_shares(dataset, batch_total)
+    return plan_epoch(rng, dataset, [0], 2, 2, shares=shares)[0].cls
+
+
 class TestPKSampler:
     def test_shapes_and_membership(self, tiny_train, rng):
-        batch = pk_sampler(tiny_train, 0, 4, 2, rng)
+        batch = planned_pk(tiny_train, 0, 4, 2, rng)
         assert batch.sample_indices.shape == (4, 2)
         for r in range(4):
             cls = int(batch.classes[r])
@@ -74,57 +86,58 @@ class TestPKSampler:
 
     def test_persons_unique_when_enough(self, tiny_train, rng):
         n_persons = int(tiny_train.index.counts[0])
-        batch = pk_sampler(tiny_train, 0, min(4, n_persons), 2, rng)
+        batch = planned_pk(tiny_train, 0, min(4, n_persons), 2, rng)
         assert len(set(batch.classes.tolist())) == len(batch.classes)
 
     def test_whole_camera_forced_when_oversized(self, tiny_train, rng):
         n_persons = int(tiny_train.index.counts[1])
-        batch = pk_sampler(tiny_train, 1, n_persons + 3, 2, rng)
+        batch = planned_pk(tiny_train, 1, n_persons + 3, 2, rng)
         lo = tiny_train.index.offsets[1]
         assert set(batch.classes.tolist()) == set(range(lo, lo + n_persons))
+        assert sorted(batch.classes[:n_persons].tolist()) == list(range(lo, lo + n_persons))
 
     def test_single_image_person_repeats(self, rng):
         ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 0], [0, 1, 1], [0, 1, 1], 1, "train")
-        batch = pk_sampler(ds, 0, 2, 3, rng)
+        batch = planned_pk(ds, 0, 2, 3, rng)
         row = batch.sample_indices[batch.classes.tolist().index(0)]
         assert np.all(row == 0)
 
     def test_fixed_seed_reproducible(self, tiny_train):
-        a = pk_sampler(tiny_train, 0, 6, 2, np.random.default_rng(9))
-        b = pk_sampler(tiny_train, 0, 6, 2, np.random.default_rng(9))
+        a = planned_pk(tiny_train, 0, 6, 2, np.random.default_rng(9))
+        b = planned_pk(tiny_train, 0, 6, 2, np.random.default_rng(9))
         assert np.array_equal(a.sample_indices, b.sample_indices)
         assert np.array_equal(a.classes, b.classes)
 
-    def test_too_few_persons_refused(self, rng):
+    def test_too_few_persons_refused(self):
         ds = Dataset([[0.0], [1.0]], [0, 0], [0, 0], [0, 0], 1, "train")
         with pytest.raises(ContractError):
-            pk_sampler(ds, 0, 2, 2, rng)
+            pk_sampler(ds, 0, np.zeros(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
 
-    def test_bad_camera_refused(self, tiny_train, rng):
+    def test_bad_camera_refused(self, tiny_train):
         with pytest.raises(ContractError):
-            pk_sampler(tiny_train, 99, 2, 2, rng)
+            pk_sampler(tiny_train, 99, np.zeros(2, dtype=np.int64), np.zeros((2, 2), dtype=np.int64))
 
 
 class TestClassificationSampler:
     def test_camera_balanced_quota(self, tiny_train, rng):
-        idx = classification_sampler(tiny_train, rng, batch_total=6)
+        idx = classification_sampler(tiny_train, 6, planned_places(tiny_train, 6, rng))
         assert len(idx) == 6
         cams = tiny_train.camera_ids[idx]
         for cam in range(tiny_train.n_cameras):
             assert int((cams == cam).sum()) == 2
 
     def test_floor_division_drops_remainder(self, tiny_train, rng):
-        idx = classification_sampler(tiny_train, rng, batch_total=64)
+        idx = classification_sampler(tiny_train, 64, planned_places(tiny_train, 64, rng))
         assert len(idx) == (64 // tiny_train.n_cameras) * tiny_train.n_cameras
 
-    def test_zero_quota_refused(self, tiny_train, rng):
+    def test_zero_quota_refused(self, tiny_train):
         with pytest.raises(ConfigError):
-            classification_sampler(tiny_train, rng, batch_total=2)
+            classification_sampler(tiny_train, 2, [np.zeros(0, dtype=np.int64)] * 3)
 
-    def test_empty_camera_refused(self, rng):
+    def test_empty_camera_refused(self):
         ds = Dataset([[0.0], [1.0], [2.0]], [0, 0, 1], [0, 1, 0], [0, 1, 0], 3, "train")
         with pytest.raises(ContractError):
-            classification_sampler(ds, rng, batch_total=3)
+            classification_sampler(ds, 3, [np.zeros(1, dtype=np.int64)] * 3)
 
 
 class TestConfig:
@@ -474,8 +487,9 @@ def test_soft_ce_step_holds_one_batch_by_class_array():
     ds, state = epoch_start_case(C, n_cameras, d, rng)
     config = TrainConfig(k=6)
     trainer._epoch_start(state, ds, config)
-    trainer._soft_ce_step(state, ds, config)
-    out, peak, _ = traced_peak(trainer._soft_ce_step, state, ds, config)
+    places = planned_places(ds, config.class_batch_total, rng)
+    trainer._soft_ce_step(state, ds, config, places)
+    out, peak, _ = traced_peak(trainer._soft_ce_step, state, ds, config, places)
     assert out[1] == config.class_batch_total  # every sampled row adds a term
     batch_by_class = config.class_batch_total * C * 8
     head = state.head.Wc.nbytes + state.head.bc.nbytes
